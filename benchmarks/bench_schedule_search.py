@@ -12,8 +12,9 @@ exercises:
   topology (each beam evaluation is one controlled run).
 
 Results land in ``BENCH_check.json`` (repo root); the committed copy is
-the baseline that ``scripts/check_bench_baseline.py --profile check``
-guards against >30% regressions.  Run as a script:
+recorded as the ``check`` profile of ``PERF_LEDGER.jsonl``, which
+``python -m repro perf check --candidate check=...`` guards against
+>30% regressions.  Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_schedule_search.py
     PYTHONPATH=src python benchmarks/bench_schedule_search.py --check
@@ -52,8 +53,8 @@ CASES = (
     ("worstcase", "flooding", "class-g", 8),
 )
 
-#: Every per-case record carries exactly these fields; the baseline
-#: checker (scripts/check_bench_baseline.py) refuses files without them.
+#: Every per-case record carries exactly these fields; the ledger gate
+#: (``python -m repro perf check``) refuses files without them.
 CASE_FIELDS = (
     "mode",
     "algorithm",

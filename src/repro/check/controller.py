@@ -44,9 +44,11 @@ import heapq
 import json
 import math
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -114,6 +116,9 @@ class EnabledEvent(NamedTuple):
     dst_awake: bool
 
 
+_SEQ = attrgetter("seq")
+
+
 class ChoicePoint:
     """The engine's question to the controller: one of ``enabled``
     fires next.
@@ -154,7 +159,8 @@ class ScheduleLog:
     ``delays`` maps every message seq to its assigned delay, which is
     what :class:`ReplayDelay` feeds back into the plain engine.
     ``states`` is filled only when the controller sets
-    ``record_states`` (one fingerprint per choice point).
+    ``record_states`` (one fingerprint per choice point the controller
+    is not :meth:`~ScheduleController.replaying`).
     """
 
     choices: List[int] = field(default_factory=list)
@@ -186,6 +192,12 @@ class ScheduleController:
     def choose(self, cp: ChoicePoint) -> int:
         """Index into ``cp.enabled`` of the event to fire, or ABORT."""
         raise NotImplementedError
+
+    def replaying(self) -> bool:
+        """Whether the next choice point retraces a run whose states
+        were already recorded; ``record_states`` skips its
+        fingerprint."""
+        return False
 
 
 class ReplayController(ScheduleController):
@@ -380,16 +392,17 @@ class _ControlledLoop:
         self._wakes = wakes
         self._wake_i = 0
         self._channels: Dict[Tuple[Vertex, Vertex], Deque[Message]] = {}
+        #: The FIFO head of every nonempty channel as a prebuilt
+        #: delivery event, in seq order.  Send times are monotone in
+        #: seq, so ``_heads[0]`` is also the oldest pending send.
+        self._heads: List[EnabledEvent] = []
         self._now = engine._now
 
     # -- enabled-set construction --------------------------------------
     def _oldest_deadline(self) -> Optional[float]:
         """Deadline (sent_at + 1) of the oldest pending message."""
-        oldest = None
-        for q in self._channels.values():
-            if q and (oldest is None or q[0].sent_at < oldest):
-                oldest = q[0].sent_at
-        return None if oldest is None else oldest + 1.0
+        heads = self._heads
+        return heads[0].deadline if heads else None
 
     def _wake_enabled(self, t_wake: float) -> bool:
         """A wake may fire next unless an older pending message's
@@ -398,47 +411,73 @@ class _ControlledLoop:
         d_min = self._oldest_deadline()
         return d_min is None or d_min > t_wake + GUARD
 
-    def _enabled_events(self) -> List[EnabledEvent]:
-        vstate = self._engine._vstate
+    def _delivery_event(self, m: Message) -> EnabledEvent:
+        return EnabledEvent(
+            "deliver", m.dst, m.src, m.seq, m.sent_at, m.sent_at + 1.0,
+            m.payload, self._engine._vstate[m.dst][0]._awake,
+        )
+
+    def _enabled_events(self) -> Tuple[EnabledEvent, ...]:
         if self._mutation == MUTATION_SKIP_FIFO:
-            msgs = [m for q in self._channels.values() for m in q]
+            deliveries = sorted(
+                (
+                    self._delivery_event(m)
+                    for q in self._channels.values()
+                    for m in q
+                ),
+                key=_SEQ,
+            )
         else:
-            msgs = [q[0] for q in self._channels.values() if q]
-        msgs.sort(key=lambda m: m.seq)
-        enabled: List[EnabledEvent] = []
-        if self._wake_i < len(self._wakes):
-            t_w, s_w, v_w = self._wakes[self._wake_i]
-            if self._wake_enabled(t_w):
-                enabled.append(
-                    EnabledEvent(
-                        "wake", v_w, None, s_w, t_w, t_w, None,
-                        vstate[v_w][0]._awake,
-                    )
-                )
+            deliveries = self._heads
+        if self._wake_i == len(self._wakes):
+            return tuple(deliveries)
+        t_w, s_w, v_w = self._wakes[self._wake_i]
+        wake: Tuple[EnabledEvent, ...] = ()
+        if self._wake_enabled(t_w):
+            wake = (
+                EnabledEvent(
+                    "wake", v_w, None, s_w, t_w, t_w, None,
+                    self._engine._vstate[v_w][0]._awake,
+                ),
+            )
         # A delivery needs a timestamp strictly between now and the
         # next pending wake; when the wake leaves no room (e.g. several
         # wakes scheduled at the same instant), only the wake is
         # enabled — mirroring the plain engine, where same-time events
         # fire in heap order and wakes precede the (strictly later)
         # deliveries.
-        if self._wake_i < len(self._wakes):
-            t_w = self._wakes[self._wake_i][0]
-            if self._now + STEP >= t_w:
-                return enabled
-        for m in msgs:
-            enabled.append(
-                EnabledEvent(
-                    "deliver", m.dst, m.src, m.seq, m.sent_at,
-                    m.sent_at + 1.0, m.payload, vstate[m.dst][0]._awake,
-                )
-            )
-        return enabled
+        if self._now + STEP >= t_w:
+            return wake
+        return wake + tuple(deliveries)
+
+    def _silent_wake(self) -> Optional[EnabledEvent]:
+        """The next scheduled wake if it may fire now and targets an
+        already-awake vertex.
+
+        Such wakes are state no-ops (the plain loop's _handle_wake
+        returns early); they fire without consulting the controller
+        instead of being branched on — they commute with everything
+        except the clock, which fingerprints exclude.
+        """
+        if self._wake_i == len(self._wakes):
+            return None
+        t_w, s_w, v_w = self._wakes[self._wake_i]
+        if self._engine._vstate[v_w][0]._awake and self._wake_enabled(t_w):
+            return EnabledEvent("wake", v_w, None, s_w, t_w, t_w, None, True)
+        return None
 
     # -- event execution -----------------------------------------------
     def _advance(self, time: float) -> None:
         if time > self._now:
             self._now = time
             self._engine._now = time
+
+    def _mark_awake(self, v: Vertex) -> None:
+        """``v`` just woke: flip ``dst_awake`` on its channel heads."""
+        heads = self._heads
+        for i, ev in enumerate(heads):
+            if ev.vertex == v:
+                heads[i] = ev._replace(dst_awake=True)
 
     def _fire_wake(self, ev: EnabledEvent) -> None:
         engine = self._engine
@@ -448,6 +487,7 @@ class _ControlledLoop:
         if ctx._awake:
             return  # waking is permanent; a repeat wake only advances time
         ctx._awake = True
+        self._mark_awake(ev.vertex)
         ctx.wake_cause = "adversary"
         engine.metrics.record_wake(ev.vertex, ev.deadline, "adversary")
         if engine.trace is not None:
@@ -467,8 +507,8 @@ class _ControlledLoop:
         tau = lo
         if self._laziness > 0.0:
             hi = ev.deadline
-            # The message being delivered is already out of its
-            # channel, so this scans exactly the *other* pending sends.
+            # The message being delivered is already out of the head
+            # index, so this is the oldest *other* pending send.
             d_other = self._oldest_deadline()
             if d_other is not None and d_other - GUARD < hi:
                 hi = d_other - GUARD
@@ -499,6 +539,12 @@ class _ControlledLoop:
         q = self._channels[chan]
         if q[0].seq == ev.seq:
             msg = q.popleft()
+            # The channel's next message becomes a head before
+            # _assign_time looks for the oldest *other* pending send.
+            heads = self._heads
+            del heads[bisect_left(heads, ev.seq, key=_SEQ)]
+            if q:
+                insort(heads, self._delivery_event(q[0]), key=_SEQ)
         else:
             # Only reachable under the skip-fifo mutation.
             msg = next(m for m in q if m.seq == ev.seq)
@@ -519,6 +565,7 @@ class _ControlledLoop:
             trace.deliver(tau, msg)
         if not ctx._awake:
             ctx._awake = True
+            self._mark_awake(v)
             ctx.wake_cause = "message"
             metrics.record_wake(v, tau, "message")
             if trace is not None:
@@ -543,6 +590,7 @@ class _ControlledLoop:
         trace = engine.trace
         seq_next = engine._seq.__next__
         channels = self._channels
+        heads = self._heads
         for send in ctx._drain():
             port = send.port
             dst = neighbors[port - 1]
@@ -560,6 +608,9 @@ class _ControlledLoop:
             q = channels.get(chan)
             if q is None:
                 q = channels[chan] = deque()
+                # The newest send has the largest seq: appending keeps
+                # the head index sorted.
+                heads.append(self._delivery_event(msg))
             q.append(msg)
 
     # -- the loop ------------------------------------------------------
@@ -569,7 +620,6 @@ class _ControlledLoop:
         rec = engine.recorder
         rec_enabled = rec.enabled
         metrics = engine.metrics
-        vstate = engine._vstate
         max_events = engine._max_events
         record_states = bool(getattr(controller, "record_states", False))
         log = self.log
@@ -578,44 +628,33 @@ class _ControlledLoop:
         engine.phases._start("engine", None)
         try:
             while True:
-                # Wakes of already-awake vertices are state no-ops (the
-                # plain loop's _handle_wake returns early); fire them
-                # silently instead of branching on them — they commute
-                # with everything except the clock, which fingerprints
-                # exclude.  They still count as processed events, like
-                # in the plain loop.
-                while self._wake_i < len(self._wakes):
-                    t_w, _s, v_w = self._wakes[self._wake_i]
-                    if not vstate[v_w][0]._awake:
+                # Silent wakes still count as processed events, like in
+                # the plain loop, budget check included.
+                ev = self._silent_wake()
+                if ev is None:
+                    enabled = self._enabled_events()
+                    if not enabled:
                         break
-                    if not self._wake_enabled(t_w):
-                        break
-                    self._wake_i += 1
-                    self._advance(t_w)
-                    processed += 1
-                enabled = self._enabled_events()
-                if not enabled:
-                    break
-                free = len(enabled) > 1
-                cp = ChoicePoint(
-                    len(log.choices), processed, self._now, tuple(enabled),
-                    free, self,
-                )
-                if record_states:
-                    log.states.append(cp.fingerprint())
-                idx = controller.choose(cp)
-                if idx == ABORT:
-                    aborted = True
-                    break
-                if not 0 <= idx < len(enabled):
-                    raise SimulationError(
-                        f"controller chose event {idx} of "
-                        f"{len(enabled)} enabled"
+                    free = len(enabled) > 1
+                    cp = ChoicePoint(
+                        len(log.choices), processed, self._now, enabled,
+                        free, self,
                     )
-                if free:
-                    log.choices.append(idx)
-                    log.branch_sizes.append(len(enabled))
-                ev = enabled[idx]
+                    if record_states and not controller.replaying():
+                        log.states.append(cp.fingerprint())
+                    idx = controller.choose(cp)
+                    if idx == ABORT:
+                        aborted = True
+                        break
+                    if not 0 <= idx < len(enabled):
+                        raise SimulationError(
+                            f"controller chose event {idx} of "
+                            f"{len(enabled)} enabled"
+                        )
+                    if free:
+                        log.choices.append(idx)
+                        log.branch_sizes.append(len(enabled))
+                    ev = enabled[idx]
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(

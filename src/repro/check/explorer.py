@@ -138,6 +138,11 @@ class _DfsController(ScheduleController):
                 s: d for s, d in self._sleep.items() if d != dst
             }
 
+    def replaying(self) -> bool:
+        # Through the branch point this run retraces the run that
+        # enqueued it, which fingerprinted each of those choice points.
+        return self._free_seen < len(self._prefix)
+
     def choose(self, cp: ChoicePoint) -> int:
         shared = self._shared
         past_prefix = self._free_seen >= len(self._prefix)

@@ -11,6 +11,10 @@ import pytest
 
 from repro.check.controller import (
     DEFAULT_REPLAY_DIR,
+    GUARD,
+    MUTATION_SKIP_FIFO,
+    STEP,
+    EnabledEvent,
     RandomController,
     ReplayController,
     ReplayDelay,
@@ -20,7 +24,12 @@ from repro.check.controller import (
 )
 from repro.core import get_algorithm
 from repro.errors import SimulationError
-from repro.graphs.generators import complete_graph, cycle_graph, path_graph
+from repro.graphs.generators import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 from repro.sim.runner import run_wakeup
@@ -82,6 +91,145 @@ class TestControlledRun:
                 setup, algo, adv, engine="sync",
                 controller=RandomController(),
             )
+
+    def test_silent_wakes_count_against_the_event_budget(self):
+        # Vertex 1 is woken by vertex 0's message long before its
+        # scheduled wake at t=2, which then fires silently as the
+        # controlled run's fourth event.
+        world = _world(path_graph, 2, wakes={0: 0.0, 1: 2.0})
+        setup, algo, adv = world()
+        with pytest.raises(SimulationError, match="event budget of 3"):
+            run_wakeup(setup, algo, adv, engine="async", seed=0,
+                       max_events=3)
+        setup, algo, adv = world()
+        with pytest.raises(SimulationError, match="event budget of 3"):
+            run_wakeup(
+                setup, algo, adv, engine="async", seed=0,
+                require_all_awake=False, max_events=3,
+                controller=ReplayController([]),
+            )
+        setup, algo, adv = world()
+        result = run_wakeup(
+            setup, algo, adv, engine="async", seed=0,
+            require_all_awake=False, max_events=4,
+            controller=ReplayController([]),
+        )
+        assert result.metrics.events_processed == 4
+
+
+# ----------------------------------------------------------------------
+# Conformance of the incremental enabled set
+# ----------------------------------------------------------------------
+
+
+def _reference_oldest_deadline(loop):
+    """Deadline of the oldest pending send, from a scan of every
+    channel."""
+    oldest = None
+    for q in loop._channels.values():
+        if q and (oldest is None or q[0].sent_at < oldest):
+            oldest = q[0].sent_at
+    return None if oldest is None else oldest + 1.0
+
+
+def _reference_enabled(loop):
+    """The enabled set rebuilt from scratch out of the channels and
+    the wake schedule: the reference the loop's head index must
+    reproduce exactly."""
+    vstate = loop._engine._vstate
+    if loop._mutation == MUTATION_SKIP_FIFO:
+        msgs = [m for q in loop._channels.values() for m in q]
+    else:
+        msgs = [q[0] for q in loop._channels.values() if q]
+    msgs.sort(key=lambda m: m.seq)
+    enabled = []
+    if loop._wake_i < len(loop._wakes):
+        t_w, s_w, v_w = loop._wakes[loop._wake_i]
+        d_min = _reference_oldest_deadline(loop)
+        if d_min is None or d_min > t_w + GUARD:
+            enabled.append(
+                EnabledEvent(
+                    "wake", v_w, None, s_w, t_w, t_w, None,
+                    vstate[v_w][0]._awake,
+                )
+            )
+        if loop._now + STEP >= t_w:
+            return tuple(enabled)
+    for m in msgs:
+        enabled.append(
+            EnabledEvent(
+                "deliver", m.dst, m.src, m.seq, m.sent_at,
+                m.sent_at + 1.0, m.payload, vstate[m.dst][0]._awake,
+            )
+        )
+    return tuple(enabled)
+
+
+class _ConformanceController(RandomController):
+    """Random choices, checking every choice point against the
+    from-scratch reference."""
+
+    def __init__(self, seed, laziness, mutation):
+        super().__init__(seed=seed, laziness=laziness)
+        self.mutation = mutation
+        self.points = 0
+        self.wake_points = 0
+        self.asleep_heads = 0
+
+    def choose(self, cp):
+        loop = self.loop
+        expected = _reference_enabled(loop)
+        assert cp.enabled == expected
+        assert [ev.dst_awake for ev in cp.enabled] == [
+            ev.dst_awake for ev in expected
+        ]
+        assert loop._oldest_deadline() == _reference_oldest_deadline(loop)
+        self.points += 1
+        self.wake_points += any(ev.kind == "wake" for ev in cp.enabled)
+        self.asleep_heads += sum(
+            ev.kind == "deliver" and not ev.dst_awake for ev in cp.enabled
+        )
+        return super().choose(cp)
+
+
+_CONFORMANCE_WORLDS = {
+    "complete4-staggered": (complete_graph, 4, "flooding",
+                            {0: 0.0, 2: 0.4}),
+    "cycle6-three-wakes": (cycle_graph, 6, "flooding",
+                           {0: 0.0, 3: 0.5, 5: 1.5}),
+    "star5-same-instant": (star_graph, 5, "flooding",
+                           {1: 0.0, 2: 0.0, 3: 0.7}),
+    "path5-echo": (path_graph, 5, "echo-flooding", {0: 0.0, 4: 0.9}),
+    "cycle5-echo-late": (cycle_graph, 5, "echo-flooding",
+                         {0: 0.0, 2: 2.5}),
+}
+
+
+class TestIncrementalEnabledSet:
+    @pytest.mark.parametrize("mutation", [None, MUTATION_SKIP_FIFO])
+    @pytest.mark.parametrize("laziness", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("world_name", sorted(_CONFORMANCE_WORLDS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_from_scratch_reference(self, seed, world_name,
+                                            laziness, mutation):
+        graph_fn, n, algo, wakes = _CONFORMANCE_WORLDS[world_name]
+        world = _world(graph_fn, n, algo=algo, wakes=wakes)
+        ctl = _ConformanceController(seed, laziness, mutation)
+        _controlled(world, ctl)
+        assert ctl.points > 0
+        assert ctl.log.completed
+
+    def test_reference_exercises_wakes_and_sleeping_heads(self):
+        # Guard on the matrix above: choice points offering a wake and
+        # deliveries to still-asleep vertices both occur.
+        wake_points = asleep_heads = 0
+        for graph_fn, n, algo, wakes in _CONFORMANCE_WORLDS.values():
+            ctl = _ConformanceController(0, 0.5, None)
+            _controlled(_world(graph_fn, n, algo=algo, wakes=wakes), ctl)
+            wake_points += ctl.wake_points
+            asleep_heads += ctl.asleep_heads
+        assert wake_points > 0
+        assert asleep_heads > 0
 
 
 class TestBitIdenticalReplay:

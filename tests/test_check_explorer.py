@@ -7,10 +7,14 @@ property, and the full mutation pipeline: plant a known bug, find the
 violation exhaustively, shrink it, replay it.
 """
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import controller as controller_mod
 from repro.check.controller import MUTATION_SKIP_FIFO, ReplayController
 from repro.check.explorer import explore, random_probe
 from repro.check.invariants import (
@@ -19,6 +23,7 @@ from repro.check.invariants import (
     default_invariants,
 )
 from repro.check.shrink import shrink_violation
+from repro.check.worlds import build_check_world
 from repro.core import get_algorithm
 from repro.graphs.generators import (
     complete_graph,
@@ -103,6 +108,68 @@ class TestReductionSoundness:
         deduped = explore(world, dedup=True)
         full = explore(world, dedup=False, por=False)
         assert deduped.outcomes <= full.outcomes
+
+
+def _sha256(value):
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestGoldenPins:
+    """Exact search results at world seed 0.  Any drift in state
+    fingerprints, enabled-set order, or reductions moves a count or a
+    digest here."""
+
+    @pytest.mark.parametrize(
+        "algo,graph,n,schedules,states,states_sha,outcomes_sha",
+        [
+            (
+                "flooding", "star", 5, 15, 56,
+                "acf8876a22fc47bc1335c5bbc79ceab1"
+                "2d7bcd2f0c99091bea0bdaabf9222975",
+                "c9b09d1836116d2c88e76d9698a1279e"
+                "e4498af3037bfeafcad4e6ba376eb634",
+            ),
+            (
+                "echo-flooding", "cycle", 4, 43, 948,
+                "5e955fd2b585a290a82b8bc995cb1d5a"
+                "391783987cd8f2da25220402e3037471",
+                "eee1b93ff129e578ff33ff9543344d89"
+                "c32c3597ea87008e269a1f9ddddf0d73",
+            ),
+        ],
+    )
+    def test_explore_counts_and_digests(self, algo, graph, n, schedules,
+                                        states, states_sha, outcomes_sha):
+        world, _ = build_check_world(get_algorithm(algo), n, graph=graph,
+                                     seed=0)
+        result = explore(world, max_schedules=5_000)
+        assert result.completed
+        assert result.stats.violations == 0
+        assert result.stats.schedules == schedules
+        assert len(result.states) == states
+        assert _sha256(sorted(result.states)) == states_sha
+        assert _sha256(sorted(result.outcomes)) == outcomes_sha
+
+    def test_replayed_prefixes_are_not_refingerprinted(self, monkeypatch):
+        # Every run retraces its parent's choice points up to the
+        # branch point; only the rest (and final states) are hashed.
+        # Re-hashing the prefixes too took 6,210 calls here.
+        calls = []
+        original = controller_mod._ControlledLoop.fingerprint
+
+        def counting(loop):
+            calls.append(1)
+            return original(loop)
+
+        monkeypatch.setattr(
+            controller_mod._ControlledLoop, "fingerprint", counting
+        )
+        world, _ = build_check_world(get_algorithm("echo-flooding"), 4,
+                                     graph="cycle", seed=0)
+        result = explore(world, max_schedules=5_000)
+        assert len(result.states) == 948
+        assert len(calls) == 1_770
 
 
 class TestContainment:

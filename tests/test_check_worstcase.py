@@ -6,9 +6,13 @@ and the found schedule replays bit-identically through the plain
 engine (satellite: worst schedule as a first-class artifact).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.check.controller import ReplayController, ReplayDelay
+from repro.check.worlds import build_class_g_world
 from repro.check.worstcase import (
     GREEDY_POLICIES,
     random_baseline,
@@ -86,6 +90,31 @@ class TestSearch:
     def test_unknown_objective_rejected(self):
         with pytest.raises(SimulationError, match="objective"):
             worstcase_search(_cycle_world(4), "latency")
+
+
+class TestGoldenPin:
+    def test_classg8_search_is_exact(self):
+        # World seed 0; any drift in enabled-set order, dst_awake
+        # flags or lazy delivery times moves one of these.
+        world, _ = build_class_g_world(get_algorithm("flooding"), 8,
+                                       seed=0)
+        wc = worstcase_search(world, "time", beam_width=4, horizon=8,
+                              branch_cap=2)
+        assert wc.score == 2.0
+        assert wc.policy == "feed-awake"
+        assert wc.evaluations == 57
+        assert wc.greedy_scores == {
+            "head": 1.999000069999998,
+            "fifo": 1.999000069999998,
+            "lifo": 1.0,
+            "feed-awake": 2.0,
+        }
+        assert len(wc.choices) == 142
+        blob = json.dumps(list(wc.choices), separators=(",", ":"))
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+            "729efbe38a061be3e4e7a6703e290919"
+            "16658cde00ee81c5629b78b1fac04fd6"
+        )
 
 
 class TestWorstScheduleReplay:
