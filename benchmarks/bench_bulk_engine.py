@@ -16,8 +16,9 @@ case at the same n; the acceptance target for the committed baseline is
 >= 10x on flooding at n = 65536.
 
 Results land in ``BENCH_bulk.json`` (repo root); the committed copy is
-the baseline ``scripts/check_bench_baseline.py --profile bulk`` guards
-against >30% regressions.  Run as a script:
+recorded as the ``bulk`` profile of ``PERF_LEDGER.jsonl``, which
+``python -m repro perf check --candidate bulk=...`` guards against >30%
+regressions.  Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_bulk_engine.py
     PYTHONPATH=src python benchmarks/bench_bulk_engine.py --check

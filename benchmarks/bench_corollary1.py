@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.fitting import fit_power_law
 from repro.analysis.report import print_table
 from repro.core.fip06 import Fip06TreeAdvice
-from repro.experiments.sweeps import er_single_wake, sweep
+from repro.experiments.sweeps import er_single_wake, parallel_sweep
 from repro.graphs.generators import grid_graph, star_graph
 from repro.graphs.traversal import diameter
 from repro.models.knowledge import Knowledge, make_setup
@@ -24,15 +24,16 @@ from repro.sim.runner import run_wakeup
 
 @pytest.fixture(scope="module")
 def cor1_sweep(bench_sizes):
-    return sweep(
-        Fip06TreeAdvice,
-        er_single_wake(avg_degree=6.0, seed=13),
+    rows, _ = parallel_sweep(
+        "fip06-tree-advice",
+        {"kind": "er_single_wake", "avg_degree": 6.0, "seed": 13},
         sizes=bench_sizes,
-        knowledge=Knowledge.KT0,
+        knowledge="KT0",
         bandwidth="CONGEST",
         trials=3,
         seed=2,
     )
+    return rows
 
 
 def test_corollary1_linear_messages(cor1_sweep):

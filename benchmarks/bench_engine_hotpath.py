@@ -19,8 +19,9 @@ deliveries) for the async engine, and deliveries + wakes for the sync
 engine (whose ``events_processed`` counts rounds, not per-message
 work).
 
-Results land in ``BENCH_engine.json`` (repo root) — the committed copy
-is the baseline that ``scripts/check_bench_baseline.py`` guards against
+Results land in ``BENCH_engine.json`` (repo root); the committed copy
+is recorded as the ``engine`` profile of ``PERF_LEDGER.jsonl``, which
+``python -m repro perf check --candidate engine=...`` guards against
 >30% regressions.  Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py
@@ -60,8 +61,8 @@ CASES = (
 DEFAULT_SIZES = (512, 2048)
 AVG_DEGREE = 8.0
 
-#: Every per-case record carries exactly these fields; the baseline
-#: checker (scripts/check_bench_baseline.py) refuses files without them.
+#: Every per-case record carries exactly these fields; the ledger gate
+#: (``python -m repro perf check``) refuses files without them.
 CASE_FIELDS = (
     "algorithm",
     "engine",

@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.fitting import fit_power_law_deloged
 from repro.analysis.report import print_table
 from repro.core.fast_wakeup import FastWakeUp
-from repro.experiments.sweeps import dense_er_all_awake, sweep
+from repro.experiments.sweeps import parallel_sweep
 from repro.graphs.generators import grid_graph
 from repro.graphs.traversal import awake_distance
 from repro.models.knowledge import Knowledge, make_setup
@@ -29,16 +29,17 @@ from repro.sim.runner import run_wakeup
 @pytest.fixture(scope="module")
 def message_sweep(small_bench_sizes):
     sizes = [n * 2 for n in small_bench_sizes]  # 64..256
-    return sweep(
-        FastWakeUp,
-        dense_er_all_awake(p=0.5, seed=3),
+    rows, _ = parallel_sweep(
+        "fast-wakeup",
+        {"kind": "dense_er_all_awake", "p": 0.5, "seed": 3},
         sizes=sizes,
         engine="sync",
-        knowledge=Knowledge.KT1,
+        knowledge="KT1",
         bandwidth="LOCAL",
         trials=3,
         seed=5,
     )
+    return rows
 
 
 def test_theorem4_message_shape(message_sweep):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.report import print_table
 from repro.core.sqrt_advice import SqrtThresholdAdvice
-from repro.experiments.sweeps import er_single_wake, sweep
+from repro.experiments.sweeps import er_single_wake, parallel_sweep
 from repro.graphs.generators import caterpillar_graph
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
@@ -22,15 +22,16 @@ from repro.sim.runner import run_wakeup
 
 @pytest.fixture(scope="module")
 def t5a_sweep(bench_sizes):
-    return sweep(
-        SqrtThresholdAdvice,
-        er_single_wake(avg_degree=6.0, seed=17),
+    rows, _ = parallel_sweep(
+        "sqrt-threshold-advice",
+        {"kind": "er_single_wake", "avg_degree": 6.0, "seed": 17},
         sizes=bench_sizes,
-        knowledge=Knowledge.KT0,
+        knowledge="KT0",
         bandwidth="CONGEST",
         trials=3,
         seed=4,
     )
+    return rows
 
 
 def test_theorem5a_bounds(t5a_sweep):

@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.fitting import fit_power_law
 from repro.analysis.report import print_table
 from repro.core.child_encoding import ChildEncodingAdvice
-from repro.experiments.sweeps import er_single_wake, sweep
+from repro.experiments.sweeps import er_single_wake, parallel_sweep
 from repro.graphs.generators import star_graph
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
@@ -24,15 +24,16 @@ from repro.sim.runner import run_wakeup
 
 @pytest.fixture(scope="module")
 def t5b_sweep(bench_sizes):
-    return sweep(
-        ChildEncodingAdvice,
-        er_single_wake(avg_degree=6.0, seed=19),
+    rows, _ = parallel_sweep(
+        "child-encoding",
+        {"kind": "er_single_wake", "avg_degree": 6.0, "seed": 19},
         sizes=bench_sizes,
-        knowledge=Knowledge.KT0,
+        knowledge="KT0",
         bandwidth="CONGEST",
         trials=3,
         seed=6,
     )
+    return rows
 
 
 def test_theorem5b_linear_messages(t5b_sweep):

@@ -28,10 +28,10 @@ Workloads:
   per trial, the compiled path memoizes it per topology via
   ``cached_spanner`` (persisted into the artifact's extras).
 
-Results land in ``BENCH_topology.json`` (repo root) — the committed
-copy is the baseline ``scripts/check_bench_baseline.py --profile
-topology`` guards against >30% ``warm_speedup`` regressions.  Run as a
-script:
+Results land in ``BENCH_topology.json`` (repo root); the committed
+copy is recorded as the ``topology`` profile of ``PERF_LEDGER.jsonl``,
+which ``python -m repro perf check --candidate topology=...`` guards
+against >30% ``warm_speedup`` regressions.  Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_topology_compile.py
     PYTHONPATH=src python benchmarks/bench_topology_compile.py --check
@@ -74,9 +74,8 @@ CASES = (
 DEFAULT_SIZES = (512,)
 DEFAULT_TRIALS = 6
 
-#: Every per-case record carries exactly these fields; the baseline
-#: checker (scripts/check_bench_baseline.py --profile topology) refuses
-#: files without them.
+#: Every per-case record carries exactly these fields; the ledger gate
+#: (``python -m repro perf check``) refuses files without them.
 CASE_FIELDS = (
     "workload",
     "n",

@@ -16,25 +16,26 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core.child_encoding import ChildEncodingAdvice
-from repro.core.dfs_wakeup import DfsWakeUp
-from repro.core.fip06 import Fip06TreeAdvice
-from repro.core.spanner_advice import LogSpannerAdvice
-from repro.core.sqrt_advice import SqrtThresholdAdvice
+from repro.core.registry import get_algorithm
 from repro.experiments.storage import compare_records, load_records, save_records
-from repro.experiments.sweeps import er_single_wake, sweep
+from repro.experiments.sweeps import algorithm_model, parallel_sweep
 from repro.experiments.table1 import measure_table1
 from repro.lowerbounds.theorem1 import run_prefix_tradeoff
 from repro.lowerbounds.theorem2 import OneShotProbe, run_time_restricted
-from repro.models.knowledge import Knowledge
 
 SIZES = [64, 128, 256, 512]
 
+WORKLOAD = {"kind": "er_single_wake", "avg_degree": 6.0, "seed": 13}
+
+#: experiment -> registry name; each sweep runs in its algorithm's
+#: declared model (async KT0 CONGEST for the advising schemes, async
+#: KT1 LOCAL for Theorem 3).
 SWEEPS = {
-    "corollary1": (Fip06TreeAdvice, {}),
-    "theorem5a": (SqrtThresholdAdvice, {}),
-    "theorem5b": (ChildEncodingAdvice, {}),
-    "corollary2": (LogSpannerAdvice, {}),
+    "corollary1": "fip06-tree-advice",
+    "theorem5a": "sqrt-threshold-advice",
+    "theorem5b": "child-encoding",
+    "corollary2": "log-spanner-advice",
+    "theorem3": "dfs-rank",
 }
 
 
@@ -54,31 +55,19 @@ def regen(outdir: Path, compare: bool) -> int:
         save_records(path, records, experiment=name, params=params)
         print(f"wrote {path} ({len(records)} records)")
 
-    # KT0 CONGEST advising-scheme sweeps
-    for name, (factory, extra) in SWEEPS.items():
-        rows = sweep(
-            factory,
-            er_single_wake(avg_degree=6.0, seed=13),
+    for name, algorithm in SWEEPS.items():
+        knowledge, bandwidth, engine = algorithm_model(get_algorithm(algorithm))
+        rows, _ = parallel_sweep(
+            algorithm,
+            WORKLOAD,
             sizes=SIZES,
-            knowledge=Knowledge.KT0,
-            bandwidth="CONGEST",
+            engine=engine,
+            knowledge=knowledge,
+            bandwidth=bandwidth,
             trials=3,
             seed=2,
-            **extra,
         )
         emit(name, rows, {"sizes": SIZES, "workload": "er_single_wake(6.0)"})
-
-    # Theorem 3 (async KT1 LOCAL)
-    rows = sweep(
-        DfsWakeUp,
-        er_single_wake(avg_degree=6.0, seed=13),
-        sizes=SIZES,
-        knowledge=Knowledge.KT1,
-        bandwidth="LOCAL",
-        trials=3,
-        seed=2,
-    )
-    emit("theorem3", rows, {"sizes": SIZES})
 
     # Theorem-1 frontier
     points = run_prefix_tradeoff(n=48, betas=[0, 1, 2, 3, 4, 5], trials=2, seed=3)

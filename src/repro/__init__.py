@@ -117,18 +117,19 @@ def quick_run(
     """
     import random as _random
 
+    from repro.experiments.sweeps import algorithm_model
     from repro.graphs.generators import connected_erdos_renyi
 
     algo = get_algorithm(algorithm)
     graph = connected_erdos_renyi(n, avg_degree / max(1, n - 1), seed=seed)
     rng = _random.Random(seed + 1)
     awake_set = rng.sample(list(graph.vertices()), max(1, awake))
-    knowledge = Knowledge.KT1 if algo.requires_kt1 else Knowledge.KT0
-    bandwidth = "CONGEST" if algo.congest_safe else "LOCAL"
-    if engine is None:
-        engine = algo.synchrony if algo.synchrony in ("sync", "async") else "async"
+    knowledge, bandwidth, default_engine = algorithm_model(algo)
     setup = make_setup(
-        graph, knowledge=knowledge, bandwidth=bandwidth, seed=seed + 2
+        graph, knowledge=Knowledge[knowledge], bandwidth=bandwidth,
+        seed=seed + 2,
     )
     adversary = Adversary(WakeSchedule.all_at_once(awake_set), UnitDelay())
-    return run_wakeup(setup, algo, adversary, engine=engine, seed=seed + 3)
+    return run_wakeup(
+        setup, algo, adversary, engine=engine or default_engine, seed=seed + 3
+    )

@@ -78,7 +78,7 @@ from repro.core import algorithm_names, get_algorithm
 from repro.experiments.parallel import DEFAULT_CACHE_DIR, ParallelSweepExecutor
 from repro.graphs.compile import DEFAULT_TOPOLOGY_DIR, TopologyStore
 from repro.experiments.storage import merge_records
-from repro.experiments.sweeps import parallel_sweep
+from repro.experiments.sweeps import algorithm_model, parallel_sweep
 from repro.experiments.table1 import (
     measure_table1,
     render_table1,
@@ -96,11 +96,8 @@ from repro.sim.trace_view import render_wake_wave
 def _cmd_list(_args) -> int:
     for name in algorithm_names():
         algo = get_algorithm(name)
-        model = (
-            f"{'KT1' if algo.requires_kt1 else 'KT0'}/"
-            f"{'CONGEST' if algo.congest_safe else 'LOCAL'}/"
-            f"{algo.synchrony}"
-        )
+        knowledge, bandwidth, _ = algorithm_model(algo)
+        model = f"{knowledge}/{bandwidth}/{algo.synchrony}"
         advice = "advice" if algo.uses_advice else "no advice"
         print(f"{name:24s} {model:22s} {advice}")
     return 0
@@ -113,11 +110,12 @@ def _cmd_run(args) -> int:
     )
     rng = random.Random(args.seed + 1)
     awake = rng.sample(list(graph.vertices()), max(1, args.awake))
-    knowledge = Knowledge.KT1 if algo.requires_kt1 else Knowledge.KT0
-    bandwidth = "CONGEST" if algo.congest_safe else "LOCAL"
-    engine = algo.synchrony if algo.synchrony in ("sync", "async") else "async"
+    knowledge, bandwidth, engine = algorithm_model(algo)
     setup = make_setup(
-        graph, knowledge=knowledge, bandwidth=bandwidth, seed=args.seed + 2
+        graph,
+        knowledge=Knowledge[knowledge],
+        bandwidth=bandwidth,
+        seed=args.seed + 2,
     )
     adversary = Adversary(WakeSchedule.all_at_once(awake), UnitDelay())
     recorder = _make_recorder(args)
@@ -484,7 +482,7 @@ def _cmd_perf(args) -> int:
                           file=sys.stderr)
                     return 1
             for bench in benches:
-                entry = record(bench, ledger, profile=args.profile)
+                entry = record(bench, ledger)
                 print(
                     f"recorded [{entry['profile']}] {bench} "
                     f"({len(entry['cases'])} cases) -> {ledger}"
@@ -996,14 +994,9 @@ def _make_executor(args) -> ParallelSweepExecutor:
 
 
 def _cmd_sweep(args) -> int:
-    probe = get_algorithm(args.algorithm)
-    knowledge = "KT1" if probe.requires_kt1 else "KT0"
-    bandwidth = "CONGEST" if probe.congest_safe else "LOCAL"
-    engine = probe.synchrony if probe.synchrony in ("sync", "async") else "async"
-    if args.backend == "bulk" and probe.synchrony == "both":
-        # The bulk lane implements sync semantics; a both-synchrony
-        # algorithm (which would default to async) runs sync rounds.
-        engine = "sync"
+    knowledge, bandwidth, engine = algorithm_model(
+        get_algorithm(args.algorithm), args.backend
+    )
     sizes = args.sizes
     if args.max_n is not None:
         sizes = [n for n in (16 << i for i in range(30)) if n <= args.max_n]
@@ -1591,10 +1584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf_rec.add_argument(
         "benches", nargs="*",
         help="bench JSON files (default: every committed BENCH_*.json)",
-    )
-    p_perf_rec.add_argument(
-        "--profile", default=None,
-        help="force the profile (required for ambiguous schema-1 files)",
     )
     perf_sub.add_parser("show", help="print the per-profile history")
     p_perf_chk = perf_sub.add_parser(

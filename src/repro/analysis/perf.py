@@ -1,12 +1,12 @@
 """Perf ledger: one append-only trajectory for every bench profile.
 
-The four committed ``BENCH_*.json`` files are point-in-time baselines
-with four disjoint schemas, historically checked by four separate
-``check_bench_baseline.py`` invocations.  This module unifies them:
+Each committed ``BENCH_*.json`` file is a point-in-time baseline of
+one bench profile.  This module is the single front end over them,
+exposed as ``python -m repro perf {record,show,check}``:
 
 * :data:`PROFILES` — the single source of truth for each bench
   profile's baseline file, case key, guarded metric, and required
-  fields (``scripts/check_bench_baseline.py`` imports it from here);
+  fields;
 * ``PERF_LEDGER.jsonl`` — an append-only history: each
   :func:`record` call folds one bench payload into one ledger line
   (profile, source metadata, per-case metric values), so the
@@ -14,15 +14,12 @@ with four disjoint schemas, historically checked by four separate
   point;
 * :func:`check` — the unified regression gate: each candidate bench
   run is compared against the **latest ledger entry of its profile**
-  with the same tolerance semantics as the per-file baseline checker
   (shared cases only; a case below ``1 - max_regression`` of its
   ledger value fails; faster never fails).
 
-Bench envelopes: schema 1 (legacy, no ``profile`` field) and schema 2
-(``schema``/``created``/``python``/``profile``/``cases``) are both
-accepted; profile inference for schema-1 files falls back to field
-matching and is ambiguous between ``engine`` and ``bulk`` (identical
-case fields), so callers pass the profile explicitly where it matters.
+Bench envelopes carry ``schema`` (2), ``created``, ``python``,
+``profile`` and ``cases``; the declared profile names the
+:data:`PROFILES` entry that validates the cases.
 """
 
 from __future__ import annotations
@@ -137,9 +134,8 @@ PROFILES: Dict[str, Dict[str, Any]] = {
     },
 }
 
-#: Bench envelope versions this module understands.  Schema 2 adds the
-#: required top-level ``profile`` field.
-BENCH_SCHEMAS = (1, 2)
+#: The bench envelope version this module understands.
+BENCH_SCHEMA = 2
 
 
 class PerfError(Exception):
@@ -153,34 +149,12 @@ def case_key(case: Mapping[str, Any], profile: str) -> str:
     return "/".join(str(case[f]) for f in fields)
 
 
-def infer_profile(payload: Mapping[str, Any]) -> Optional[str]:
-    """Best-effort profile for a bench payload.
-
-    Schema-2 envelopes name their profile; schema-1 envelopes are
-    matched by case fields.  Returns ``None`` when no profile matches
-    unambiguously (notably: schema-1 ``engine`` vs ``bulk``, whose
-    case fields are identical).
-    """
-    declared = payload.get("profile")
-    if declared is not None:
-        return declared if declared in PROFILES else None
-    cases = payload.get("cases") or []
-    if not cases:
-        return None
-    first = cases[0]
-    matches = [
-        name
-        for name, prof in PROFILES.items()
-        if all(f in first for f in prof["required_fields"])
-    ]
-    return matches[0] if len(matches) == 1 else None
-
-
 def load_bench(
     path: Path, profile: Optional[str] = None
 ) -> Tuple[str, Dict[str, Any]]:
     """Read and validate one bench payload; returns
-    ``(profile, payload)``.  Accepts schema 1 and 2 envelopes."""
+    ``(profile, payload)``.  ``profile``, when given, must match the
+    one the envelope declares."""
     try:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -188,28 +162,23 @@ def load_bench(
     except json.JSONDecodeError as exc:
         raise PerfError(f"{path}: not valid JSON ({exc})") from None
     schema = payload.get("schema")
-    if schema not in BENCH_SCHEMAS:
+    if schema != BENCH_SCHEMA:
         raise PerfError(
             f"{path}: unsupported bench schema {schema!r} "
-            f"(known: {BENCH_SCHEMAS})"
+            f"(known: {BENCH_SCHEMA})"
         )
     declared = payload.get("profile")
-    if schema >= 2 and declared not in PROFILES:
+    if declared not in PROFILES:
         raise PerfError(
             f"{path}: schema 2 requires a known 'profile' field "
             f"(got {declared!r})"
         )
-    if profile is None:
-        profile = infer_profile(payload)
-        if profile is None:
-            raise PerfError(
-                f"{path}: cannot infer profile; pass it explicitly"
-            )
-    elif declared is not None and declared != profile:
+    if profile is not None and declared != profile:
         raise PerfError(
             f"{path}: declares profile {declared!r}, caller said "
             f"{profile!r}"
         )
+    profile = declared
     prof = PROFILES[profile]
     cases = payload.get("cases")
     if not isinstance(cases, list) or not cases:
@@ -292,15 +261,13 @@ def latest_per_profile(
 
 
 # ----------------------------------------------------------------------
-# Operations (shared by `repro perf` and scripts/perf_ledger.py)
+# Operations (the `repro perf` subcommands)
 # ----------------------------------------------------------------------
 def record(
-    bench_path: Path,
-    ledger_path: Path = DEFAULT_LEDGER,
-    profile: Optional[str] = None,
+    bench_path: Path, ledger_path: Path = DEFAULT_LEDGER
 ) -> Dict[str, Any]:
     """Ingest one bench file into the ledger; returns the new entry."""
-    profile, payload = load_bench(bench_path, profile)
+    profile, payload = load_bench(bench_path)
     entry = bench_to_entry(profile, payload, source=str(bench_path))
     append_entry(ledger_path, entry)
     return entry
@@ -359,12 +326,12 @@ def check(
     candidate is validated and compared case-by-case against the
     latest ledger entry for its profile.  Returns the list of errors
     (empty = gate passes).  Candidate cases absent from the ledger (or
-    vice versa) are reported but not fatal, matching the historical
-    baseline-checker semantics.  A profile with *no* ledger history is
-    **seeded** from the candidate and reported as "seeded, no
-    baseline" — not failed: the first bench of a brand-new profile
-    (e.g. a future ``serve`` profile) must be able to pass CI, and the
-    appended entry becomes the baseline the next run gates against.
+    vice versa) are reported but not fatal.  A profile with *no*
+    ledger history is **seeded** from the candidate and reported as
+    "seeded, no baseline" — not failed: the first bench of a brand-new
+    profile (e.g. a future ``serve`` profile) must be able to pass CI,
+    and the appended entry becomes the baseline the next run gates
+    against.
     """
     out = stream if stream is not None else sys.stdout
     errors: List[str] = []

@@ -31,7 +31,6 @@ from repro.experiments.sweeps import (
     parallel_sweep,
     register_workload,
     rows_from_outcomes,
-    sweep,
     sweep_cells,
     tree_random_wake,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "parallel_sweep",
     "register_workload",
     "rows_from_outcomes",
-    "sweep",
     "sweep_cells",
     "tree_random_wake",
     "Table1Row",

@@ -79,18 +79,6 @@ CACHE_SCHEMA = 2
 DEFAULT_CACHE_DIR = Path("results") / ".cache"
 
 
-def __getattr__(name: str) -> Any:
-    # Deprecated alias (PEP 562): the old hand-bumped constant now
-    # folds every derived subsystem salt, so legacy "did anything
-    # change?" consumers keep working without forcing the salt
-    # derivation at import time.
-    if name == "CODE_SALT":
-        from repro.versioning import code_salt
-
-        return code_salt()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ----------------------------------------------------------------------
 # Cell specification
 # ----------------------------------------------------------------------
@@ -107,11 +95,11 @@ class CellSpec:
     (``"pkg.module:Attr"``) for algorithms not in the registry — the
     latter is how tests inject fault-simulating algorithms.
 
-    The default seeds replicate the serial sweep's derivation
+    The default seeds derive from the sweep seed, size and trial
     (``run_seed = seed*10_007 + n*101 + trial``; setup seeded with
-    ``run_seed``, execution with ``run_seed + 1``) so spec-based runs
-    are conformant with the legacy path; ``setup_seed`` / ``exec_seed``
-    override them for drivers with their own seeding (Table 1).
+    ``run_seed``, execution with ``run_seed + 1``); ``setup_seed`` /
+    ``exec_seed`` override them for callers with their own seeding
+    (Table 1).
     """
 
     algorithm: str

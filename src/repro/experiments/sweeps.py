@@ -3,23 +3,19 @@
 A sweep runs one algorithm over a family of growing networks, repeats
 each size a few times with fresh seeds, and aggregates the Table-1
 measures per size.  Workload constructors are plain callables
-``n -> (graph, awake_vertices)`` so benches compose them freely.
-
-Two execution paths share the aggregation:
-
-* :func:`sweep` — the legacy in-process loop over arbitrary callables;
-* :func:`parallel_sweep` — the spec-based path: algorithm by registry
-  name, workload by :data:`WORKLOADS` kind, routed through a
-  :class:`~repro.experiments.parallel.ParallelSweepExecutor` (worker
-  processes + on-disk cell cache).  With identical inputs the two paths
-  produce bit-identical summary scalars (enforced by
-  ``tests/test_parallel_executor.py``).
+``n -> (graph, awake_vertices)``, registered by kind in
+:data:`WORKLOADS` so a sweep is plain data: :func:`parallel_sweep`
+takes the algorithm by registry name and the workload as a
+``{"kind": ..., **kwargs}`` spec, and routes the cell grid through a
+:class:`~repro.experiments.parallel.ParallelSweepExecutor` (worker
+processes + on-disk cell cache), or runs it inline and uncached when
+no executor is given.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import summarize
@@ -31,10 +27,6 @@ from repro.experiments.parallel import (
     ParallelSweepExecutor,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import awake_distance
-from repro.models.knowledge import Knowledge, make_setup
-from repro.sim.adversary import Adversary, DelayStrategy, UnitDelay, WakeSchedule
-from repro.sim.runner import run_wakeup
 
 Workload = Callable[[int], Tuple[Graph, List]]
 
@@ -63,6 +55,26 @@ def resolve_backend(engine: str, backend: Optional[str]) -> str:
     )
 
 
+def algorithm_model(
+    algo: WakeUpAlgorithm, backend: Optional[str] = None
+) -> Tuple[str, str, str]:
+    """The ``(knowledge, bandwidth, engine)`` an algorithm runs in by
+    default, from its declared requirements: KT1 if it needs neighbour
+    IDs, CONGEST if its messages fit the cap, and its own synchrony
+    (async for algorithms that run under both).  Under
+    ``backend="bulk"`` a both-synchrony algorithm runs sync rounds,
+    the semantics the bulk lane implements.
+
+    Takes the algorithm *instance*, so callers that resolve a dotted
+    path rather than a registry name share the rule."""
+    knowledge = "KT1" if algo.requires_kt1 else "KT0"
+    bandwidth = "CONGEST" if algo.congest_safe else "LOCAL"
+    engine = algo.synchrony if algo.synchrony in ("sync", "async") else "async"
+    if backend == "bulk" and algo.synchrony == "both":
+        engine = "sync"
+    return knowledge, bandwidth, engine
+
+
 @dataclass
 class SweepRow:
     """Aggregated measurements for one network size."""
@@ -88,76 +100,6 @@ class SweepRow:
             "adv_max": self.advice_max_bits,
             "adv_avg": self.advice_avg_bits,
         }
-
-
-def sweep(
-    algorithm_factory: Callable[[], WakeUpAlgorithm],
-    workload: Workload,
-    sizes: Sequence[int],
-    engine: str = "async",
-    knowledge: Knowledge = Knowledge.KT1,
-    bandwidth: str = "LOCAL",
-    trials: int = 3,
-    seed: int = 0,
-    delays: Optional[DelayStrategy] = None,
-    backend: Optional[str] = None,
-) -> List[SweepRow]:
-    """Run ``algorithm`` across ``sizes``; one SweepRow per size."""
-    engine = resolve_backend(engine, backend)
-    rows: List[SweepRow] = []
-    for n in sizes:
-        msgs: List[float] = []
-        times: List[float] = []
-        awake_times: List[float] = []
-        bits: List[float] = []
-        adv_max = adv_avg = 0.0
-        # Workloads are deterministic in n, so build the topology (and
-        # run the awake-distance traversal) once per size, not once per
-        # trial — per-trial randomness (IDs, ports, execution) is seeded
-        # below and untouched by the hoist.
-        graph, awake = workload(n)
-        rho = float(awake_distance(graph, awake))
-        for t in range(trials):
-            run_seed = seed * 10_007 + n * 101 + t
-            setup = make_setup(
-                graph,
-                knowledge=knowledge,
-                bandwidth=bandwidth,
-                seed=run_seed,
-            )
-            adversary = Adversary(
-                WakeSchedule.all_at_once(awake),
-                delays or UnitDelay(),
-            )
-            result = run_wakeup(
-                setup,
-                algorithm_factory(),
-                adversary,
-                engine=engine,
-                seed=run_seed + 1,
-            )
-            msgs.append(result.messages)
-            times.append(result.time)
-            awake_times.append(result.time_all_awake)
-            bits.append(result.bits)
-            adv_max = max(adv_max, result.advice_max_bits)
-            adv_avg = max(adv_avg, result.advice_avg_bits)
-        m = summarize(msgs)
-        rows.append(
-            SweepRow(
-                n=n,
-                rho_awk=rho,
-                messages=m.mean,
-                messages_std=m.std,
-                time=summarize(times).mean,
-                time_all_awake=summarize(awake_times).mean,
-                bits=summarize(bits).mean,
-                advice_max_bits=adv_max,
-                advice_avg_bits=adv_avg,
-                trials=trials,
-            )
-        )
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +318,8 @@ def sweep_cells(
     backend: Optional[str] = None,
 ) -> List[CellSpec]:
     """The cell grid of a sweep: ``len(sizes) * trials`` independent
-    specs, seeded exactly like :func:`sweep`'s inner loop.
+    specs, each seeded by its ``(seed, n, trial)`` (see
+    :attr:`~repro.experiments.parallel.CellSpec.run_seed`).
     ``flight_recorder`` arms a bounded crash trace per cell (see
     :class:`~repro.experiments.parallel.CellSpec`); ``backend="bulk"``
     routes the grid through the vectorized frontier lane (the engine
@@ -403,7 +346,8 @@ def sweep_cells(
 
 
 def rows_from_outcomes(outcomes: Sequence[CellOutcome]) -> List[SweepRow]:
-    """Aggregate cell outcomes per size, mirroring :func:`sweep`.
+    """Aggregate cell outcomes into one :class:`SweepRow` per size:
+    trial means, the largest advice, and the size's awake distance.
 
     Failed cells are excluded from the aggregates (their structured
     records stay in ``outcomes``); a size with no successful cell

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.check.worstcase import _score as score_of  # noqa: F401
 from repro.errors import ReproError
 from repro.experiments.parallel import CellSpec, cell_key
+from repro.experiments.sweeps import algorithm_model
 from repro.obs.metrics import get_registry
 from repro.obs.recorder import NULL_RECORDER
 from repro.opt.genomes import Genome
@@ -60,14 +61,14 @@ def check_world_spec(
     are directly comparable with beam/baseline scores at the same
     seed.
     """
-    algo = _algo_instance(algorithm)
+    knowledge, bandwidth, _ = algorithm_model(_algo_instance(algorithm))
     return CellSpec(
         algorithm=algorithm,
         n=n,
         seed=seed,
         engine="async",
-        knowledge="KT1" if algo.requires_kt1 else "KT0",
-        bandwidth="CONGEST" if algo.congest_safe else "LOCAL",
+        knowledge=knowledge,
+        bandwidth=bandwidth,
         workload={
             "kind": "check_world",
             "graph": graph,
@@ -93,14 +94,14 @@ def workload_spec(
     (Table-1 rows).  Seeding follows the check-world convention
     (``setup_seed = seed + 2``, ``exec_seed = seed``) so optimizer
     candidates and baseline trials share one world per seed."""
-    algo = _algo_instance(algorithm)
+    knowledge, bandwidth, _ = algorithm_model(_algo_instance(algorithm))
     return CellSpec(
         algorithm=algorithm,
         n=n,
         seed=seed,
         engine="async",
-        knowledge="KT1" if algo.requires_kt1 else "KT0",
-        bandwidth="CONGEST" if algo.congest_safe else "LOCAL",
+        knowledge=knowledge,
+        bandwidth=bandwidth,
         workload=dict(workload),
         schedule={"kind": "all_at_once"},
         require_all_awake=False,

@@ -181,23 +181,16 @@ def execute_job(
 
 
 def _execute_sweep(canon: Dict[str, Any], executor) -> Dict[str, Any]:
-    from repro.experiments.sweeps import (
-        rows_from_outcomes,
-        sweep_cells,
-    )
+    from repro.experiments.sweeps import algorithm_model, parallel_sweep
 
-    algo = get_algorithm(canon["algorithm"])
-    knowledge = "KT1" if algo.requires_kt1 else "KT0"
-    bandwidth = "CONGEST" if algo.congest_safe else "LOCAL"
-    engine = (
-        algo.synchrony if algo.synchrony in ("sync", "async") else "async"
+    knowledge, bandwidth, engine = algorithm_model(
+        get_algorithm(canon["algorithm"]), canon["backend"]
     )
-    if canon["backend"] == "bulk" and algo.synchrony == "both":
-        engine = "sync"
-    cells = sweep_cells(
+    rows, outcomes = parallel_sweep(
         canon["algorithm"],
         canon["workload"],
         sizes=canon["sizes"],
+        executor=executor,
         engine=engine,
         backend=canon["backend"],
         knowledge=knowledge,
@@ -205,8 +198,6 @@ def _execute_sweep(canon: Dict[str, Any], executor) -> Dict[str, Any]:
         trials=int(canon["trials"]),
         seed=int(canon["seed"]),
     )
-    outcomes = executor.run(cells)
-    rows = rows_from_outcomes(outcomes)
     failed = [
         {
             "n": o.spec.n,

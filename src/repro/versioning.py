@@ -263,17 +263,6 @@ def salt_vector() -> Dict[str, str]:
     return {name: subsystem_salt(name) for name in SUBSYSTEMS}
 
 
-def code_salt() -> str:
-    """Deprecated whole-world fold of every subsystem salt.
-
-    The successor of the hand-bumped ``CODE_SALT`` constant, kept so
-    anything that wants "did *any* semantics change?" still has one
-    string to compare.  New code should depend on the narrowest salts
-    that cover it instead.
-    """
-    return "repro-cells-" + _fold(sorted(salt_vector().items()))
-
-
 # ----------------------------------------------------------------------
 # Per-algorithm salts (import closure within the algorithms subsystem)
 # ----------------------------------------------------------------------

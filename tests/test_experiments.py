@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.flooding import Flooding
+from repro.core.registry import get_algorithm
 from repro.experiments.sweeps import (
+    algorithm_model,
     dense_er_all_awake,
     er_fraction_wake,
     er_single_wake,
     grid_corner_wake,
-    sweep,
+    parallel_sweep,
     tree_random_wake,
 )
 from repro.experiments.table1 import (
@@ -16,16 +17,15 @@ from repro.experiments.table1 import (
     render_table1,
     workload_context,
 )
-from repro.models.knowledge import Knowledge
 
 
 class TestSweep:
     def test_flooding_sweep_shape(self):
-        rows = sweep(
-            Flooding,
-            er_single_wake(avg_degree=4.0, seed=1),
+        rows, _ = parallel_sweep(
+            "flooding",
+            {"kind": "er_single_wake", "avg_degree": 4.0, "seed": 1},
             sizes=[20, 40],
-            knowledge=Knowledge.KT0,
+            knowledge="KT0",
             trials=2,
             seed=3,
         )
@@ -35,11 +35,11 @@ class TestSweep:
         assert all(r.trials == 2 for r in rows)
 
     def test_sweep_records_rho(self):
-        rows = sweep(
-            Flooding,
-            grid_corner_wake(),
+        rows, _ = parallel_sweep(
+            "flooding",
+            {"kind": "grid_corner_wake"},
             sizes=[16, 36],
-            knowledge=Knowledge.KT0,
+            knowledge="KT0",
             trials=1,
         )
         # corner wake on a side x side grid: rho = 2 (side - 1)
@@ -47,11 +47,11 @@ class TestSweep:
         assert rows[1].rho_awk == 10
 
     def test_sweep_row_dict(self):
-        rows = sweep(
-            Flooding,
-            tree_random_wake(seed=2),
+        rows, _ = parallel_sweep(
+            "flooding",
+            {"kind": "tree_random_wake", "seed": 2},
             sizes=[15],
-            knowledge=Knowledge.KT0,
+            knowledge="KT0",
             trials=1,
         )
         d = rows[0].as_dict()
@@ -71,6 +71,23 @@ class TestSweep:
             assert is_connected(g)
             assert awake
             assert all(v in g for v in awake)
+
+
+class TestAlgorithmModel:
+    def test_model_follows_declared_requirements(self):
+        assert algorithm_model(get_algorithm("dfs-rank")) == (
+            "KT1", "LOCAL", "async"
+        )
+        assert algorithm_model(get_algorithm("fast-wakeup")) == (
+            "KT1", "LOCAL", "sync"
+        )
+        assert algorithm_model(get_algorithm("flooding")) == (
+            "KT0", "CONGEST", "async"
+        )
+
+    def test_bulk_backend_runs_both_synchrony_algorithms_sync(self):
+        assert algorithm_model(get_algorithm("flooding"), "bulk")[2] == "sync"
+        assert algorithm_model(get_algorithm("fast-wakeup"), "bulk")[2] == "sync"
 
 
 class TestTable1:

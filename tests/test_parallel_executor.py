@@ -5,8 +5,7 @@ The contract under test:
 
 * **conformance** — for a grid of algorithms × n × seeds, the summary
   scalars coming out of worker processes are bit-identical to the
-  serial in-process path (both the spec path with ``workers=0`` and the
-  legacy callable-based :func:`~repro.experiments.sweeps.sweep`);
+  serial in-process path (``workers=0``);
 * **caching** — a warm re-run executes zero cells yet produces an
   identical merged JSON artifact; any changed input changes the key;
 * **robustness** — a ``WakeUpFailure``, a worker killed mid-task, and a
@@ -25,7 +24,6 @@ import time
 import pytest
 
 from repro.core.base import WakeUpAlgorithm
-from repro.core.registry import get_algorithm
 from repro.experiments.parallel import (
     CellSpec,
     ParallelSweepExecutor,
@@ -37,11 +35,8 @@ from repro.graphs.compile import clear_memory_cache
 from repro.experiments.sweeps import (
     parallel_sweep,
     rows_from_outcomes,
-    sweep,
     sweep_cells,
-    er_single_wake,
 )
-from repro.models.knowledge import Knowledge
 from repro.sim.node import NodeAlgorithm
 
 # The conformance grid: algorithms spanning engines (async/sync),
@@ -101,27 +96,6 @@ class TestConformance:
             assert p.result.summary() == s.result.summary()
             assert p.result.time_all_awake == s.result.time_all_awake
             assert p.rho_awk == s.rho_awk
-
-    def test_spec_path_matches_legacy_sweep(self):
-        legacy = sweep(
-            lambda: get_algorithm("flooding"),
-            er_single_wake(avg_degree=4.0, seed=1),
-            sizes=[20, 40],
-            knowledge=Knowledge.KT0,
-            bandwidth="CONGEST",
-            trials=2,
-            seed=3,
-        )
-        rows, _ = parallel_sweep(
-            "flooding",
-            {"kind": "er_single_wake", "avg_degree": 4.0, "seed": 1},
-            sizes=[20, 40],
-            knowledge="KT0",
-            bandwidth="CONGEST",
-            trials=2,
-            seed=3,
-        )
-        assert rows == legacy
 
     def test_chunked_submission_matches_unchunked(self, grid):
         cells, serial = grid

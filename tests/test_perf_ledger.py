@@ -1,11 +1,11 @@
-"""Tests for the perf ledger (`repro.analysis.perf`) and its CLIs.
+"""Tests for the perf ledger (`repro.analysis.perf`) and its CLI,
+``python -m repro perf``.
 
 The guarantees under test:
 
-* **envelopes** — schema-1 (legacy) and schema-2 bench payloads both
-  load; schema-2 declares its profile, schema-1 falls back to field
-  inference (ambiguous between ``engine`` and ``bulk``, which must be
-  passed explicitly); mismatched declarations are errors;
+* **envelopes** — schema-2 bench payloads load under the profile they
+  declare; any other schema (the legacy profile-less schema 1
+  included) and mismatched declarations are errors;
 * **ledger** — ``record`` appends one entry per bench ingest,
   ``latest_per_profile`` returns append-order winners, and the file
   stays valid JSONL;
@@ -31,14 +31,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.perf import (
-    BENCH_SCHEMAS,
     PROFILES,
     PerfError,
     bench_to_entry,
     case_key,
     check,
     geomean,
-    infer_profile,
     latest_per_profile,
     load_bench,
     read_ledger,
@@ -47,7 +45,6 @@ from repro.analysis.perf import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-LEDGER_SCRIPT = REPO_ROOT / "scripts" / "perf_ledger.py"
 
 
 def engine_payload(schema=2, rate=50_000.0, profile="engine"):
@@ -71,7 +68,7 @@ def engine_payload(schema=2, rate=50_000.0, profile="engine"):
     return payload
 
 
-def topology_payload(schema=1, speedup=40.0):
+def topology_payload(schema=2, speedup=40.0):
     payload = {
         "schema": schema,
         "created": "2026-08-08T00:00:00",
@@ -102,19 +99,13 @@ class TestEnvelopes:
         assert profile == "engine"
         assert payload["schema"] == 2
 
-    def test_schema1_engine_is_ambiguous(self, tmp_path):
-        payload = engine_payload(schema=1)
-        assert infer_profile(payload) is None  # engine vs bulk
-        path = write(tmp_path, "b.json", payload)
-        with pytest.raises(PerfError, match="cannot infer"):
-            load_bench(path)
-        profile, _ = load_bench(path, "bulk")  # explicit wins
-        assert profile == "bulk"
-
-    def test_schema1_topology_is_inferable(self, tmp_path):
+    def test_schema1_is_rejected(self, tmp_path):
+        # Schema 1 carried no profile field; it is refused even when
+        # the caller names the profile.
         path = write(tmp_path, "t.json", topology_payload(schema=1))
-        profile, _ = load_bench(path)
-        assert profile == "topology"
+        for profile in (None, "topology"):
+            with pytest.raises(PerfError, match="unsupported bench schema"):
+                load_bench(path, profile)
 
     def test_declared_profile_mismatch_is_error(self, tmp_path):
         path = write(tmp_path, "b.json", engine_payload())
@@ -127,7 +118,6 @@ class TestEnvelopes:
         path = write(tmp_path, "b.json", payload)
         with pytest.raises(PerfError, match="unsupported bench schema"):
             load_bench(path)
-        assert 99 not in BENCH_SCHEMAS
 
     def test_missing_case_fields_rejected(self, tmp_path):
         payload = engine_payload()
@@ -156,10 +146,7 @@ class TestLedger:
         assert entry["profile"] == "engine"
         assert entry["metric"] == "events_per_sec"
         assert len(entry["cases"]) == 4
-        record(
-            write(tmp_path, "t.json", topology_payload(schema=2)),
-            ledger,
-        )
+        record(write(tmp_path, "t.json", topology_payload()), ledger)
         entries = read_ledger(ledger)
         assert [e["profile"] for e in entries] == ["engine", "topology"]
         assert all("recorded" in e for e in entries)
@@ -240,7 +227,7 @@ class TestGate:
         # first bench of any new profile could never pass CI.  Now the
         # candidate seeds the ledger and the gate reports it.
         ledger = self._seeded(tmp_path)
-        cand = write(tmp_path, "t.json", topology_payload(schema=2))
+        cand = write(tmp_path, "t.json", topology_payload())
         buf = io.StringIO()
         errors = check({"topology": cand}, ledger, stream=buf)
         assert errors == []
@@ -311,12 +298,13 @@ class TestCommittedState:
 
 
 class TestLedgerScript:
-    """scripts/perf_ledger.py and `repro perf` front the same module."""
+    """`python -m repro perf` fronts the module end to end."""
 
-    def _run(self, *argv, cwd=None):
+    def _run(self, *argv):
         return subprocess.run(
-            [sys.executable, str(LEDGER_SCRIPT), *argv],
-            capture_output=True, text=True, cwd=cwd,
+            [sys.executable, "-m", "repro", "perf", *argv],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
 
     def test_record_show_check_round_trip(self, tmp_path):
@@ -350,23 +338,14 @@ class TestLedgerScript:
         assert "below ledger" in res.stderr
 
     def test_repro_perf_cli_matches(self, tmp_path):
+        # The CLI writes the same ledger line the module's record()
+        # writes, apart from the ingest timestamp.
         bench = write(tmp_path, "b.json", engine_payload())
-        ledger = tmp_path / "ledger.jsonl"
-        env_path = str(REPO_ROOT / "src")
-        res = subprocess.run(
-            [sys.executable, "-m", "repro", "perf",
-             "--ledger", str(ledger), "record", str(bench)],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-        )
+        cli_ledger = tmp_path / "cli.jsonl"
+        res = self._run("--ledger", str(cli_ledger), "record", str(bench))
         assert res.returncode == 0, res.stderr
-        assert "recorded [engine]" in res.stdout
-        res = subprocess.run(
-            [sys.executable, "-m", "repro", "perf",
-             "--ledger", str(ledger), "check",
-             "--candidate", f"engine={bench}"],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
-        )
-        assert res.returncode == 0, res.stderr
-        assert "within tolerance" in res.stdout
+        direct = record(bench, tmp_path / "direct.jsonl")
+        [via_cli] = read_ledger(cli_ledger)
+        for entry in (via_cli, direct):
+            del entry["recorded"]
+        assert via_cli == direct
