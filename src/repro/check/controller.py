@@ -66,7 +66,8 @@ from typing import (
 from repro.errors import SimulationError
 from repro.sim.adversary import DelayStrategy
 from repro.sim.async_engine import _STEP_EVERY
-from repro.sim.messages import Message, bit_size_cached
+from repro.sim.engine import publish_run
+from repro.sim.messages import Message
 
 Vertex = Hashable
 
@@ -352,10 +353,13 @@ def _rng_token(r) -> Tuple[str, object]:
 class _ControlledLoop:
     """One controlled execution over an already-constructed engine.
 
-    Mirrors the plain loop's observable behaviour exactly — metrics,
-    trace events, telemetry heartbeats, event accounting — while
-    sourcing the event order from the controller and the event times
-    from the STEP/GUARD scheme above.
+    Wakes, deliveries and sends go through the engine's own
+    :meth:`~repro.sim.engine.Engine._wake`,
+    :meth:`~repro.sim.engine.Engine._receive` and
+    :meth:`~repro.sim.engine.Engine._emit`, so metrics and trace events
+    match the plain loop's by construction.  This loop owns only the
+    event order (from the controller) and the event times (from the
+    STEP/GUARD scheme above).
     """
 
     def __init__(self, engine):
@@ -454,10 +458,10 @@ class _ControlledLoop:
         """The next scheduled wake if it may fire now and targets an
         already-awake vertex.
 
-        Such wakes are state no-ops (the plain loop's _handle_wake
-        returns early); they fire without consulting the controller
-        instead of being branched on — they commute with everything
-        except the clock, which fingerprints exclude.
+        Such wakes are state no-ops (waking is permanent); they fire
+        without consulting the controller instead of being branched
+        on — they commute with everything except the clock, which
+        fingerprints exclude.
         """
         if self._wake_i == len(self._wakes):
             return None
@@ -480,19 +484,13 @@ class _ControlledLoop:
                 heads[i] = ev._replace(dst_awake=True)
 
     def _fire_wake(self, ev: EnabledEvent) -> None:
-        engine = self._engine
         self._wake_i += 1
         self._advance(ev.deadline)
-        ctx, node = engine._vstate[ev.vertex]
+        ctx, node = self._engine._vstate[ev.vertex]
         if ctx._awake:
             return  # waking is permanent; a repeat wake only advances time
-        ctx._awake = True
         self._mark_awake(ev.vertex)
-        ctx.wake_cause = "adversary"
-        engine.metrics.record_wake(ev.vertex, ev.deadline, "adversary")
-        if engine.trace is not None:
-            engine.trace.wake(ev.deadline, ev.vertex, "adversary")
-        node.on_wake(ctx)
+        self._engine._wake(ctx, node, ev.vertex, ev.deadline, "adversary")
         self._flush(ev.vertex, ev.deadline)
 
     def _assign_time(self, ev: EnabledEvent) -> float:
@@ -554,57 +552,20 @@ class _ControlledLoop:
         tau = self._assign_time(ev)
         self.log.delays[msg.seq] = tau - msg.sent_at
         self._advance(tau)
-        metrics = engine.metrics
-        trace = engine.trace
         v = msg.dst
-        ctx, node = engine._vstate[v]
-        metrics.received_by[v] += 1
-        if tau > metrics.last_activity:
-            metrics.last_activity = tau
-        if trace is not None:
-            trace.deliver(tau, msg)
-        if not ctx._awake:
-            ctx._awake = True
-            self._mark_awake(v)
-            ctx.wake_cause = "message"
-            metrics.record_wake(v, tau, "message")
-            if trace is not None:
-                trace.wake(tau, v, "message")
-            node.on_wake(ctx)
-        node.on_message(ctx, msg.dst_port, msg.payload)
+        if not engine._vstate[v][0]._awake:
+            self._mark_awake(v)  # the delivery below wakes v
+        engine._receive(msg, tau)
         self._flush(v, tau)
 
     def _flush(self, v: Vertex, time: float) -> None:
-        """Queue a node's outbox into the pending channels.
-
-        Mirrors the plain engine's flush semantics (bandwidth check,
-        send accounting, trace order); the delivery time is assigned
-        later, when the controller fires the message.
-        """
-        engine = self._engine
-        ctx = engine._ctx[v]
-        if not ctx._outbox:
-            return
-        neighbors, back_ports = engine._tables[v]
-        metrics = engine.metrics
-        trace = engine.trace
-        seq_next = engine._seq.__next__
+        """Queue a node's new messages into the pending channels; the
+        delivery time is assigned later, when the controller fires
+        the message."""
         channels = self._channels
         heads = self._heads
-        for send in ctx._drain():
-            port = send.port
-            dst = neighbors[port - 1]
-            payload = send.payload
-            bits = bit_size_cached(payload)
-            engine.setup.bandwidth.check(bits)
-            seq = seq_next()
-            msg = Message(
-                v, dst, back_ports[port - 1], port, payload, bits, time, seq
-            )
-            metrics.record_send(v, dst, bits)
-            if trace is not None:
-                trace.send(time, msg)
-            chan = (v, dst)
+        for msg in self._engine._emit(v, time):
+            chan = (v, msg.dst)
             q = channels.get(chan)
             if q is None:
                 q = channels[chan] = deque()
@@ -617,8 +578,7 @@ class _ControlledLoop:
     def run(self):
         engine = self._engine
         controller = self._controller
-        rec = engine.recorder
-        rec_enabled = rec.enabled
+        rec_enabled = engine.recorder.enabled
         metrics = engine.metrics
         max_events = engine._max_events
         record_states = bool(getattr(controller, "record_states", False))
@@ -666,20 +626,14 @@ class _ControlledLoop:
                 else:
                     self._deliver(ev)
                 if rec_enabled and processed % _STEP_EVERY == 0:
-                    rec.emit(
-                        "engine_step",
-                        events=processed,
-                        now=self._now,
-                        awake=metrics.awake_count(),
-                        n=engine.setup.n,
-                        engine="async",
-                    )
+                    engine._heartbeat(processed, self._now)
         finally:
             engine.phases._stop()
         log.steps = processed
         log.completed = not aborted
         log.final_state = self.fingerprint()
         metrics.events_processed = processed
+        publish_run("async", metrics)
         return metrics
 
     # -- state fingerprinting ------------------------------------------

@@ -200,16 +200,19 @@ def merge_entry(atlas: Dict[str, Any], entry: Dict[str, Any]) -> str:
     return outcome
 
 
+def _current_salts(entry: Mapping[str, Any]) -> Dict[str, str]:
+    """The salt vector an entry would be stamped with today."""
+    controlled = entry.get("genome", {}).get("kind") == "choice_prefix"
+    return atlas_salt_vector(entry["algorithm"], controlled=controlled)
+
+
 def entry_is_stale(entry: Mapping[str, Any]) -> bool:
     """Whether an entry's recorded salts are superseded by the current
     code (replay bit-exactness no longer guaranteed)."""
     salts = entry.get("salts")
     if not isinstance(salts, dict):
         return True
-    controlled = entry.get("genome", {}).get("kind") == "choice_prefix"
-    return dict(salts) != atlas_salt_vector(
-        entry["algorithm"], controlled=controlled
-    )
+    return dict(salts) != _current_salts(entry)
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +425,10 @@ def improve_atlas(
     Runs the random baseline and every named optimizer through the
     executor, verifies the overall incumbent replays bit-identically
     through the plain engine, writes the runtime replay artifact, and
-    merges the entry monotonically into ``atlas`` (in place).  Returns
+    merges the entry monotonically into ``atlas`` (in place).  A stale
+    entry already in the atlas under the same key is replayed first:
+    if the current code still reproduces it, its salts are re-stamped
+    and it competes as before; if not, it is dropped.  Returns
     a summary row (entry key, scores, merge outcome, per-optimizer
     history) for CLI/bench reporting.
 
@@ -537,14 +543,22 @@ def improve_atlas(
             f"incumbent does not replay through the plain engine: "
             f"{detail}"
         )
+    key = entry_key(
+        entry["algorithm"],
+        entry["workload"],
+        entry["objective"],
+        entry["n"],
+    )
+    entries = atlas.setdefault("entries", {})
+    incumbent = entries.get(key)
+    if incumbent is not None and entry_is_stale(incumbent):
+        if replay_entry(incumbent)[0]:
+            incumbent["salts"] = _current_salts(incumbent)
+        else:
+            del entries[key]
     merged = merge_entry(atlas, entry)
     return {
-        "key": entry_key(
-            entry["algorithm"],
-            entry["workload"],
-            entry["objective"],
-            entry["n"],
-        ),
+        "key": key,
         "n": base_spec.n,
         "objective": objective,
         "score": best_score,

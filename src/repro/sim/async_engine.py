@@ -13,6 +13,8 @@ Implements the paper's asynchronous model (Sec 1.1–1.2):
   that message immediately upon awakening; adversary wake-ups happen at
   schedule times; waking is permanent.
 
+What a wake, a delivery and a send do is shared with the other lanes
+(:class:`~repro.sim.engine.Engine`); this module owns the event order.
 The event loop is deterministic: ties in delivery time break by global
 send sequence number, and adversary wake-ups at equal times break by
 schedule insertion order.
@@ -21,19 +23,16 @@ schedule insertion order.
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.models.knowledge import NetworkSetup
 from repro.obs.metrics import get_registry
-from repro.obs.phases import PhaseTracker
-from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.obs.recorder import Recorder
 from repro.sim.adversary import Adversary
-from repro.sim.faults import NoDrops
-from repro.sim.messages import Message, bit_size_cached
+from repro.sim.engine import Engine, publish_run
 from repro.sim.metrics import Metrics
-from repro.sim.node import NodeAlgorithm, NodeContext
+from repro.sim.node import NodeAlgorithm
 from repro.sim.trace import Trace
 
 Vertex = Hashable
@@ -54,13 +53,11 @@ _FIFO_EPS = 1e-9
 # processed events (when a recorder is enabled).
 _STEP_EVERY = 1_000
 
-# Sentinel for the engine's payload-identity memo ("no payload seen
-# yet"); a fresh object is never identical to any payload.
-_UNSET = object()
 
-
-class AsyncEngine:
+class AsyncEngine(Engine):
     """Runs one asynchronous execution of a wake-up algorithm."""
+
+    lane = "async"
 
     def __init__(
         self,
@@ -73,70 +70,17 @@ class AsyncEngine:
         recorder: Optional[Recorder] = None,
         controller=None,
     ):
-        self.setup = setup
+        super().__init__(setup, nodes, adversary, seed, trace, recorder)
         # Schedule controller (repro.check): when set, run() delegates
         # to the controlled loop.  Same zero-overhead discipline as
         # NULL_RECORDER — the plain hot path pays one attribute check
         # per run(), not per event.
         self._controller = controller
-        self.nodes = nodes
-        self.adversary = adversary
-        self.metrics = Metrics()
-        self.trace = trace
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.phases = PhaseTracker(
-            self.metrics, self.recorder, fields={"n": setup.n}
-        )
         self._max_events = max_events
-        self._seq = itertools.count()
         self._heap: List[Tuple[float, int, int, Any]] = []
         self._fifo_last: Dict[Tuple[Vertex, Vertex], float] = {}
         self._now = 0.0
-
-        # Hot-path fast lane: per-vertex send tables (one validated
-        # lookup per vertex instead of two checked dict walks per
-        # send), and a flush path specialized at init for the run's
-        # fixed drop/trace configuration.
-        self._tables = {
-            v: setup.ports.table(v) for v in setup.graph.vertices()
-        }
-        drops = getattr(adversary, "drops", None)
-        if type(drops) is NoDrops:
-            drops = None  # structurally a no-op; take the fast lane
-        self._drops = drops
-        if drops is None and trace is None:
-            self._flush = self._flush_fast
-        else:
-            self._flush = self._flush_full
-        # LOCAL runs (cap None) skip the per-send bandwidth call.
-        self._bw_cap = setup.bandwidth.cap_bits
-        # Broadcasts reuse one payload object across ports (and
-        # constant payloads across calls), so one identity check
-        # usually replaces the whole bit_size_cached lookup.  Holding
-        # the reference keeps the id() stable.
-        self._memo_payload: Any = _UNSET
-        self._memo_bits = 0
-
-        self._ctx: Dict[Vertex, NodeContext] = {}
-        for v in setup.graph.vertices():
-            # Seed only; the context builds the Random on first use.
-            node_rng = (seed * 1_000_003 + setup.id_of(v)) % 2**63
-            ctx = NodeContext(v, setup, node_rng)
-            ctx._phases = self.phases
-            self._ctx[v] = ctx
-        missing = set(setup.graph.vertices()) - set(nodes)
-        if missing:
-            raise SimulationError(
-                f"{len(missing)} vertices have no algorithm instance"
-            )
-        # One dict hit per event instead of two (ctx map + node map).
-        self._vstate: Dict[Vertex, Tuple[NodeContext, NodeAlgorithm]] = {
-            v: (self._ctx[v], nodes[v]) for v in setup.graph.vertices()
-        }
-
         for v, t in adversary.schedule.times().items():
-            if not setup.graph.has_vertex(v):
-                raise SimulationError(f"schedule wakes unknown vertex {v!r}")
             heapq.heappush(self._heap, (t, next(self._seq), _WAKE, v))
 
     # ------------------------------------------------------------------
@@ -151,8 +95,7 @@ class AsyncEngine:
             from repro.check.controller import run_controlled
 
             return run_controlled(self)
-        rec = self.recorder
-        rec_enabled = rec.enabled  # fixed for the run; hoisted
+        rec_enabled = self.recorder.enabled  # fixed for the run; hoisted
         mreg = get_registry()
         # Heap-depth sampling shares the heartbeat cadence; the child
         # observe is hoisted so the disabled path costs one `is None`
@@ -166,19 +109,20 @@ class AsyncEngine:
         )
         heap = self._heap
         pop = heapq.heappop
-        handle_wake = self._handle_wake
+        push = heapq.heappush
+        wake = self._wake
+        receive = self._receive
+        emit = self._emit
+        delay_of = self.adversary.delays.delay
+        fifo_last = self._fifo_last
         max_events = self._max_events
         vstate = self._vstate
-        metrics = self.metrics
-        received_by = metrics.received_by
-        trace = self.trace
-        flush = self._flush
         now = self._now
         processed = 0
         self.phases._start("engine", None)
         try:
             while heap:
-                time, _tie, kind, msg = pop(heap)
+                time, _tie, kind, item = pop(heap)
                 if time < now - 1e-12:
                     raise SimulationError("event scheduled in the past")
                 if time > now:
@@ -190,71 +134,41 @@ class AsyncEngine:
                         f"event budget of {self._max_events} exceeded; "
                         "the protocol is likely not terminating"
                     )
-                if kind == _WAKE:
-                    handle_wake(msg, time, cause="adversary")
+                if kind == _DELIVER:
+                    receive(item, time)
+                    v = item.dst
                 else:
-                    # Delivery handling, inlined (this is the hot
-                    # path; a method call per event is measurable).
-                    # Metrics.record_receive is inlined too.
-                    v = msg.dst
+                    v = item
                     ctx, node = vstate[v]
-                    received_by[v] += 1
-                    if time > metrics.last_activity:
-                        metrics.last_activity = time
-                    if trace is not None:
-                        trace.deliver(time, msg)
                     if not ctx._awake:
-                        # Receipt of a message wakes a sleeping node;
-                        # the message is then processed immediately
-                        # (Sec 1.1).
-                        ctx._awake = True
-                        ctx.wake_cause = "message"
-                        metrics.record_wake(v, time, "message")
-                        if trace is not None:
-                            trace.wake(time, v, "message")
-                        node.on_wake(ctx)
-                    node.on_message(ctx, msg.dst_port, msg.payload)
-                    flush(v, time)
+                        wake(ctx, node, v, time, "adversary")
+                # Schedule v's new messages: an adversary delay each,
+                # then the FIFO slot on its channel.
+                for msg in emit(v, time):
+                    dst = msg.dst
+                    delay = delay_of(v, dst, time, msg.seq)
+                    if not 0.0 < delay <= 1.0:
+                        raise SimulationError(
+                            f"adversary produced delay {delay} outside (0, 1]"
+                        )
+                    deliver_at = time + delay
+                    chan = (v, dst)
+                    prev = fifo_last.get(chan)
+                    if prev is not None and deliver_at <= prev:
+                        deliver_at = self._fifo_slot(prev, time + 1.0, chan)
+                    fifo_last[chan] = deliver_at
+                    push(heap, (deliver_at, msg.seq, _DELIVER, msg))
                 if frontier_obs is not None and processed % _STEP_EVERY == 0:
                     frontier_obs(len(heap))
                 if rec_enabled and processed % _STEP_EVERY == 0:
-                    rec.emit(
-                        "engine_step",
-                        events=processed,
-                        now=self._now,
-                        awake=self.metrics.awake_count(),
-                        n=self.setup.n,
-                        engine="async",
-                    )
+                    self._heartbeat(processed, now)
         finally:
             self.phases._stop()
         self.metrics.events_processed = processed
-        if mreg.enabled:
-            mreg.counter("repro_engine_runs_total", engine="async").inc()
-            mreg.counter(
-                "repro_engine_events_total", engine="async"
-            ).inc(processed)
-            mreg.counter(
-                "repro_engine_messages_total", engine="async"
-            ).inc(metrics.messages_total)
-            mreg.counter(
-                "repro_engine_bits_total", engine="async"
-            ).inc(metrics.bits_total)
+        publish_run(self.lane, self.metrics)
         return self.metrics
 
     # ------------------------------------------------------------------
-    def _handle_wake(self, v: Vertex, time: float, cause: str) -> None:
-        ctx, node = self._vstate[v]
-        if ctx._awake:
-            return
-        ctx._awake = True
-        ctx.wake_cause = cause
-        self.metrics.record_wake(v, time, cause)
-        if self.trace is not None:
-            self.trace.wake(time, v, cause)
-        node.on_wake(ctx)
-        self._flush(v, time)
-
     def _fifo_slot(self, prev: float, cap: float, chan) -> float:
         """A FIFO-consistent delivery time after ``prev`` within the
         tau = 1 bound ``cap`` (= sent_at + 1.0).
@@ -274,126 +188,3 @@ class AsyncEngine:
             f"FIFO channel {chan!r} saturated beyond the tau = 1 bound "
             f"(high-water mark {prev!r} past {cap!r})"
         )
-
-    # ------------------------------------------------------------------
-    # Flush paths — one is bound to self._flush at init.  Both turn
-    # queued sends into scheduled deliveries with identical semantics;
-    # the fast lane drops the per-send drop/trace branches entirely.
-    # ------------------------------------------------------------------
-    def _flush_fast(self, v: Vertex, time: float) -> None:
-        """Fast lane: no drop strategy, no trace.
-
-        Metric counters are accumulated locally and written back once
-        per flush (Metrics.record_send, batched); the write-back sits
-        in a ``finally`` so totals stay correct even when a bandwidth
-        or delay violation aborts the flush mid-loop.
-        """
-        ctx = self._ctx[v]
-        sends = ctx._outbox
-        if not sends:
-            return
-        ctx._outbox = []
-        neighbors, back_ports = self._tables[v]
-        seq_next = self._seq.__next__
-        delay_of = self.adversary.delays.delay
-        cap = self._bw_cap
-        metrics = self.metrics
-        edge_messages = metrics.edge_messages
-        fifo_last = self._fifo_last
-        heap = self._heap
-        push = heapq.heappush
-        cap1 = time + 1.0
-        last_payload = self._memo_payload
-        last_bits = self._memo_bits
-        n_sent = 0
-        bits_sum = 0
-        max_bits = metrics.max_message_bits
-        try:
-            for send in sends:
-                port = send.port
-                dst = neighbors[port - 1]
-                payload = send.payload
-                if payload is last_payload:
-                    bits = last_bits
-                else:
-                    bits = bit_size_cached(payload)
-                    last_payload = payload
-                    last_bits = bits
-                if cap is not None and bits > cap:
-                    self.setup.bandwidth.check(bits)
-                seq = seq_next()
-                delay = delay_of(v, dst, time, seq)
-                if not 0.0 < delay <= 1.0:
-                    raise SimulationError(
-                        f"adversary produced delay {delay} outside (0, 1]"
-                    )
-                deliver_at = time + delay
-                chan = (v, dst)
-                prev = fifo_last.get(chan)
-                if prev is not None and deliver_at <= prev:
-                    deliver_at = self._fifo_slot(prev, cap1, chan)
-                fifo_last[chan] = deliver_at
-                n_sent += 1
-                bits_sum += bits
-                if bits > max_bits:
-                    max_bits = bits
-                edge_messages[chan] += 1
-                push(
-                    heap,
-                    (
-                        deliver_at,
-                        seq,
-                        _DELIVER,
-                        Message(
-                            v, dst, back_ports[port - 1], port, payload,
-                            bits, time, seq,
-                        ),
-                    ),
-                )
-        finally:
-            self._memo_payload = last_payload
-            self._memo_bits = last_bits
-            if n_sent:
-                metrics.messages_total += n_sent
-                metrics.bits_total += bits_sum
-                metrics.max_message_bits = max_bits
-                metrics.sent_by[v] += n_sent
-
-    def _flush_full(self, v: Vertex, time: float) -> None:
-        """General path: fault injection and/or tracing enabled."""
-        ctx = self._ctx[v]
-        if not ctx._outbox:
-            return
-        neighbors, back_ports = self._tables[v]
-        drops = self._drops
-        trace = self.trace
-        for send in ctx._drain():
-            port = send.port
-            dst = neighbors[port - 1]
-            payload = send.payload
-            bits = bit_size_cached(payload)
-            self.setup.bandwidth.check(bits)
-            seq = next(self._seq)
-            if drops is not None and drops.drops(v, dst, seq):
-                # Fault injection (repro.sim.faults): the message is
-                # charged to the sender but never delivered.
-                self.metrics.record_send(v, dst, bits)
-                continue
-            delay = self.adversary.delays.delay(v, dst, time, seq)
-            if not 0.0 < delay <= 1.0:
-                raise SimulationError(
-                    f"adversary produced delay {delay} outside (0, 1]"
-                )
-            deliver_at = time + delay
-            chan = (v, dst)
-            prev = self._fifo_last.get(chan)
-            if prev is not None and deliver_at <= prev:
-                deliver_at = self._fifo_slot(prev, time + 1.0, chan)
-            self._fifo_last[chan] = deliver_at
-            msg = Message(
-                v, dst, back_ports[port - 1], port, payload, bits, time, seq
-            )
-            self.metrics.record_send(v, dst, bits)
-            if trace is not None:
-                trace.send(time, msg)
-            heapq.heappush(self._heap, (deliver_at, seq, _DELIVER, msg))

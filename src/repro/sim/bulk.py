@@ -52,6 +52,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.phases import PhaseTracker
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.adversary import Adversary
+from repro.sim.engine import publish_run
 from repro.sim.faults import NoDrops
 from repro.sim.messages import bit_size_cached
 from repro.sim.metrics import Metrics
@@ -517,17 +518,7 @@ class BulkSyncEngine:
             ):
                 break
         self._finalize()
-        if mreg.enabled:
-            mreg.counter("repro_engine_runs_total", engine="bulk").inc()
-            mreg.counter(
-                "repro_engine_events_total", engine="bulk"
-            ).inc(metrics.events_processed)
-            mreg.counter(
-                "repro_engine_messages_total", engine="bulk"
-            ).inc(metrics.messages_total)
-            mreg.counter(
-                "repro_engine_bits_total", engine="bulk"
-            ).inc(metrics.bits_total)
+        publish_run("bulk", metrics)
         return metrics
 
     def _finalize(self) -> None:
@@ -546,14 +537,6 @@ class BulkSyncEngine:
             wake_time[v] = float(rounds[i])
             wake_cause[v] = "message" if causes[i] else "adversary"
         metrics.round_messages = list(self.round_messages)
-
-    # ------------------------------------------------------------------
-    @property
-    def round_complexity(self) -> int:
-        """Rounds between the first wake-up and the last activity."""
-        if self.metrics.first_wake is None:
-            return 0
-        return int(self.metrics.last_activity - self.metrics.first_wake)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.adversary import Adversary, DelayStrategy, UnitDelay, WakeSchedule
+from repro.sim.adversary import (
+    Adversary,
+    DelayStrategy,
+    UnitDelay,
+    WakeSchedule,
+    _stable_unit,
+)
 
 Vertex = Hashable
 
@@ -57,9 +63,7 @@ class BernoulliDrops(DropStrategy):
     def drops(self, src, dst, seq) -> bool:
         if self.p == 0.0:
             return False
-        h = hash((self._seed, repr(src), repr(dst), seq))
-        u = ((h % 2**32) + 0.5) / 2**32
-        return u < self.p
+        return _stable_unit(self._seed, repr(src), repr(dst), seq) < self.p
 
 
 class TargetedDrops(DropStrategy):

@@ -54,20 +54,6 @@ class Metrics:
     # ------------------------------------------------------------------
     # Recording (called by engines)
     # ------------------------------------------------------------------
-    def record_send(self, src: Vertex, dst: Vertex, bits: int) -> None:
-        """Charge one message of ``bits`` bits to the sender."""
-        self.messages_total += 1
-        self.bits_total += bits
-        if bits > self.max_message_bits:
-            self.max_message_bits = bits
-        self.sent_by[src] += 1
-        self.edge_messages[(src, dst)] += 1
-
-    def record_receive(self, dst: Vertex, time: float) -> None:
-        """Record a delivery at ``dst``."""
-        self.received_by[dst] += 1
-        self.note_activity(time)
-
     def record_wake(self, v: Vertex, time: float, cause: str) -> None:
         """Record v's (first and only) wake."""
         if v in self.wake_time:

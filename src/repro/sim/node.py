@@ -197,13 +197,6 @@ class NodeContext:
             return NULL_SPAN
         return self._phases.span(name, self._outbox)
 
-    # ------------------------------------------------------------------
-    # Engine plumbing
-    # ------------------------------------------------------------------
-    def _drain(self) -> List[Send]:
-        out, self._outbox = self._outbox, []
-        return out
-
 
 class NodeAlgorithm:
     """Base class for per-node protocol logic.

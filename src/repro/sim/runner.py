@@ -300,27 +300,22 @@ def run_wakeup(
             setup, kernel, adversary, seed=seed, max_rounds=max_rounds,
             recorder=rec,
         )
-        metrics = eng.run()
-        time_complexity = float(eng.round_complexity)
-        time_all_awake = metrics.time_all_awake
     elif lane == "async":
         nodes = algorithm.build_nodes(setup)
         eng = AsyncEngine(
             setup, nodes, adversary, seed=seed, max_events=max_events,
             trace=trace, recorder=rec, controller=controller,
         )
-        metrics = eng.run()
-        time_complexity = metrics.time_complexity
-        time_all_awake = metrics.time_all_awake
     else:
         nodes = algorithm.build_nodes(setup)
         eng = SyncEngine(
             setup, nodes, adversary, seed=seed, max_rounds=max_rounds,
             trace=trace, recorder=rec,
         )
-        metrics = eng.run()
-        time_complexity = float(eng.round_complexity)
-        time_all_awake = metrics.time_all_awake
+    metrics = eng.run()
+    # Sync and bulk times are whole rounds, so this is the round count.
+    time_complexity = metrics.time_complexity
+    time_all_awake = metrics.time_all_awake
 
     asleep = frozenset(
         v for v in setup.graph.vertices() if v not in metrics.wake_time

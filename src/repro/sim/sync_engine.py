@@ -22,20 +22,18 @@ wake-ups remain, and no node wants further rounds.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.errors import SimulationError
 from repro.models.knowledge import NetworkSetup
 from repro.obs.metrics import get_registry
-from repro.obs.phases import PhaseTracker
-from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.obs.recorder import Recorder
 from repro.sim.adversary import Adversary
-from repro.sim.faults import NoDrops
-from repro.sim.messages import Message, bit_size_cached
+from repro.sim.engine import Engine, publish_run
+from repro.sim.messages import Message
 from repro.sim.metrics import Metrics
-from repro.sim.node import NodeAlgorithm, NodeContext
+from repro.sim.node import NodeAlgorithm
 from repro.sim.trace import Trace
 
 Vertex = Hashable
@@ -44,12 +42,11 @@ Vertex = Hashable
 # lock-step rounds (when a recorder is enabled).
 _STEP_EVERY_ROUNDS = 128
 
-# Sentinel for the payload-identity memo ("no payload seen yet").
-_UNSET = object()
 
-
-class SyncEngine:
+class SyncEngine(Engine):
     """Runs one synchronous execution of a wake-up algorithm."""
+
+    lane = "sync"
 
     def __init__(
         self,
@@ -61,36 +58,10 @@ class SyncEngine:
         trace: Optional[Trace] = None,
         recorder: Optional[Recorder] = None,
     ):
-        self.setup = setup
-        self.nodes = nodes
-        self.adversary = adversary
-        self.metrics = Metrics()
-        self.trace = trace
-        self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.phases = PhaseTracker(
-            self.metrics, self.recorder, fields={"n": setup.n}
-        )
+        super().__init__(setup, nodes, adversary, seed, trace, recorder)
         self._max_rounds = max_rounds
-        self._seq = itertools.count()
         self.rounds_executed = 0
-
-        self._ctx: Dict[Vertex, NodeContext] = {}
         self._wake_round: Dict[Vertex, int] = {}
-        # Deterministic processing order for nodes within a round.
-        self._order: List[Vertex] = sorted(
-            setup.graph.vertices(), key=lambda v: setup.id_of(v)
-        )
-        for v in setup.graph.vertices():
-            # Seed only; the context builds the Random on first use.
-            node_rng = (seed * 1_000_003 + setup.id_of(v)) % 2**63
-            ctx = NodeContext(v, setup, node_rng)
-            ctx._phases = self.phases
-            self._ctx[v] = ctx
-        missing = set(setup.graph.vertices()) - set(nodes)
-        if missing:
-            raise SimulationError(
-                f"{len(missing)} vertices have no algorithm instance"
-            )
         # Fractional wake times round *up* to the next integer round:
         # a wake scheduled at t = 2.7 cannot land in round 2 — that
         # would wake the node before the adversary asked to.  ceil is
@@ -98,31 +69,7 @@ class SyncEngine:
         # schedules are unaffected.
         self._schedule: Dict[int, List[Vertex]] = {}
         for v, t in adversary.schedule.times().items():
-            if not setup.graph.has_vertex(v):
-                raise SimulationError(f"schedule wakes unknown vertex {v!r}")
             self._schedule.setdefault(math.ceil(t), []).append(v)
-
-        # Hot-path fast lane (mirrors AsyncEngine): per-vertex send
-        # tables and a flush path specialized for the run's fixed
-        # drop/trace configuration.
-        self._tables = {
-            v: setup.ports.table(v) for v in setup.graph.vertices()
-        }
-        drops = getattr(adversary, "drops", None)
-        if type(drops) is NoDrops:
-            drops = None  # structurally a no-op; take the fast lane
-        self._drops = drops
-        if drops is None and trace is None:
-            self._flush = self._flush_fast
-        else:
-            self._flush = self._flush_full
-        # LOCAL runs (cap None) skip the per-send bandwidth call.
-        self._bw_cap = setup.bandwidth.cap_bits
-        # Payload-identity memo (see AsyncEngine): broadcasts reuse one
-        # payload object across ports, and constant payloads across
-        # calls; holding the reference keeps the id() stable.
-        self._memo_payload: Any = _UNSET
-        self._memo_bits = 0
 
     # ------------------------------------------------------------------
     def run(self) -> Metrics:
@@ -138,8 +85,7 @@ class SyncEngine:
             self.phases._stop()
 
     def _run_rounds(self) -> Metrics:
-        rec = self.recorder
-        rec_enabled = rec.enabled  # fixed for the run; hoisted
+        rec_enabled = self.recorder.enabled  # fixed for the run; hoisted
         mreg = get_registry()
         # Per-round frontier observation (messages in flight into the
         # next round); hoisted so the disabled path costs one `is None`
@@ -151,6 +97,11 @@ class SyncEngine:
             if mreg.enabled
             else None
         )
+        metrics = self.metrics
+        vstate = self._vstate
+        wake_round = self._wake_round
+        # Deterministic processing order for nodes within a round.
+        states = [vstate[v] for v in sorted(vstate, key=self.setup.id_of)]
         in_flight: List[Message] = []
         r = 0
         last_wake_round = max(self._schedule) if self._schedule else 0
@@ -160,182 +111,47 @@ class SyncEngine:
                     f"round budget of {self._max_rounds} exceeded; "
                     "the protocol is likely not terminating"
                 )
+            now = float(r)
             # 1. deliver last round's messages ---------------------------
             for msg in in_flight:
-                self._deliver(msg, r)
+                ctx = vstate[msg.dst][0]
+                if ctx._awake:
+                    ctx.local_round = r - wake_round[msg.dst]
+                else:
+                    # The delivery wakes it: local round 0.
+                    wake_round[msg.dst] = r
+                self._receive(msg, now)
             in_flight = []
 
             # 2. adversary wake-ups --------------------------------------
             for v in self._schedule.get(r, ()):
-                self._wake(v, r, "adversary")
+                ctx, node = vstate[v]
+                if not ctx._awake:
+                    wake_round[v] = r
+                    self._wake(ctx, node, v, now, "adversary")
 
             # 3. computation steps ---------------------------------------
-            for v in self._order:
-                ctx = self._ctx[v]
-                if ctx._awake and self.nodes[v].wants_round():
-                    ctx.local_round = r - self._wake_round[v]
-                    self.nodes[v].on_round(ctx)
+            for ctx, node in states:
+                if ctx._awake and node.wants_round():
+                    ctx.local_round = r - wake_round[ctx.vertex]
+                    node.on_round(ctx)
 
             # collect sends emitted during this round --------------------
-            for v in self._order:
-                if self._ctx[v]._outbox:
-                    self._flush(v, r, in_flight)
+            for ctx, _node in states:
+                if ctx._outbox:
+                    in_flight += self._emit(ctx.vertex, now)
 
             self.rounds_executed = r + 1
-            self.metrics.events_processed += 1
+            metrics.events_processed += 1
             if frontier_obs is not None and in_flight:
                 frontier_obs(len(in_flight))
             r += 1
             if rec_enabled and r % _STEP_EVERY_ROUNDS == 0:
-                rec.emit(
-                    "engine_step",
-                    events=self.metrics.events_processed,
-                    now=float(r),
-                    awake=self.metrics.awake_count(),
-                    n=self.setup.n,
-                    engine="sync",
-                )
+                self._heartbeat(metrics.events_processed, float(r))
             anyone_active = any(
-                self._ctx[v]._awake and self.nodes[v].wants_round()
-                for v in self._order
+                ctx._awake and node.wants_round() for ctx, node in states
             )
             if not in_flight and r > last_wake_round and not anyone_active:
                 break
-        if mreg.enabled:
-            metrics = self.metrics
-            mreg.counter("repro_engine_runs_total", engine="sync").inc()
-            mreg.counter(
-                "repro_engine_events_total", engine="sync"
-            ).inc(metrics.events_processed)
-            mreg.counter(
-                "repro_engine_messages_total", engine="sync"
-            ).inc(metrics.messages_total)
-            mreg.counter(
-                "repro_engine_bits_total", engine="sync"
-            ).inc(metrics.bits_total)
-        return self.metrics
-
-    # ------------------------------------------------------------------
-    @property
-    def round_complexity(self) -> int:
-        """Rounds elapsed between the first wake-up and the last activity."""
-        if self.metrics.first_wake is None:
-            return 0
-        return int(self.metrics.last_activity - self.metrics.first_wake)
-
-    # ------------------------------------------------------------------
-    def _wake(self, v: Vertex, r: int, cause: str) -> None:
-        ctx = self._ctx[v]
-        if ctx._awake:
-            return
-        ctx._awake = True
-        ctx.wake_cause = cause
-        self._wake_round[v] = r
-        ctx.local_round = 0
-        self.metrics.record_wake(v, float(r), cause)
-        if self.trace is not None:
-            self.trace.wake(float(r), v, cause)
-        self.nodes[v].on_wake(ctx)
-
-    def _deliver(self, msg: Message, r: int) -> None:
-        v = msg.dst
-        ctx = self._ctx[v]
-        self.metrics.record_receive(v, float(r))
-        if self.trace is not None:
-            self.trace.deliver(float(r), msg)
-        if not ctx._awake:
-            self._wake(v, r, "message")
-        ctx.local_round = r - self._wake_round[v]
-        self.nodes[v].on_message(ctx, msg.dst_port, msg.payload)
-
-    # ------------------------------------------------------------------
-    # Flush paths — one is bound to self._flush at init.  Both turn a
-    # node's queued sends into in-flight messages for the next round;
-    # the fast lane drops the per-send drop/trace branches entirely.
-    # ------------------------------------------------------------------
-    def _flush_fast(self, v: Vertex, r: int, in_flight: List[Message]) -> None:
-        """Fast lane: no drop strategy, no trace.
-
-        Metric counters are accumulated locally and written back once
-        per flush (Metrics.record_send, batched); the write-back sits
-        in a ``finally`` so totals stay correct even when a bandwidth
-        violation aborts the flush mid-loop.
-        """
-        ctx = self._ctx[v]
-        sends = ctx._outbox
-        if not sends:
-            return
-        ctx._outbox = []
-        neighbors, back_ports = self._tables[v]
-        sent_at = float(r)
-        seq_next = self._seq.__next__
-        cap = self._bw_cap
-        metrics = self.metrics
-        edge_messages = metrics.edge_messages
-        append = in_flight.append
-        last_payload = self._memo_payload
-        last_bits = self._memo_bits
-        n_sent = 0
-        bits_sum = 0
-        max_bits = metrics.max_message_bits
-        try:
-            for send in sends:
-                port = send.port
-                dst = neighbors[port - 1]
-                payload = send.payload
-                if payload is last_payload:
-                    bits = last_bits
-                else:
-                    bits = bit_size_cached(payload)
-                    last_payload = payload
-                    last_bits = bits
-                if cap is not None and bits > cap:
-                    self.setup.bandwidth.check(bits)
-                n_sent += 1
-                bits_sum += bits
-                if bits > max_bits:
-                    max_bits = bits
-                edge_messages[(v, dst)] += 1
-                append(
-                    Message(
-                        v, dst, back_ports[port - 1], port, payload, bits,
-                        sent_at, seq_next(),
-                    )
-                )
-        finally:
-            self._memo_payload = last_payload
-            self._memo_bits = last_bits
-            if n_sent:
-                metrics.messages_total += n_sent
-                metrics.bits_total += bits_sum
-                metrics.max_message_bits = max_bits
-                metrics.sent_by[v] += n_sent
-
-    def _flush_full(self, v: Vertex, r: int, in_flight: List[Message]) -> None:
-        """General path: fault injection and/or tracing enabled."""
-        ctx = self._ctx[v]
-        neighbors, back_ports = self._tables[v]
-        sent_at = float(r)
-        drops = self._drops
-        trace = self.trace
-        for send in ctx._drain():
-            port = send.port
-            dst = neighbors[port - 1]
-            payload = send.payload
-            bits = bit_size_cached(payload)
-            self.setup.bandwidth.check(bits)
-            seq = next(self._seq)
-            if drops is not None and drops.drops(v, dst, seq):
-                # Fault injection (repro.sim.faults): as in the async
-                # engine, the message is charged to the sender but
-                # never delivered (and never enters the trace).
-                self.metrics.record_send(v, dst, bits)
-                continue
-            msg = Message(
-                v, dst, back_ports[port - 1], port, payload, bits,
-                sent_at, seq,
-            )
-            self.metrics.record_send(v, dst, bits)
-            if trace is not None:
-                trace.send(sent_at, msg)
-            in_flight.append(msg)
+        publish_run(self.lane, metrics)
+        return metrics

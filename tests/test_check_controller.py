@@ -31,6 +31,7 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.models.knowledge import Knowledge, make_setup
+from repro.obs.metrics import MetricsRegistry, set_global_registry
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 from repro.sim.runner import run_wakeup
 from repro.sim.trace import Trace
@@ -82,6 +83,25 @@ class TestControlledRun:
         # seq 0, sends take 1..messages.
         assert set(ctl.log.delays) == set(range(1, result.messages + 1))
         assert all(0.0 < d <= 1.0 for d in ctl.log.delays.values())
+
+    def test_controlled_run_counts_in_engine_totals(self):
+        registry = MetricsRegistry()
+        previous = set_global_registry(registry)
+        try:
+            ctl = RandomController(seed=3)
+            result = _controlled(_world(), ctl)
+        finally:
+            set_global_registry(previous)
+        counters = registry.snapshot()["counters"]
+        assert counters['repro_engine_runs_total{engine="async"}'] == 1
+        assert (
+            counters['repro_engine_events_total{engine="async"}']
+            == ctl.log.steps
+        )
+        assert (
+            counters['repro_engine_messages_total{engine="async"}']
+            == result.messages
+        )
 
     def test_controller_rejected_on_sync_engine(self):
         world = _world(algo="flooding")
@@ -251,13 +271,17 @@ class TestBitIdenticalReplay:
         assert replayed.bits == controlled.bits
         assert replayed.time == controlled.time
         assert replayed.wake_time == controlled.wake_time
-        assert (
-            replayed.metrics.events_processed
-            == controlled.metrics.events_processed
-        )
-        assert len(t1.events) == len(t2.events)
-        for a, b in zip(t1.events, t2.events):
-            assert (a.kind, a.vertex, a.time) == (b.kind, b.vertex, b.time)
+        a, b = replayed.metrics, controlled.metrics
+        assert a.events_processed == b.events_processed
+        assert a.sent_by == b.sent_by
+        assert a.received_by == b.received_by
+        assert a.edge_messages == b.edge_messages
+        assert a.wake_cause == b.wake_cause
+        assert a.max_message_bits == b.max_message_bits
+        assert a.first_wake == b.first_wake
+        assert a.last_activity == b.last_activity
+        assert t2.events
+        assert list(t2.events) == list(t1.events)
 
     def test_strict_choice_replay_reproduces_run(self):
         world = _world(path_graph, 5, algo="echo-flooding")

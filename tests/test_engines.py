@@ -2,6 +2,9 @@
 semantics of Sec 1.1/3.2 (wake-on-message, FIFO channels, delay
 normalization, local clocks, determinism)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ModelViolation, SimulationError, WakeUpFailure
@@ -415,6 +418,27 @@ class TestRunner:
         adversary = Adversary(WakeSchedule.singleton(0), UnitDelay())
         with pytest.raises(SimulationError):
             run_wakeup(setup, FastWakeUp(), adversary, engine="async")
+
+    @pytest.mark.parametrize("engine_cls", [AsyncEngine, SyncEngine])
+    def test_finished_engine_freed_by_refcount(self, engine_cls):
+        """No reference cycle runs through an engine: once the caller
+        drops it, its n contexts, nodes and queues go at once, not at
+        the next cyclic GC pass."""
+        g = cycle_graph(16)
+        setup = make_setup(g, knowledge=Knowledge.KT0, seed=1)
+        adversary = Adversary(WakeSchedule.singleton(0), UnitDelay())
+        gc.disable()
+        try:
+            eng = engine_cls(
+                setup, Flooding().build_nodes(setup), adversary,
+                trace=Trace(),
+            )
+            eng.run()
+            ref = weakref.ref(eng)
+            del eng
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_result_summary_keys(self):
         g = path_graph(4)

@@ -1,6 +1,11 @@
 """Fault-injection tests: how the Table-1 algorithms degrade when the
 paper's error-free-channel assumption is violated."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.child_encoding import ChildEncodingAdvice
@@ -16,6 +21,7 @@ from repro.sim.faults import (
     TargetedDrops,
 )
 from repro.sim.runner import run_wakeup
+from repro.sim.trace import Trace
 
 
 def run_faulty(
@@ -51,6 +57,28 @@ class TestDropStrategies:
         assert [d1.drops(0, 1, i) for i in range(50)] == [
             d2.drops(0, 1, i) for i in range(50)
         ]
+
+    def test_bernoulli_replays_across_processes(self):
+        """The drop pattern is a function of (seed, edge, seq) alone:
+        Python's per-process string-hash salt must not leak into it."""
+        code = (
+            "from repro.sim.faults import BernoulliDrops\n"
+            "d = BernoulliDrops(0.5, seed=2)\n"
+            "print(''.join('x' if d.drops('a', (1, 'b'), i) else '.'"
+            " for i in range(40)))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        patterns = set()
+        for hashseed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, timeout=60, check=True,
+            )
+            patterns.add(out.stdout.strip())
+        assert len(patterns) == 1
+        (pattern,) = patterns
+        assert "x" in pattern and "." in pattern
 
     def test_bernoulli_invalid_p(self):
         with pytest.raises(SimulationError):
@@ -160,29 +188,35 @@ class TestSyncEngineDrops:
 
 
 class TestCrossEngineNoDropConformance:
-    """Structural no-drop configurations must be indistinguishable from
-    a plain :class:`~repro.sim.adversary.Adversary` — on both engines,
-    to the last bit of every metric.  This pins the engines' fast-lane
-    specialization (``NoDrops`` takes the drop-free path) to the
-    general path's semantics."""
+    """Structural no-drop configurations, and a traced run, must be
+    indistinguishable from a plain untraced
+    :class:`~repro.sim.adversary.Adversary` run — on both engines, to
+    the last bit of every metric.  Every run takes the one send path
+    (``Engine._emit``); this pins that its drop and trace hooks change
+    nothing a drop-free run counts."""
 
     @pytest.mark.parametrize("engine", ["async", "sync"])
     @pytest.mark.parametrize(
-        "drops", [None, NoDrops(), BernoulliDrops(0.0, seed=5)]
+        "drops", [None, NoDrops(), BernoulliDrops(0.0, seed=5), "traced"]
     )
     def test_metrics_bit_identical(self, engine, drops):
         g = connected_erdos_renyi(24, 0.25, seed=7)
         setup = make_setup(g, knowledge=Knowledge.KT0, seed=7)
         schedule = WakeSchedule.all_at_once([0, 5])
-        if drops is None:
+        trace = Trace() if drops == "traced" else None
+        if drops is None or trace is not None:
             adversary = Adversary(schedule=schedule, delays=UnitDelay())
         else:
             adversary = FaultyAdversary(
                 schedule=schedule, delays=UnitDelay(), drops=drops
             )
         r = run_wakeup(
-            setup, Flooding(), adversary, engine=engine, seed=11
+            setup, Flooding(), adversary, engine=engine, seed=11,
+            trace=trace,
         )
+        if trace is not None:
+            assert len(trace.sends()) == r.messages
+            assert len(trace.deliveries()) == r.messages
         baseline = run_wakeup(
             setup,
             Flooding(),

@@ -305,6 +305,49 @@ class TestImproveAtlas:
         errors, stale = check_atlas(atlas)
         assert errors == [] and stale == []
 
+    def _pass(self, atlas, tmp_path):
+        return improve_atlas(
+            atlas,
+            base_spec=check_world_spec("flooding", 16, graph="star"),
+            executor=serial_executor(tmp_path),
+            optimizers=("cem",),
+            generations=2,
+            population=4,
+            baseline_trials=4,
+            replay_dir=tmp_path / "artifacts",
+        )
+
+    def test_stale_incumbent_that_replays_is_restamped(self, tmp_path):
+        atlas = empty_atlas()
+        key = self._pass(atlas, tmp_path)["key"]
+        incumbent = atlas["entries"][key]
+        incumbent["salts"] = dict(incumbent["salts"], engine="0" * 16)
+        # Out of the re-run's reach, so the merge keeps the incumbent
+        # and only the refresh can change its salts.
+        incumbent["score"] += 100.0
+        before = json.loads(json.dumps(incumbent))
+        assert self._pass(atlas, tmp_path)["merge"] == "kept"
+        entry = atlas["entries"][key]
+        assert not entry_is_stale(entry)
+        assert check_atlas(atlas) == ([], [])
+        assert entry["score"] == before["score"]
+        assert entry["genome"] == before["genome"]
+
+    def test_stale_incumbent_that_diverges_is_replaced(self, tmp_path):
+        atlas = empty_atlas()
+        key = self._pass(atlas, tmp_path)["key"]
+        incumbent = atlas["entries"][key]
+        incumbent["salts"] = dict(incumbent["salts"], engine="0" * 16)
+        incumbent["score"] += 100.0
+        incumbent["expect"]["messages"] += 1.0
+        assert replay_entry(incumbent)[0] is False
+        summary = self._pass(atlas, tmp_path)
+        assert summary["merge"] == "new"
+        entry = atlas["entries"][key]
+        assert entry["score"] == summary["score"]
+        assert replay_entry(entry) == (True, "")
+        assert check_atlas(atlas) == ([], [])
+
     def test_requires_executor(self):
         with pytest.raises(ReproError):
             improve_atlas(
