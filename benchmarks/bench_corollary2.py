@@ -92,7 +92,7 @@ def test_corollary2_dominates_table_row(cor2_sweep):
     assert cor2.messages <= cor1.messages * math.log2(n) ** 2
 
 
-def test_corollary2_representative_run(benchmark):
+def test_corollary2_representative_run(benchmark, profile_phases):
     factory = er_single_wake(avg_degree=8.0, seed=29)
     graph, awake = factory(256)
     setup = make_setup(graph, knowledge=Knowledge.KT0, bandwidth="CONGEST", seed=1)
@@ -107,11 +107,10 @@ def test_corollary2_representative_run(benchmark):
     assert result.all_awake
     # Per-phase profile (repro.obs): advice decoding vs the probe/next
     # wake-up traffic, into the pytest-benchmark results JSON.
-    profile = result.phase_profile()
+    profile = profile_phases(run)
     benchmark.extra_info["phases"] = profile
     print_table(
-        [{"phase": name, **prof} for name, prof in profile.items()],
-        title="Corollary 2 phase profile (n=256)",
+        list(profile.values()), title="Corollary 2 phase profile (n=256)"
     )
     for phase in LogSpannerAdvice.phases:
         assert phase in profile, f"missing declared phase {phase!r}"

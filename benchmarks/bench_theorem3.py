@@ -92,7 +92,7 @@ def test_theorem3_beats_flooding_on_dense_graphs():
     assert dfs.messages * 5 < flood.messages
 
 
-def test_theorem3_representative_run(benchmark):
+def test_theorem3_representative_run(benchmark, profile_phases):
     g_factory = er_fraction_wake(avg_degree=6.0, fraction=0.2, seed=11)
     graph, awake = g_factory(256)
     setup = make_setup(graph, knowledge=Knowledge.KT1, bandwidth="LOCAL", seed=1)
@@ -107,11 +107,10 @@ def test_theorem3_representative_run(benchmark):
     assert result.all_awake
     # Per-phase profile (repro.obs): where the run's time and messages
     # went, into the pytest-benchmark results JSON.
-    profile = result.phase_profile()
+    profile = profile_phases(run)
     benchmark.extra_info["phases"] = profile
     print_table(
-        [{"phase": name, **prof} for name, prof in profile.items()],
-        title="Theorem 3 phase profile (n=256)",
+        list(profile.values()), title="Theorem 3 phase profile (n=256)"
     )
     for phase in DfsWakeUp.phases:
         assert phase in profile, f"missing declared phase {phase!r}"

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.telemetry import phase_profile_table
+from repro.obs.metrics import MetricsRegistry, set_global_registry
+
 
 @pytest.fixture(scope="session")
 def bench_sizes():
@@ -28,6 +31,25 @@ def bench_sizes():
 @pytest.fixture(scope="session")
 def small_bench_sizes():
     return [32, 64, 128]
+
+
+@pytest.fixture(scope="session")
+def profile_phases():
+    """``profile_phases(run)`` calls ``run()`` once under a fresh
+    metrics registry, the only phase store, and returns its per-phase
+    profile rows keyed by phase name."""
+
+    def profile(run):
+        registry = MetricsRegistry()
+        previous = set_global_registry(registry)
+        try:
+            run()
+        finally:
+            set_global_registry(previous)
+        rows = phase_profile_table(registry.snapshot())
+        return {row["phase"]: row for row in rows}
+
+    return profile
 
 
 def pytest_collection_modifyitems(config, items):

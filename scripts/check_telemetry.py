@@ -21,9 +21,11 @@ Checks, in order:
    ``job_start`` — incomplete lifecycles are fine (it is a
    flight-recorder format), inverted ones are not;
 4. every *executed* ok cell (``cell_end`` with ``status=ok`` and
-   ``cached=false``) has at least one ``phase_end`` event for its key
-   — the profiling guarantee the engines' implicit "engine" phase
-   provides;
+   ``cached=false``) is profiled: the last ``metrics_snapshot``'s
+   ``repro_phase_entries_total{phase="engine"}`` series, summed over
+   ``n``, are at least the executed ok cells before it — each engine
+   run adds one entry of its implicit "engine" phase, and cache hits
+   add none.  A stream with executed ok cells but no snapshot fails;
 5. every ``metrics_snapshot`` event carries a schema-valid registry
    snapshot (sections present, non-negative counters, histogram bucket
    sanity via :func:`repro.obs.metrics.validate_snapshot`), and
@@ -58,7 +60,10 @@ from repro.obs.events import (  # noqa: E402
     parse_line,
     validate_event,
 )
-from repro.obs.metrics import validate_snapshot  # noqa: E402
+from repro.obs.metrics import (  # noqa: E402
+    parse_series_key,
+    validate_snapshot,
+)
 
 
 def check_metrics_snapshots(events) -> List[str]:
@@ -98,6 +103,45 @@ def check_metrics_snapshots(events) -> List[str]:
     return errors
 
 
+def check_phase_profiles(events) -> List[str]:
+    """Rule 4: the last snapshot profiles every executed ok cell
+    before it (one "engine" phase entry per engine run)."""
+    executed = 0
+    profiled = None  # (executed ok cells so far, engine entries)
+    for e in events:
+        kind = e.get("kind")
+        if (
+            kind == "cell_end"
+            and e.get("status") == "ok"
+            and not e.get("cached")
+        ):
+            executed += 1
+        elif kind == "metrics_snapshot":
+            entries = 0.0
+            for key, value in dict(e.get("counters") or {}).items():
+                name, labels = parse_series_key(key)
+                if (
+                    name == "repro_phase_entries_total"
+                    and labels.get("phase") == "engine"
+                ):
+                    entries += float(value)
+            profiled = (executed, entries)
+    if profiled is None:
+        if executed:
+            return [
+                f"{executed} executed ok cell(s) but no "
+                "metrics_snapshot carries their phase profiles"
+            ]
+        return []
+    cells, entries = profiled
+    if entries < cells:
+        return [
+            f"last metrics_snapshot has {entries:g} engine-phase "
+            f"entries for {cells} executed ok cell(s) before it"
+        ]
+    return []
+
+
 def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
     """Return (errors, summary) for an iterable of JSONL lines."""
     errors: List[str] = []
@@ -135,12 +179,6 @@ def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
     census = Counter(str(e.get("kind")) for e in events)
     started: Counter = Counter()
     terminal: Counter = Counter()
-    executed_ok: List[str] = []
-    phase_keys = {
-        str(e["key"])
-        for e in events
-        if e.get("kind") == "phase_end" and "key" in e
-    }
     for e in events:
         kind = e.get("kind")
         if kind == "cell_start":
@@ -152,12 +190,6 @@ def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
                 errors.append(
                     f"{kind} for key {key[:12]} without a cell_start"
                 )
-            if (
-                kind == "cell_end"
-                and e.get("status") == "ok"
-                and not e.get("cached")
-            ):
-                executed_ok.append(key)
     for key, starts in started.items():
         count = terminal[key]
         if count != starts:
@@ -165,11 +197,7 @@ def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
                 f"cell {key[:12]} has {count} terminal events "
                 f"(want {starts}, one per cell_start)"
             )
-    for key in executed_ok:
-        if key not in phase_keys:
-            errors.append(
-                f"executed cell {key[:12]} has no phase_end event"
-            )
+    errors.extend(check_phase_profiles(events))
     errors.extend(check_job_lifecycle(events))
     if len(started) < min_cells:
         errors.append(

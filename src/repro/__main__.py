@@ -48,7 +48,9 @@ to stream structured events (:mod:`repro.obs`) to a JSONL file and
 Instrumented commands (``table1``, ``sweep``, ``check``,
 ``worstcase``) accept ``--metrics [PATH]`` to enable the
 :mod:`repro.obs.metrics` registry and write its JSON snapshot on exit
-(default: ``results/metrics.json``).
+(default: ``results/metrics.json``).  ``--telemetry`` enables the
+registry too, without writing the file: the stream's
+``metrics_snapshot`` events carry the phase profiles.
 
 Examples::
 
@@ -88,6 +90,7 @@ from repro.graphs.generators import connected_erdos_renyi
 from repro.graphs.traversal import awake_distance
 from repro.models.knowledge import Knowledge, make_setup
 from repro.obs import NULL_RECORDER, JsonlRecorder, SweepProgress
+from repro.obs.metrics import emit_snapshot, get_registry
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 from repro.sim.runner import run_wakeup
 from repro.sim.trace_view import render_wake_wave
@@ -124,6 +127,10 @@ def _cmd_run(args) -> int:
             setup, algo, adversary, engine=engine, seed=args.seed + 3,
             record_trace=args.wave, recorder=recorder,
         )
+        if recorder.enabled:
+            # The run's phase profile lives in the registry main()
+            # installed for --telemetry.
+            emit_snapshot(recorder, get_registry())
     finally:
         recorder.close()
     rho = awake_distance(graph, awake)
@@ -958,8 +965,8 @@ def _make_progress(args):
 
     ``top`` swaps the one-line tracker for the multi-line metrics
     dashboard (:class:`~repro.obs.top.TopView`); it reads the global
-    registry, so it pairs with ``--metrics`` (without it the panel
-    shows zeros).
+    registry, so it pairs with ``--metrics`` or ``--telemetry``
+    (without either the panel shows zeros).
     """
     mode = getattr(args, "progress", "off")
     if mode == "off":
@@ -1844,15 +1851,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "jobs": _cmd_jobs,
     }
     metrics_path = getattr(args, "metrics", None)
-    if not metrics_path:
+    if not metrics_path and not getattr(args, "telemetry", None):
         return handlers[args.command](args)
 
-    # --metrics: install a live registry for the duration of the
-    # command, then persist its snapshot (even when the command fails —
-    # the partial snapshot is what you debug with).
-    import json
-    from pathlib import Path
-
+    # --metrics and --telemetry: install a live registry for the
+    # duration of the command (telemetry streams read their phase
+    # profiles from its snapshot).  --metrics then persists the
+    # snapshot, even when the command fails — the partial snapshot is
+    # what you debug with.
     from repro.obs.metrics import MetricsRegistry, set_global_registry
 
     registry = MetricsRegistry()
@@ -1861,14 +1867,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return handlers[args.command](args)
     finally:
         set_global_registry(previous)
-        out = Path(metrics_path)
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(registry.snapshot(), indent=2, sort_keys=True)
-            + "\n"
-        )
-        print(f"metrics snapshot: {out}", file=sys.stderr)
+        if metrics_path:
+            out = Path(metrics_path)
+            if out.parent != Path(""):
+                out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(
+                json.dumps(registry.snapshot(), indent=2, sort_keys=True)
+                + "\n"
+            )
+            print(f"metrics snapshot: {out}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ such a file into the profile tables behind ``repro report --telemetry``:
 
 * an event census (how many of each kind, schema versions seen);
 * a per-phase/per-n profile — where wall-time and messages went,
-  aggregated from ``phase_end`` events;
+  read from the ``repro_phase_*`` series of the last
+  ``metrics_snapshot`` event;
 * a per-n cell summary (executed/cached/failed counts, duration
   quantiles) from terminal cell events;
 * a runtime outlier list — executed cells whose duration exceeds
   ``outlier_factor`` x the median for their size;
-* an instrument summary from the last ``metrics_snapshot`` event, for
-  streams recorded with ``--metrics`` (counters/gauges/histograms from
-  :mod:`repro.obs.metrics`).
+* an instrument summary from the last ``metrics_snapshot`` event
+  (counters/gauges/histograms from :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
@@ -93,29 +93,47 @@ def event_census(events: Sequence[Dict[str, object]]) -> Dict[str, int]:
     return dict(sorted(census.items()))
 
 
-def phase_profile_table(
+def last_snapshot(
     events: Sequence[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """Aggregate ``phase_end`` events into per-(n, phase) rows.
+) -> Optional[Dict[str, object]]:
+    """The stream's last ``metrics_snapshot`` event, or None."""
+    snap = None
+    for e in events:
+        if e.get("kind") == "metrics_snapshot":
+            snap = e
+    return snap
 
-    Worker-side profiles are replayed by the executor as aggregate
-    ``phase_end`` events, so a sweep telemetry file aggregates here
-    exactly like an in-process run's live stream.  Rows are sorted by n
-    then descending time; ``share`` is the phase's fraction of its
+
+def phase_profile_table(
+    snapshot: Dict[str, object],
+) -> List[Dict[str, object]]:
+    """Per-(n, phase) profile rows from a metrics snapshot.
+
+    ``snapshot`` is a registry snapshot or a ``metrics_snapshot``
+    event.  Its ``repro_phase_*`` series cover every run the registry
+    saw, in-process or in a pooled worker; cache hits add nothing.
+    ``time_s`` is the histogram's sum.  Rows are sorted by n then
+    descending time; ``share`` is the phase's fraction of its
     size-class total.
     """
+    from repro.obs.metrics import parse_series_key
+
+    fields = {
+        "repro_phase_seconds": "time_s",
+        "repro_phase_messages_total": "messages",
+        "repro_phase_entries_total": "entries",
+    }
+    series = [(k, h["sum"]) for k, h in snapshot["histograms"].items()]
+    series += list(snapshot["counters"].items())
     by_n: Dict[int, Dict[str, Dict[str, float]]] = {}
-    for e in events:
-        if e.get("kind") != "phase_end":
-            continue
-        n = int(e.get("n", 0) or 0)
-        phases = by_n.setdefault(n, {})
-        agg = phases.setdefault(
-            str(e["phase"]), {"time_s": 0.0, "messages": 0, "entries": 0}
-        )
-        agg["time_s"] += float(e.get("elapsed", 0.0))
-        agg["messages"] += int(e.get("messages", 0))
-        agg["entries"] += int(e.get("entries", 0))
+    for key, value in series:
+        name, labels = parse_series_key(key)
+        if name in fields:
+            agg = by_n.setdefault(int(labels.get("n", 0)), {}).setdefault(
+                labels.get("phase", "?"),
+                {"time_s": 0.0, "messages": 0, "entries": 0},
+            )
+            agg[fields[name]] += float(value)
     rows: List[Dict[str, object]] = []
     for n in sorted(by_n):
         total = sum(p["time_s"] for p in by_n[n].values()) or 1.0
@@ -235,15 +253,12 @@ def metrics_snapshot_table(
     one in the stream covers everything before it.  One row per
     instrument family: counters sum their labeled series, gauges keep
     the max, histograms report sample counts plus p50/p99 estimated
-    from their buckets.  Empty for streams recorded without
-    ``--metrics`` (or predating the metrics layer).
+    from their buckets.  Empty for streams without a snapshot (those
+    of commands that emit none, or predating the metrics layer).
     """
     from repro.obs.metrics import histogram_quantile, parse_series_key
 
-    snap = None
-    for e in events:
-        if e.get("kind") == "metrics_snapshot":
-            snap = e
+    snap = last_snapshot(events)
     if snap is None:
         return []
     families: Dict[str, Dict[str, object]] = {}
@@ -391,7 +406,8 @@ def render_telemetry_report(
             "writer killed mid-record is normal; more than one line "
             "suggests stream corruption"
         )
-    phase_rows = phase_profile_table(events)
+    snap = last_snapshot(events)
+    phase_rows = phase_profile_table(snap) if snap is not None else []
     if phase_rows:
         parts.append("")
         parts.append(render_table(phase_rows, title="Phase profile"))

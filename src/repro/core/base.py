@@ -34,9 +34,9 @@ class AlgorithmBase:
     and used by benches to assert a profile is complete) and wrapping
     the corresponding code in ``with self.phase(ctx, "name"):`` blocks
     inside node callbacks.  Both are optional: undeclared phases still
-    record, and the helper is a zero-overhead no-op when the engine has
-    no recorder attached (the span still feeds
-    :meth:`repro.sim.metrics.Metrics.phase_profile`).
+    record.  Profiles land in the metrics registry's ``repro_phase_*``
+    series (:mod:`repro.obs.phases`); without an enabled registry the
+    helper returns a shared no-op span.
     """
 
     #: Phase names this algorithm reports via :meth:`phase`; empty for

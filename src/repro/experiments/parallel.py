@@ -60,6 +60,7 @@ from repro.graphs.compile import (
 )
 from repro.obs.metrics import (
     MetricsRegistry,
+    emit_snapshot,
     get_registry,
     set_global_registry,
 )
@@ -591,12 +592,11 @@ class ParallelSweepExecutor:
         Telemetry sink (:mod:`repro.obs`).  The executor frames the
         sweep with ``sweep_start``/``sweep_end`` and publishes a
         per-cell lifecycle as outcomes land in the parent process:
-        ``cell_start``, then the cell's per-phase profile replayed as
-        aggregate ``phase_end`` events (the phase data crosses the IPC
-        boundary inside the lean result payload), then exactly one
-        terminal event — ``cell_end`` (ok/failed/crashed) or
-        ``cell_timeout``.  ``cell_retry`` marks isolated re-attempts
-        after a worker death.
+        ``cell_start``, then exactly one terminal event — ``cell_end``
+        (ok/failed/crashed) or ``cell_timeout``.  ``cell_retry`` marks
+        isolated re-attempts after a worker death.  With a metrics
+        registry the sweep also ends with a ``metrics_snapshot``
+        event, which carries the executed cells' phase profiles.
     progress:
         Live-progress object (duck-typed like
         :class:`repro.obs.progress.SweepProgress`): ``start(total,
@@ -745,13 +745,7 @@ class ParallelSweepExecutor:
         if self.recorder.enabled:
             self.recorder.emit("topology_stats", **self.topo_stats)
             if collect:
-                snap = mreg.snapshot()
-                self.recorder.emit(
-                    "metrics_snapshot",
-                    counters=snap["counters"],
-                    gauges=snap["gauges"],
-                    histograms=snap["histograms"],
-                )
+                emit_snapshot(self.recorder, mreg)
             self.recorder.emit("sweep_end", **self.stats)
         if self.progress is not None:
             self.progress.finish(self.stats)
@@ -791,20 +785,10 @@ class ParallelSweepExecutor:
                 status=outcome.status,
                 cached="yes" if outcome.cached else "no",
             ).inc()
-            if not outcome.cached:
-                if outcome.duration > 0:
-                    mreg.histogram(
-                        "repro_executor_cell_seconds"
-                    ).observe(outcome.duration)
-                # Phase spans only for *executed* cells: a cache hit
-                # replays the original run's profile in telemetry, but
-                # this run did not spend that wall time.
-                if outcome.result is not None:
-                    profile = outcome.result.phase_profile()
-                    for name, prof in profile.items():
-                        mreg.histogram(
-                            "repro_phase_seconds", phase=name
-                        ).observe(prof["time_s"])
+            if not outcome.cached and outcome.duration > 0:
+                mreg.histogram(
+                    "repro_executor_cell_seconds"
+                ).observe(outcome.duration)
         rec = self.recorder
         if rec.enabled:
             spec = outcome.spec
@@ -818,18 +802,6 @@ class ParallelSweepExecutor:
                 engine=spec.engine,
                 cached=outcome.cached,
             )
-            if outcome.result is not None:
-                for name, prof in outcome.result.phase_profile().items():
-                    rec.emit(
-                        "phase_end",
-                        phase=name,
-                        elapsed=prof["time_s"],
-                        messages=prof["messages"],
-                        entries=prof["entries"],
-                        key=outcome.key,
-                        n=spec.n,
-                        aggregate=True,
-                    )
             if outcome.status == "timeout":
                 rec.emit(
                     "cell_timeout",

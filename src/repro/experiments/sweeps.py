@@ -386,48 +386,6 @@ def rows_from_outcomes(outcomes: Sequence[CellOutcome]) -> List[SweepRow]:
     return rows
 
 
-def phase_profile_rows(
-    outcomes: Sequence[CellOutcome],
-) -> List[Dict[str, float]]:
-    """Aggregate per-phase profiles across successful outcomes into
-    printable rows: one row per (n, phase) with summed wall-time and
-    message counts and the share of that size's total phase time.
-
-    This is how benches report where an execution spends its time —
-    e.g. DFS-token traversal vs advice decoding — straight from sweep
-    outcomes (the profiles survive the lean/IPC path).
-    """
-    by_n: Dict[int, Dict[str, Dict[str, float]]] = {}
-    for o in outcomes:
-        if not o.ok or o.result is None:
-            continue
-        phases = by_n.setdefault(o.spec.n, {})
-        for name, prof in o.result.phase_profile().items():
-            agg = phases.setdefault(
-                name, {"time_s": 0.0, "messages": 0, "entries": 0}
-            )
-            agg["time_s"] += prof["time_s"]
-            agg["messages"] += prof["messages"]
-            agg["entries"] += prof["entries"]
-    rows: List[Dict[str, float]] = []
-    for n in sorted(by_n):
-        total = sum(p["time_s"] for p in by_n[n].values()) or 1.0
-        for name, agg in sorted(
-            by_n[n].items(), key=lambda kv: -kv[1]["time_s"]
-        ):
-            rows.append(
-                {
-                    "n": n,
-                    "phase": name,
-                    "time_s": agg["time_s"],
-                    "share": agg["time_s"] / total,
-                    "messages": agg["messages"],
-                    "entries": agg["entries"],
-                }
-            )
-    return rows
-
-
 def parallel_sweep(
     algorithm: str,
     workload: Dict[str, Any],

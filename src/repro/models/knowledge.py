@@ -140,7 +140,7 @@ def assign_ids(
 
 def make_setup(
     graph: Graph,
-    knowledge: Knowledge = Knowledge.KT1,
+    knowledge: Knowledge | str = Knowledge.KT1,
     bandwidth: str = "LOCAL",
     seed: random.Random | int | None = None,
     ids: Optional[Dict[Vertex, int]] = None,
@@ -150,8 +150,9 @@ def make_setup(
 ) -> NetworkSetup:
     """Convenience constructor for the common experiment shapes.
 
-    ``bandwidth`` is "LOCAL" or "CONGEST".  Random choices (IDs, port
-    shuffles) derive from ``seed``.
+    ``knowledge`` is a :class:`Knowledge` member or its value ("KT0"
+    or "KT1"); ``bandwidth`` is "LOCAL" or "CONGEST".  Random choices
+    (IDs, port shuffles) derive from ``seed``.
 
     ``compiled`` (a :class:`repro.graphs.compile.CompiledTopology` of
     this same graph) routes the port shuffle through the artifact's
@@ -159,6 +160,12 @@ def make_setup(
     assignment, but no per-vertex permutation/symmetry re-validation
     and the engines' send tables come prebuilt.
     """
+    try:
+        knowledge = Knowledge(knowledge)
+    except ValueError:
+        raise SimulationError(
+            f"unknown knowledge model {knowledge!r}"
+        ) from None
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if ids is None:
         ids = assign_ids(graph, rng)

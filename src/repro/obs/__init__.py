@@ -4,18 +4,18 @@ and live sweep progress.
 Three layers, cheap by default:
 
 * :mod:`repro.obs.events` — the stable, schema-versioned vocabulary of
-  run events (``run_start``, ``phase_end``, ``cell_timeout``, ...)
+  run events (``run_start``, ``cell_end``, ``cell_timeout``, ...)
   serialized as JSONL;
 * :mod:`repro.obs.recorder` — the :class:`Recorder` sink protocol with
   counters, gauges, and monotonic timers.  The default
   :data:`NULL_RECORDER` is a no-op whose ``enabled`` flag lets hot
   paths skip event construction entirely, so an un-instrumented run
   pays nothing;
-* :mod:`repro.obs.phases` — the :class:`PhaseTracker` that both
-  engines own: algorithm code opens ``ctx.phase("dfs-token")`` spans
-  and the tracker attributes wall-time and message counts to them
-  (accumulated in :class:`~repro.sim.metrics.Metrics` even without an
-  active recorder, so benches always see a profile).
+* :mod:`repro.obs.phases` — the :class:`PhaseTracker` an engine
+  attaches when the metrics registry is enabled: algorithm code opens
+  ``ctx.phase("dfs-token")`` spans and the tracker adds each run's
+  per-phase wall-time, message and entry totals to the registry once
+  (without a registry every span is a shared no-op).
 
 :mod:`repro.obs.progress` renders live sweep progress (done/failed/
 cached counts, throughput, ETA, slowest-cell watchlist) from the

@@ -25,9 +25,9 @@ Event kinds
 ``cell_timeout`` terminal: the cell exceeded its wall-clock budget
 ``run_start``    one engine execution begins (runner-level)
 ``run_end``      ... and ends
-``phase_start``  a live phase span opens (in-process runs only)
-``phase_end``    a phase span closed; per-cell events from the
-                 executor are *aggregates* over the whole cell
+``phase_start``  no longer emitted; kept so older streams validate
+                 (phase profiles live in the metrics registry)
+``phase_end``    no longer emitted; kept so older streams validate
 ``engine_step``  throttled engine-loop heartbeat
 ``topology_stats`` compiled-topology cache totals for one sweep
                  (builds vs memory/disk hits), emitted just before
@@ -41,7 +41,8 @@ Event kinds
 ``shrink_stats`` one counterexample was minimized
 ``metrics_snapshot`` a :class:`repro.obs.metrics.MetricsRegistry`
                  snapshot (counters/gauges/histograms sections),
-                 emitted at sweep end when metrics are enabled
+                 emitted at sweep end when metrics are enabled and
+                 at the end of a ``repro run --telemetry`` stream
 ``job_queued``   a :mod:`repro.serve` job passed admission control
 ``job_start``    ... and began executing on the job runner
 ``job_end``      terminal: the job finished (status ``done`` /

@@ -122,10 +122,15 @@ CATALOG: Dict[str, Dict[str, Any]] = {
     "repro_executor_wall_seconds": {
         "type": "gauge",
         "help": "Wall time of the last sweep (nondeterministic)."},
+    # -- phases (labels: phase, n; one update per run and phase) -------
     "repro_phase_seconds": {
         "type": "histogram", "buckets": SECONDS_BUCKETS,
-        "help": "Per-phase wall-time spans from cell profiles "
-                "(labels: phase; nondeterministic)."},
+        "help": "Per-run wall time summed over a phase's spans "
+                "(nondeterministic)."},
+    "repro_phase_messages_total": {
+        "type": "counter", "help": "Messages sent inside a phase."},
+    "repro_phase_entries_total": {
+        "type": "counter", "help": "Phase span entries."},
     # -- artifact stores -----------------------------------------------
     "repro_cellcache_fetch_total": {
         "type": "counter",
@@ -484,6 +489,15 @@ def set_global_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
 # ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
+def emit_snapshot(recorder: Any, registry: MetricsRegistry) -> None:
+    """Emit ``registry``'s snapshot as a ``metrics_snapshot`` event.
+
+    The event envelope carries its own ``schema`` field."""
+    snap = registry.snapshot()
+    del snap["schema"]
+    recorder.emit("metrics_snapshot", **snap)
+
+
 def _fmt(value: float) -> str:
     """Prometheus number formatting: integers without the trailing .0."""
     if float(value).is_integer() and abs(value) < 1e15:

@@ -2,19 +2,21 @@
 
 The full paper reasons about *phases* of an execution — awake-distance
 growth, token traversals, advice decoding — that total metrics
-collapse.  A :class:`PhaseTracker` makes them measurable: each engine
-owns one, node code opens spans through
-:meth:`repro.sim.node.NodeContext.phase`, and on span exit the tracker
-attributes
+collapse.  A :class:`PhaseTracker` makes them measurable: node code
+opens spans through :meth:`repro.sim.node.NodeContext.phase`, and on
+span exit the tracker attributes
 
 * **wall-time** — monotonic seconds inside the span — and
 * **messages** — sends queued on the opening node's outbox during the
   span, plus any sends the engine flushed while it was open
 
-to the phase name in :class:`~repro.sim.metrics.Metrics` (so profiles
-exist even with the default :class:`~repro.obs.recorder.NullRecorder`)
-and, when a recorder is enabled, emits ``phase_start``/``phase_end``
-events.
+to the phase name.  When the outermost span (the engine's implicit
+``"engine"`` phase) closes, it adds the run's totals once to the
+metrics registry, the only phase store: ``repro_phase_seconds`` (one
+observation per run and phase), ``repro_phase_messages_total`` and
+``repro_phase_entries_total``, each labelled ``phase`` and ``n``.
+Without an enabled registry an engine holds :data:`NULL_TRACKER`
+instead, whose spans cost nothing (:func:`track_phases`).
 
 Spans nest; attribution is *inclusive* (an outer phase's totals
 contain its inner phases'), matching how profiler call trees read.
@@ -25,10 +27,12 @@ counts and entry counts are, and only those may be asserted by tests.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
-from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.sim.metrics import Metrics
+from repro.obs.metrics import MetricsRegistry, get_registry
+
+if TYPE_CHECKING:
+    from repro.sim.metrics import Metrics
 
 
 class _PhaseSpan:
@@ -49,50 +53,51 @@ class _PhaseSpan:
         self._tracker._stop()
 
 
-class _NullSpan:
-    """Reusable no-op span for contexts without a tracker."""
+class _NullTracker:
+    """The tracker of a run without a registry, and its only span."""
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NullSpan":
+    def span(self, name: str, outbox=None) -> "_NullTracker":
+        return self
+
+    def _start(self, name: str, outbox) -> None:
+        pass
+
+    def _stop(self) -> None:
+        pass
+
+    def __enter__(self) -> "_NullTracker":
         return self
 
     def __exit__(self, *exc) -> None:
         pass
 
 
-NULL_SPAN = _NullSpan()
+NULL_TRACKER = NULL_SPAN = _NullTracker()
 
 
 class PhaseTracker:
     """Engine-owned stack of open phase spans.
 
-    Parameters
-    ----------
-    metrics:
-        The engine's accumulator; receives
-        :meth:`~repro.sim.metrics.Metrics.record_phase` on span exit.
-    recorder:
-        Event sink; ``phase_start``/``phase_end`` are only emitted when
-        it is enabled.
-    fields:
-        Static context (``n``, ``algorithm``, ...) attached to every
-        emitted phase event.
+    ``metrics`` is the engine's :class:`~repro.sim.metrics.Metrics`
+    (its ``messages_total`` counts the sends flushed inside a span);
+    ``registry`` receives the run's totals, labelled with its size
+    ``n``.
     """
 
-    __slots__ = ("metrics", "recorder", "fields", "_stack")
+    __slots__ = ("metrics", "registry", "n", "_stack", "_totals")
 
     def __init__(
-        self,
-        metrics: Metrics,
-        recorder: Recorder = NULL_RECORDER,
-        fields: Optional[Dict[str, Any]] = None,
+        self, metrics: "Metrics", registry: MetricsRegistry, n: int
     ):
         self.metrics = metrics
-        self.recorder = recorder
-        self.fields = fields or {}
+        self.registry = registry
+        self.n = str(n)
         # (name, t0, messages_total snapshot, outbox, outbox-len snapshot)
         self._stack: List[Tuple[str, float, int, Any, int]] = []
+        # name -> [seconds, messages, entries] summed over the run
+        self._totals: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
     def span(self, name: str, outbox=None) -> _PhaseSpan:
@@ -100,14 +105,6 @@ class PhaseTracker:
         opening node's send queue (sends land there during callbacks
         and are flushed by the engine only afterwards)."""
         return _PhaseSpan(self, name, outbox)
-
-    @property
-    def current(self) -> Optional[str]:
-        return self._stack[-1][0] if self._stack else None
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
 
     # ------------------------------------------------------------------
     def _start(self, name: str, outbox) -> None:
@@ -120,26 +117,37 @@ class PhaseTracker:
                 len(outbox) if outbox is not None else 0,
             )
         )
-        if self.recorder.enabled:
-            self.recorder.emit(
-                "phase_start", phase=name, depth=len(self._stack),
-                **self.fields,
-            )
 
     def _stop(self) -> None:
         name, t0, msgs0, outbox, out0 = self._stack.pop()
-        elapsed = time.perf_counter() - t0
         messages = self.metrics.messages_total - msgs0
         if outbox is not None:
             messages += len(outbox) - out0
-        self.metrics.record_phase(name, elapsed, messages)
-        if self.recorder.enabled:
-            self.recorder.emit(
-                "phase_end",
-                phase=name,
-                elapsed=elapsed,
-                messages=messages,
-                entries=1,
-                depth=len(self._stack) + 1,
-                **self.fields,
-            )
+        total = self._totals.setdefault(name, [0.0, 0, 0])
+        total[0] += time.perf_counter() - t0
+        total[1] += messages
+        total[2] += 1
+        if not self._stack:
+            reg, n = self.registry, self.n
+            for name, (seconds, messages, entries) in self._totals.items():
+                reg.histogram("repro_phase_seconds", phase=name, n=n).observe(
+                    seconds
+                )
+                reg.counter(
+                    "repro_phase_messages_total", phase=name, n=n
+                ).inc(messages)
+                reg.counter(
+                    "repro_phase_entries_total", phase=name, n=n
+                ).inc(entries)
+            self._totals = {}
+
+
+def track_phases(metrics: "Metrics", n: int):
+    """The phase tracker for a new run of size ``n``.
+
+    A :class:`PhaseTracker` feeding the global registry when it is
+    enabled, else :data:`NULL_TRACKER`."""
+    registry = get_registry()
+    if not registry.enabled:
+        return NULL_TRACKER
+    return PhaseTracker(metrics, registry, n)

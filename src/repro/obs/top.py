@@ -132,18 +132,23 @@ def render_top(
         )
 
     # -- per-phase latency from histogram buckets -----------------------
-    phase_rows: List[str] = []
-    for key in sorted(hists):
+    # One row per phase: its per-n series share bounds, so they merge.
+    by_phase: Dict[str, Dict[str, Any]] = {}
+    for key, h in hists.items():
         name, labels = parse_series_key(key)
-        if name != "repro_phase_seconds":
-            continue
-        h = hists[key]
-        if not h.get("count"):
-            continue
+        if name == "repro_phase_seconds" and h.get("count"):
+            agg = by_phase.setdefault(
+                labels.get("phase", "?"),
+                {"le": h["le"], "counts": [0] * len(h["counts"]), "count": 0},
+            )
+            agg["counts"] = [a + b for a, b in zip(agg["counts"], h["counts"])]
+            agg["count"] += h["count"]
+    phase_rows: List[str] = []
+    for phase, h in sorted(by_phase.items()):
         p50 = histogram_quantile(h, 0.50)
         p99 = histogram_quantile(h, 0.99)
         phase_rows.append(
-            f"  {labels.get('phase', '?'):<20s} n={int(h['count']):<6d} "
+            f"  {phase:<20s} n={int(h['count']):<6d} "
             f"p50={p50 * 1e3:8.2f}ms  p99={p99 * 1e3:8.2f}ms"
         )
     if not phase_rows:

@@ -351,7 +351,7 @@ def save_artifact(
     replay_dir: Union[str, Path] = DEFAULT_ATLAS_REPLAY_DIR,
 ) -> Path:
     """Write one entry's runtime replay artifact; the filename is the
-    entry's content digest, so re-runs overwrite in place."""
+    last part of the entry's key, so re-runs overwrite in place."""
     key = entry_key(
         entry["algorithm"],
         entry["workload"],
@@ -535,8 +535,6 @@ def improve_atlas(
         expect=expect,
         delays=delays,
     )
-    artifact_path = save_artifact(entry, replay_dir)
-    entry["replay"] = str(artifact_path)
     ok, detail = replay_entry(entry)
     if not ok:
         raise ReproError(
@@ -557,6 +555,10 @@ def improve_atlas(
         else:
             del entries[key]
     merged = merge_entry(atlas, entry)
+    # The artifact's filename comes from the key alone, so write the
+    # entry the merge left in the atlas, not the candidate.
+    kept = entries[key]
+    kept["replay"] = str(save_artifact(kept, replay_dir))
     return {
         "key": key,
         "n": base_spec.n,

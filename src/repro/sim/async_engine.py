@@ -88,8 +88,9 @@ class AsyncEngine(Engine):
         """Process events until quiescence; returns the metrics.
 
         The whole event loop runs inside the implicit ``"engine"``
-        phase, so every execution has at least one phase profile entry
-        even for algorithms that declare no phases of their own.
+        phase, so every profiled run (see :mod:`repro.obs.phases`) has
+        at least one phase entry even for algorithms that declare no
+        phases of their own.
         """
         if self._controller is not None:
             from repro.check.controller import run_controlled

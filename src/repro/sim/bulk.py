@@ -49,7 +49,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.models.knowledge import NetworkSetup
 from repro.obs.metrics import get_registry
-from repro.obs.phases import PhaseTracker
+from repro.obs.phases import track_phases
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.adversary import Adversary
 from repro.sim.engine import publish_run
@@ -348,9 +348,7 @@ class BulkSyncEngine:
         self.seed = seed
         self.metrics = Metrics()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.phases = PhaseTracker(
-            self.metrics, self.recorder, fields={"n": setup.n}
-        )
+        self.phases = track_phases(self.metrics, setup.n)
         self._max_rounds = max_rounds
         self.rounds_executed = 0
 

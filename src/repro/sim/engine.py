@@ -27,7 +27,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.models.knowledge import NetworkSetup
 from repro.obs.metrics import get_registry
-from repro.obs.phases import PhaseTracker
+from repro.obs.phases import NULL_TRACKER, track_phases
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.adversary import Adversary
 from repro.sim.faults import NoDrops
@@ -89,9 +89,10 @@ class Engine:
         self.metrics = Metrics()
         self.trace = trace
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.phases = PhaseTracker(
-            self.metrics, self.recorder, fields={"n": setup.n}
-        )
+        self.phases = track_phases(self.metrics, setup.n)
+        # Contexts of an untracked run keep None, so ctx.phase() hands
+        # back the shared no-op span without a method call.
+        spans = None if self.phases is NULL_TRACKER else self.phases
         self._seq = itertools.count()
 
         vertices = list(setup.graph.vertices())
@@ -105,7 +106,7 @@ class Engine:
             # Seed only; the context builds the Random on first use.
             node_rng = (seed * 1_000_003 + setup.id_of(v)) % 2**63
             ctx = NodeContext(v, setup, node_rng)
-            ctx._phases = self.phases
+            ctx._phases = spans
             self._vstate[v] = (ctx, nodes[v])
         for v in adversary.schedule.times():
             if not setup.graph.has_vertex(v):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 Vertex = Hashable
 
@@ -40,12 +40,6 @@ class Metrics:
     first_wake: Optional[float] = None
     last_activity: float = 0.0
     events_processed: int = 0
-    # Per-phase attribution (repro.obs.phases.PhaseTracker): wall-time
-    # is real-clock profiling data and therefore nondeterministic;
-    # message and entry counts are deterministic.
-    phase_time: Dict[str, float] = field(default_factory=dict)
-    phase_messages: Counter = field(default_factory=Counter)
-    phase_entries: Counter = field(default_factory=Counter)
     # Messages sent per round, filled by the bulk engine (the
     # per-message engines derive the same histogram from traces).
     # In-process only: O(rounds), dropped by compact().
@@ -68,15 +62,6 @@ class Metrics:
         """Advance the last-activity clock."""
         if time > self.last_activity:
             self.last_activity = time
-
-    def record_phase(
-        self, name: str, elapsed: float, messages: int = 0
-    ) -> None:
-        """Attribute one closed phase span (see
-        :class:`repro.obs.phases.PhaseTracker`)."""
-        self.phase_time[name] = self.phase_time.get(name, 0.0) + elapsed
-        self.phase_messages[name] += messages
-        self.phase_entries[name] += 1
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -105,11 +90,6 @@ class Metrics:
         """How many nodes have woken so far."""
         return len(self.wake_time)
 
-    def messages_per_node_max(self) -> int:
-        """Worst per-node sent + received load."""
-        combined = self.sent_by + self.received_by
-        return max(combined.values(), default=0)
-
     def total_awake_time(self) -> float:
         """Sum over nodes of (last activity - wake time): a proxy for
         the energy spent listening while awake.
@@ -130,27 +110,6 @@ class Metrics:
         report."""
         counts = Counter(self.wake_cause.values())
         return {cause: counts[cause] for cause in sorted(counts)}
-
-    def phase_profile(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase profile, sorted by descending wall-time:
-        ``{phase: {"time_s", "messages", "entries"}}``."""
-        return {
-            name: {
-                "time_s": self.phase_time[name],
-                "messages": int(self.phase_messages[name]),
-                "entries": int(self.phase_entries[name]),
-            }
-            for name in sorted(
-                self.phase_time, key=self.phase_time.get, reverse=True
-            )
-        }
-
-    def wake_latency(self, v: Vertex) -> Optional[float]:
-        """Time between the global first wake and v's wake, or None if v
-        never woke."""
-        if v not in self.wake_time or self.first_wake is None:
-            return None
-        return self.wake_time[v] - self.first_wake
 
     def summary(self) -> Dict[str, float]:
         """A flat dict convenient for bench tables and logging."""
@@ -178,8 +137,7 @@ class Metrics:
         carrying a per-vertex dict (placeholder keys hash stably and
         compare equal across processes).  The wake-cause map gets the
         same treatment: per-vertex attribution is dropped, per-cause
-        counts (:meth:`wake_cause_counts`) survive exactly.  Phase
-        profiles are small (O(#phases)) and copied through whole.
+        counts (:meth:`wake_cause_counts`) survive exactly.
         """
         m = Metrics(
             messages_total=self.messages_total,
@@ -188,9 +146,6 @@ class Metrics:
             first_wake=self.first_wake,
             last_activity=self.last_activity,
             events_processed=self.events_processed,
-            phase_time=dict(self.phase_time),
-            phase_messages=Counter(self.phase_messages),
-            phase_entries=Counter(self.phase_entries),
         )
         if self.wake_time:
             count = len(self.wake_time)

@@ -26,6 +26,7 @@ from typing import Any, Hashable, List, Optional, Tuple
 
 from repro.errors import ModelViolation, SimulationError
 from repro.models.knowledge import Knowledge, NetworkSetup
+from repro.obs.phases import NULL_SPAN
 from repro.sim.messages import Send, bit_size
 
 Vertex = Hashable
@@ -74,8 +75,8 @@ class NodeContext:
         #: active; message-woken status depends on the message).
         self.wake_cause: Optional[str] = None
         #: The engine's PhaseTracker (repro.obs.phases); None when the
-        #: context lives outside an engine (direct construction in
-        #: tests), in which case phase() spans are no-ops.
+        #: run has no metrics registry or the context lives outside an
+        #: engine, in which case phase() spans are no-ops.
         self._phases = None
 
     # ------------------------------------------------------------------
@@ -184,16 +185,13 @@ class NodeContext:
         """Open a named profiling phase: ``with ctx.phase("decode"):``.
 
         Wall-time inside the span and messages queued during it are
-        attributed to ``name`` in the run's
-        :class:`~repro.sim.metrics.Metrics` (and emitted as
-        ``phase_start``/``phase_end`` telemetry events when a recorder
-        is attached).  Spans nest, attribution is inclusive, and the
-        call is a no-op outside an engine — algorithms can instrument
+        attributed to ``name`` in the metrics registry's
+        ``repro_phase_*`` series when a registry is enabled.  Spans
+        nest, attribution is inclusive, and the call is a no-op without
+        a registry or outside an engine — algorithms can instrument
         unconditionally.  See docs/observability.md.
         """
         if self._phases is None:
-            from repro.obs.phases import NULL_SPAN
-
             return NULL_SPAN
         return self._phases.span(name, self._outbox)
 

@@ -67,12 +67,6 @@ class WakeUpResult:
             "advice_avg_bits": float(self.advice_avg_bits),
         }
 
-    def phase_profile(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase wall-time/message attribution (see
-        :meth:`repro.sim.metrics.Metrics.phase_profile`); survives the
-        lean/IPC path."""
-        return self.metrics.phase_profile()
-
     # ------------------------------------------------------------------
     # Lean serialization (process boundary / on-disk result cache)
     # ------------------------------------------------------------------
@@ -126,7 +120,6 @@ class WakeUpResult:
                 "events_processed": self.metrics.events_processed,
                 "awake_count": self.metrics.awake_count(),
                 "wake_causes": self.metrics.wake_cause_counts(),
-                "phases": self.metrics.phase_profile(),
             },
         }
 
@@ -147,10 +140,6 @@ class WakeUpResult:
             last_activity=float(md["last_activity"]),
             events_processed=int(md["events_processed"]),
         )
-        for name, prof in md.get("phases", {}).items():
-            metrics.phase_time[name] = float(prof["time_s"])
-            metrics.phase_messages[name] = int(prof["messages"])
-            metrics.phase_entries[name] = int(prof["entries"])
         count = int(md["awake_count"])
         if count:
             first = md["first_wake"] or 0.0

@@ -186,7 +186,7 @@ def test_async_trace_determinism(seed):
 
 # ----------------------------------------------------------------------
 # FIFO tie-breaking under adversary-equal raw delays (regression net for
-# the _FIFO_EPS mechanism in async_engine._flush)
+# the _FIFO_EPS bump in AsyncEngine.run / AsyncEngine._fifo_slot)
 # ----------------------------------------------------------------------
 class _DoubleSender(NodeAlgorithm):
     """On wake, fires two back-to-back messages down port 1."""

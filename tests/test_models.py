@@ -194,3 +194,14 @@ class TestNetworkSetup:
     def test_unknown_bandwidth_string(self):
         with pytest.raises(SimulationError):
             make_setup(path_graph(3), bandwidth="WIDE")
+
+    def test_knowledge_string_is_coerced(self):
+        setup = make_setup(path_graph(3), knowledge="KT1", seed=1)
+        assert setup.knowledge is Knowledge.KT1
+        # Identity tests against the enum now see KT1: neighbor IDs
+        # are available, as KT1 algorithms require.
+        assert len(setup.neighbor_ids(1)) == 2
+
+    def test_unknown_knowledge_string(self):
+        with pytest.raises(SimulationError, match="knowledge"):
+            make_setup(path_graph(3), knowledge="bogus")

@@ -333,6 +333,19 @@ class TestImproveAtlas:
         assert entry["score"] == before["score"]
         assert entry["genome"] == before["genome"]
 
+    def test_kept_merge_writes_the_incumbents_artifact(self, tmp_path):
+        atlas = empty_atlas()
+        key = self._pass(atlas, tmp_path)["key"]
+        # Out of the re-run's reach, so the merge keeps the incumbent.
+        atlas["entries"][key]["score"] = 99.0
+        assert self._pass(atlas, tmp_path)["merge"] == "kept"
+        entry = atlas["entries"][key]
+        path = tmp_path / "artifacts" / f"{key.rsplit('/', 1)[-1]}.json"
+        assert entry["replay"] == str(path)
+        artifact = json.loads(path.read_text(encoding="utf-8"))
+        assert artifact["score"] == 99.0
+        assert artifact["genome"] == entry["genome"]
+
     def test_stale_incumbent_that_diverges_is_replaced(self, tmp_path):
         atlas = empty_atlas()
         key = self._pass(atlas, tmp_path)["key"]

@@ -8,8 +8,10 @@ The guarantees under test, matching docs/observability.md:
   sweep outputs are bit-identical to a run with a recorder attached
   (telemetry observes, it never participates);
 * **phases** — algorithm-declared ``ctx.phase(...)`` spans attribute
-  deterministic message counts, survive the lean/IPC path, and every
-  executed cell gets at least the engines' implicit "engine" phase;
+  deterministic message counts to the metrics registry, the only phase
+  store: every executed cell adds the engines' implicit "engine" phase
+  once, cache hits add nothing, and without a registry the engine holds
+  the no-op tracker;
 * **lifecycle** — the executor frames each cell with ``cell_start``
   and exactly one terminal event, including injected failures,
   crashes, and timeouts;
@@ -30,6 +32,7 @@ import pytest
 from repro.analysis.telemetry import (
     cell_summary_table,
     event_census,
+    last_snapshot,
     load_events,
     phase_profile_table,
     read_events,
@@ -52,7 +55,10 @@ from repro.obs import (
     validate_event,
 )
 from repro.obs.events import serialize_event
+from repro.obs.metrics import MetricsRegistry, set_global_registry
+from repro.obs.phases import NULL_TRACKER, PhaseTracker
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
+from repro.sim.async_engine import AsyncEngine
 from repro.sim.node import NodeContext
 from repro.sim.runner import WakeUpResult, run_wakeup
 from repro.sim.trace import Trace
@@ -111,19 +117,35 @@ SAMPLE_FIELDS = {
 }
 
 
-def _small_run(recorder=None, n=24, algorithm="flooding", **setup_kw):
+def _small_world(n=24, algorithm="flooding"):
     algo = get_algorithm(algorithm)
     graph = connected_erdos_renyi(n, 4.0 / (n - 1), seed=3)
     knowledge = Knowledge.KT1 if algo.requires_kt1 else Knowledge.KT0
     bandwidth = "CONGEST" if algo.congest_safe else "LOCAL"
-    setup = make_setup(
-        graph, knowledge=knowledge, bandwidth=bandwidth, seed=5, **setup_kw
-    )
+    setup = make_setup(graph, knowledge=knowledge, bandwidth=bandwidth, seed=5)
     v0 = next(iter(graph.vertices()))
     adversary = Adversary(WakeSchedule.all_at_once([v0]), UnitDelay())
+    return algo, setup, adversary
+
+
+def _small_run(recorder=None, n=24, algorithm="flooding"):
+    algo, setup, adversary = _small_world(n, algorithm)
     return run_wakeup(
         setup, algo, adversary, engine="async", seed=9, recorder=recorder
     )
+
+
+def _profiled_run(**kw):
+    """:func:`_small_run` under a fresh metrics registry, the only
+    phase store: ``(result, {phase: profile row})``."""
+    registry = MetricsRegistry()
+    previous = set_global_registry(registry)
+    try:
+        result = _small_run(**kw)
+    finally:
+        set_global_registry(previous)
+    rows = phase_profile_table(registry.snapshot())
+    return result, {row["phase"]: row for row in rows}
 
 
 # ----------------------------------------------------------------------
@@ -224,11 +246,15 @@ class TestRecorders:
 # ----------------------------------------------------------------------
 class TestNullRecorderConformance:
     def test_run_result_identical_with_and_without_recorder(self):
-        plain = _small_run(recorder=None)
-        observed = _small_run(recorder=MemoryRecorder())
+        plain, plain_profile = _profiled_run(recorder=None)
+        observed, observed_profile = _profiled_run(recorder=MemoryRecorder())
         assert plain.summary() == observed.summary()
         assert plain.wake_time == observed.wake_time
-        assert plain.metrics.phase_messages == observed.metrics.phase_messages
+
+        def messages(profile):
+            return {name: row["messages"] for name, row in profile.items()}
+
+        assert messages(plain_profile) == messages(observed_profile)
 
     def test_sweep_rows_identical_with_and_without_recorder(self):
         cells = [
@@ -257,7 +283,8 @@ class TestNullRecorderConformance:
         kinds = rec.kinds()
         assert kinds[0] == "run_start"
         assert kinds[-1] == "run_end"
-        assert "phase_end" in kinds
+        # Phase profiles live in the registry, never in the stream.
+        assert "phase_end" not in kinds
         end = rec.of_kind("run_end")[0]
         assert end["all_awake"] is True
         assert end["messages"] > 0
@@ -268,15 +295,13 @@ class TestNullRecorderConformance:
 # ----------------------------------------------------------------------
 class TestPhaseHooks:
     def test_engine_phase_always_present(self):
-        result = _small_run()
-        profile = result.phase_profile()
+        result, profile = _profiled_run()
         assert "engine" in profile
         assert profile["engine"]["messages"] == result.messages
         assert profile["engine"]["entries"] == 1
 
     def test_dfs_declares_and_records_its_phases(self):
-        result = _small_run(algorithm="dfs-rank")
-        profile = result.phase_profile()
+        result, profile = _profiled_run(algorithm="dfs-rank")
         algo = get_algorithm("dfs-rank")
         assert algo.phases == ("rank-draw", "dfs-token")
         for phase in algo.phases:
@@ -287,23 +312,40 @@ class TestPhaseHooks:
         assert profile["rank-draw"]["messages"] == 0
 
     def test_spanner_separates_decode_from_probe_traffic(self):
-        result = _small_run(algorithm="log-spanner-advice")
-        profile = result.phase_profile()
+        result, profile = _profiled_run(algorithm="log-spanner-advice")
         assert profile["advice-decode"]["messages"] == 0
         assert profile["advice-decode"]["entries"] == result.n
         assert profile["spanner-probe"]["messages"] == result.messages
 
-    def test_phase_events_emitted_when_recorder_enabled(self):
+    def test_recorder_without_registry_holds_no_op_tracker(self):
+        algo, setup, adversary = _small_world(algorithm="dfs-rank")
         rec = MemoryRecorder()
-        result = _small_run(recorder=rec, algorithm="dfs-rank")
-        ends = rec.of_kind("phase_end")
-        by_phase = {}
-        for e in ends:
-            by_phase.setdefault(e["phase"], 0)
-            by_phase[e["phase"]] += e["messages"]
-        assert by_phase["dfs-token"] == result.messages
-        starts = rec.of_kind("phase_start")
-        assert len(starts) == len(ends)
+        engine = AsyncEngine(
+            setup, algo.build_nodes(setup), adversary, seed=9, recorder=rec
+        )
+        assert engine.phases is NULL_TRACKER
+        assert all(ctx._phases is None for ctx, _ in engine._vstate.values())
+        engine.run()
+        assert not {"phase_start", "phase_end"} & set(rec.kinds())
+
+    def test_registry_attaches_a_tracker_that_emits_no_events(self):
+        algo, setup, adversary = _small_world(algorithm="dfs-rank")
+        rec = MemoryRecorder()
+        registry = MetricsRegistry()
+        previous = set_global_registry(registry)
+        try:
+            engine = AsyncEngine(
+                setup, algo.build_nodes(setup), adversary, seed=9,
+                recorder=rec,
+            )
+            assert isinstance(engine.phases, PhaseTracker)
+            engine.run()
+        finally:
+            set_global_registry(previous)
+        assert not {"phase_start", "phase_end"} & set(rec.kinds())
+        counters = registry.snapshot()["counters"]
+        key = 'repro_phase_entries_total{n="24",phase="engine"}'
+        assert counters[key] == 1
 
     def test_ctx_phase_is_noop_outside_engine(self):
         graph = connected_erdos_renyi(8, 0.6, seed=1)
@@ -318,7 +360,7 @@ class TestPhaseHooks:
 
 
 # ----------------------------------------------------------------------
-# Satellite: wake causes and phases survive compact/lean serialization
+# Wake causes survive compact/lean serialization; phases stay out of it
 # ----------------------------------------------------------------------
 class TestLeanRoundTrip:
     def test_wake_cause_counts_survive_compact(self):
@@ -328,19 +370,17 @@ class TestLeanRoundTrip:
         compacted = result.metrics.compact()
         assert compacted.wake_cause_counts() == causes
 
-    def test_wake_causes_and_phases_survive_lean_dict(self):
-        result = _small_run(algorithm="dfs-rank")
-        payload = json.loads(json.dumps(result.to_lean_dict()))
-        back = WakeUpResult.from_lean_dict(payload)
+    def test_wake_causes_survive_lean_dict_without_phases(self):
+        # Profiled, so a phase store would have something to leak.
+        result, profile = _profiled_run(algorithm="dfs-rank")
+        assert "dfs-token" in profile
+        lean = result.to_lean_dict()
+        assert "phases" not in lean
+        assert "phases" not in lean["metrics"]
+        back = WakeUpResult.from_lean_dict(json.loads(json.dumps(lean)))
         assert back.metrics.wake_cause_counts() == (
             result.metrics.wake_cause_counts()
         )
-        original = result.phase_profile()
-        restored = back.phase_profile()
-        assert set(restored) == set(original)
-        for name in original:
-            assert restored[name]["messages"] == original[name]["messages"]
-            assert restored[name]["entries"] == original[name]["entries"]
 
     def test_wake_causes_survive_ipc_cell_path(self):
         spec = CellSpec(
@@ -380,31 +420,42 @@ class TestExecutorTelemetry:
     def test_sweep_frames_and_per_cell_lifecycle(self):
         rec = MemoryRecorder()
         cells = _flood_cells()
-        ParallelSweepExecutor(workers=0, use_cache=False,
-                              recorder=rec).run(cells)
+        ParallelSweepExecutor(workers=0, use_cache=False, recorder=rec,
+                              metrics=MetricsRegistry()).run(cells)
         kinds = rec.kinds()
         assert kinds[0] == "sweep_start"
         assert kinds[-1] == "sweep_end"
         assert len(rec.of_kind("cell_start")) == len(cells)
         assert len(rec.of_kind("cell_end")) == len(cells)
-        # >= 1 aggregate phase_end per executed cell (the acceptance
-        # criterion), keyed to its cell.
-        started = {e["key"] for e in rec.of_kind("cell_start")}
-        phase_keys = {e["key"] for e in rec.of_kind("phase_end")}
-        assert started == phase_keys
-        for e in rec.of_kind("phase_end"):
-            assert e["aggregate"] is True
+        # Every executed cell is profiled in the closing snapshot: one
+        # "engine" entry per cell (one cell per n here).
+        (snap,) = rec.of_kind("metrics_snapshot")
+        engine = {
+            row["n"]: row["entries"]
+            for row in phase_profile_table(snap)
+            if row["phase"] == "engine"
+        }
+        assert engine == {16: 1, 24: 1}
         for e in rec.of_kind("sweep_end"):
             assert e["executed"] == len(cells)
 
-    def test_cached_cells_still_replay_phase_profiles(self, tmp_path):
+    def test_phases_count_executed_cells_only(self, tmp_path):
         cells = _flood_cells()
         kw = dict(workers=0, cache_dir=tmp_path, use_cache=True)
-        ParallelSweepExecutor(**kw).run(cells)  # cold, fills cache
+        cold = MetricsRegistry()
+        ParallelSweepExecutor(**kw, metrics=cold).run(cells)
+        counters = cold.snapshot()["counters"]
+        for n in (16, 24):
+            key = f'repro_phase_entries_total{{n="{n}",phase="engine"}}'
+            assert counters[key] == 1
+        warm = MetricsRegistry()
         rec = MemoryRecorder()
-        ParallelSweepExecutor(**kw, recorder=rec).run(cells)  # warm
+        ParallelSweepExecutor(**kw, metrics=warm, recorder=rec).run(cells)
         assert all(e["cached"] for e in rec.of_kind("cell_start"))
-        assert len(rec.of_kind("phase_end")) >= len(cells)
+        snap = warm.snapshot()
+        series = [*snap["counters"], *snap["histograms"]]
+        assert not [k for k in series if k.startswith("repro_phase_")]
+        assert not rec.of_kind("phase_end")
 
     def test_every_event_validates(self):
         rec = MemoryRecorder()
@@ -568,9 +619,9 @@ class TestFlightRecorder:
 def telemetry_file(tmp_path):
     path = tmp_path / "events.jsonl"
     rec = JsonlRecorder(path)
-    ParallelSweepExecutor(workers=0, use_cache=False, recorder=rec).run(
-        _flood_cells(n_values=(16, 24), trials=(0, 1))
-    )
+    ParallelSweepExecutor(
+        workers=0, use_cache=False, recorder=rec, metrics=MetricsRegistry()
+    ).run(_flood_cells(n_values=(16, 24), trials=(0, 1)))
     rec.close()
     return path
 
@@ -599,7 +650,7 @@ class TestAnalysis:
         census = event_census(events)
         assert census["cell_start"] == 4
         assert census["sweep_end"] == 1
-        profile = phase_profile_table(events)
+        profile = phase_profile_table(last_snapshot(events))
         assert {r["n"] for r in profile} == {16, 24}
         assert all(r["phase"] == "engine" for r in profile)
         summary = cell_summary_table(events)
@@ -693,6 +744,37 @@ class TestCheckTelemetryScript:
         assert proc.returncode == 1
         assert "unknown kind" in proc.stderr
 
+    def _executed_cell_stream(self, path, engine_entries=None):
+        """One executed ok cell, then (unless None) a snapshot holding
+        ``engine_entries`` engine-phase entries."""
+        events = [
+            make_event("cell_start", **SAMPLE_FIELDS["cell_start"]),
+            make_event("cell_end", **SAMPLE_FIELDS["cell_end"]),
+        ]
+        if engine_entries is not None:
+            key = 'repro_phase_entries_total{n="16",phase="engine"}'
+            events.append(make_event(
+                "metrics_snapshot", counters={key: engine_entries},
+                gauges={}, histograms={},
+            ))
+        path.write_text("".join(serialize_event(e) + "\n" for e in events))
+        return path
+
+    def test_executed_cell_without_snapshot_fails(self, tmp_path):
+        path = self._executed_cell_stream(tmp_path / "bad.jsonl")
+        proc = self.run_checker(str(path))
+        assert proc.returncode == 1
+        assert "no metrics_snapshot" in proc.stderr
+
+    def test_snapshot_must_profile_every_executed_cell(self, tmp_path):
+        path = self._executed_cell_stream(tmp_path / "bad.jsonl", 0)
+        proc = self.run_checker(str(path))
+        assert proc.returncode == 1
+        assert "engine-phase entries" in proc.stderr
+        path = self._executed_cell_stream(tmp_path / "ok.jsonl", 1)
+        proc = self.run_checker(str(path))
+        assert proc.returncode == 0, proc.stderr
+
     def test_min_cells_enforced(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -737,8 +819,8 @@ class TestCliTelemetry:
         capsys.readouterr()
         events = load_events(path, strict=True)
         kinds = {e["kind"] for e in events}
-        assert {"sweep_start", "cell_start", "phase_end", "cell_end",
-                "sweep_end"} <= kinds
+        assert {"sweep_start", "cell_start", "metrics_snapshot",
+                "cell_end", "sweep_end"} <= kinds
         assert main(["report", "--telemetry", str(path)]) == 0
         out = capsys.readouterr().out
         assert "Phase profile" in out
@@ -758,10 +840,25 @@ class TestCliTelemetry:
         events = load_events(path, strict=True)
         kinds = [e["kind"] for e in events]
         assert kinds[0] == "run_start"
-        assert kinds[-1] == "run_end"
-        assert {e.get("phase") for e in events if e["kind"] == "phase_end"} >= {
+        assert kinds[-2:] == ["run_end", "metrics_snapshot"]
+        profile = phase_profile_table(last_snapshot(events))
+        assert {r["phase"] for r in profile} >= {
             "engine", "dfs-token", "rank-draw",
         }
+
+    def test_run_report_renders_phase_profile(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "run.jsonl"
+        argv = ["run", "dfs-rank", "--n", "24", "--seed", "1"]
+        assert main([*argv, "--telemetry", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--telemetry", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Phase profile" in out
+        table = out.split("Phase profile", 1)[1].split("\n\n", 1)[0]
+        for phase in ("engine", "dfs-token", "rank-draw"):
+            assert f" {phase} " in table
 
     def test_report_missing_file_fails_cleanly(self, capsys):
         from repro.__main__ import main
