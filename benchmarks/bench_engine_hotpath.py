@@ -12,7 +12,9 @@ workloads —
 * ``dfs-rank`` — Theorem 3's ranked DFS tokens with growing payloads,
   the bit-size-measurement stress (async only).
 
-at n in {512, 2048} on a connected ER graph of average degree 8.
+at n in {512, 2048, 8192} on a connected ER graph of average degree 8.
+The n=8192 case shows whether dfs-rank's per-event cost stays flat as
+the token's visited list grows (Theorem 3's O(n log n) bound).
 
 "Events" is the engine's own work unit: processed heap events (wakes +
 deliveries) for the async engine, and deliveries + wakes for the sync
@@ -58,7 +60,7 @@ CASES = (
     ("dfs-rank", "async", Knowledge.KT1),
 )
 
-DEFAULT_SIZES = (512, 2048)
+DEFAULT_SIZES = (512, 2048, 8192)
 AVG_DEGREE = 8.0
 
 #: Every per-case record carries exactly these fields; the ledger gate

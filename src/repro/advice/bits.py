@@ -12,57 +12,74 @@ provides:
 Elias gamma is the workhorse: it encodes a positive integer x in
 2*floor(log2 x) + 1 bits, self-delimiting, which lets schemes pay
 O(log n) bits per port number without knowing n exactly.
+
+A bit string of length k is held as a ``(value, k)`` pair: the first
+bit is the most significant of the k-bit big-endian integer ``value``
+(leading zeros are implied by the length).  Writers extend it by
+shift-or and readers take fields by shift and mask, so a field costs a
+few integer operations however many bits it spans.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from repro.errors import AdviceError
 
 
 class Bits:
-    """An immutable sequence of bits (stored as a tuple of 0/1 ints)."""
+    """An immutable sequence of bits, stored as an ``(int, length)`` pair."""
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_value", "_len")
 
     def __init__(self, bits: Iterable[int] = ()):
-        b = tuple(int(x) for x in bits)
+        b = tuple(bits)
+        # Test before converting: int(1.5) or int("1") would pass as a bit.
         if any(x not in (0, 1) for x in b):
             raise AdviceError("bits must be 0 or 1")
-        self._bits = b
+        self._value = int("".join("1" if x else "0" for x in b), 2) if b else 0
+        self._len = len(b)
+
+    @classmethod
+    def _make(cls, value: int, length: int) -> "Bits":
+        out = cls.__new__(cls)
+        out._value = value
+        out._len = length
+        return out
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._len
 
     def __iter__(self):
-        return iter(self._bits)
+        return map(int, self.to01())
 
     def __getitem__(self, i):
-        return self._bits[i]
+        return tuple(self)[i]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Bits):
-            return self._bits == other._bits
+            return self._len == other._len and self._value == other._value
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._bits)
+        return hash((self._value, self._len))
 
     def __add__(self, other: "Bits") -> "Bits":
         if not isinstance(other, Bits):
             raise AdviceError("can only concatenate Bits with Bits")
-        new = Bits.__new__(Bits)
-        new._bits = self._bits + other._bits
-        return new
+        return Bits._make(
+            (self._value << other._len) | other._value, self._len + other._len
+        )
 
     def to01(self) -> str:
         """Render as a '0'/'1' string (debugging, golden tests)."""
-        return "".join(str(b) for b in self._bits)
+        return format(self._value, f"0{self._len}b") if self._len else ""
 
     @classmethod
     def from01(cls, s: str) -> "Bits":
-        return cls(int(c) for c in s)
+        if s.strip("01"):
+            raise AdviceError("bits must be 0 or 1")
+        return cls._make(int(s, 2) if s else 0, len(s))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.to01()
@@ -75,14 +92,16 @@ class BitWriter:
     """Append-only bit stream builder."""
 
     def __init__(self) -> None:
-        self._bits: List[int] = []
+        self._value = 0
+        self._len = 0
 
     # -- primitives --------------------------------------------------------
     def write_bit(self, b: int) -> "BitWriter":
         """Append a single bit (0 or 1)."""
         if b not in (0, 1):
             raise AdviceError(f"bit must be 0 or 1, got {b!r}")
-        self._bits.append(b)
+        self._value = (self._value << 1) | int(b)
+        self._len += 1
         return self
 
     def write_uint(self, value: int, width: int) -> "BitWriter":
@@ -95,26 +114,29 @@ class BitWriter:
             raise AdviceError(
                 f"value {value} does not fit in {width} bits"
             )
-        for i in reversed(range(width)):
-            self._bits.append((value >> i) & 1)
+        self._value = (self._value << width) | value
+        self._len += width
         return self
 
     def write_unary(self, value: int) -> "BitWriter":
         """value zeros followed by a one (encodes value >= 0)."""
         if value < 0:
             raise AdviceError("unary encodes nonnegative values")
-        self._bits.extend([0] * value)
-        self._bits.append(1)
+        self._value = (self._value << (value + 1)) | 1
+        self._len += value + 1
         return self
 
     def write_gamma(self, value: int) -> "BitWriter":
-        """Elias gamma for value >= 1: unary length then binary remainder."""
+        """Elias gamma for value >= 1: unary length then binary remainder.
+
+        The code is ``value`` itself, zero-padded to
+        ``2*bit_length - 1`` bits: the padding is the unary length and
+        the leading one of ``value`` is its terminator."""
         if value < 1:
             raise AdviceError("Elias gamma encodes values >= 1")
-        width = value.bit_length() - 1
-        self.write_unary(width)
-        if width:
-            self.write_uint(value - (1 << width), width)
+        width = 2 * value.bit_length() - 1
+        self._value = (self._value << width) | value
+        self._len += width
         return self
 
     def write_gamma0(self, value: int) -> "BitWriter":
@@ -138,66 +160,67 @@ class BitWriter:
 
     def write_bits(self, bits: Bits) -> "BitWriter":
         """Append an existing bit string verbatim."""
-        self._bits.extend(bits)
+        if not isinstance(bits, Bits):
+            bits = Bits(bits)
+        self._value = (self._value << bits._len) | bits._value
+        self._len += bits._len
         return self
 
     # -- finish --------------------------------------------------------------
     def getvalue(self) -> Bits:
         """Freeze the written stream into an immutable :class:`Bits`."""
-        out = Bits.__new__(Bits)
-        out._bits = tuple(self._bits)
-        return out
+        return Bits._make(self._value, self._len)
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return self._len
 
 
 class BitReader:
     """Sequential decoder over a :class:`Bits` value."""
 
     def __init__(self, bits: Bits):
-        self._bits = tuple(bits)
+        if not isinstance(bits, Bits):
+            bits = Bits(bits)
+        self._value = bits._value
+        self._len = bits._len
         self._pos = 0
 
     @property
     def remaining(self) -> int:
-        return len(self._bits) - self._pos
-
-    def _take(self, k: int) -> Tuple[int, ...]:
-        if self._pos + k > len(self._bits):
-            raise AdviceError(
-                f"advice underflow: needed {k} bits, have {self.remaining}"
-            )
-        out = self._bits[self._pos: self._pos + k]
-        self._pos += k
-        return out
+        return self._len - self._pos
 
     # -- primitives --------------------------------------------------------
     def read_bit(self) -> int:
         """Consume and return the next bit."""
-        return self._take(1)[0]
+        return self.read_uint(1)
 
     def read_uint(self, width: int) -> int:
         """Consume a fixed-width big-endian unsigned integer."""
-        value = 0
-        for b in self._take(width):
-            value = (value << 1) | b
-        return value
+        if width < 0:
+            raise AdviceError("width must be nonnegative")
+        if self._pos + width > self._len:
+            raise AdviceError(
+                f"advice underflow: needed {width} bits, have {self.remaining}"
+            )
+        self._pos += width
+        return (self._value >> (self._len - self._pos)) & ((1 << width) - 1)
 
     def read_unary(self) -> int:
         """Consume a unary value (count of zeros before the next one)."""
-        count = 0
-        while True:
-            if self.read_bit() == 1:
-                return count
-            count += 1
+        left = self._len - self._pos
+        rest = self._value & ((1 << left) - 1)
+        if not rest:
+            # Only zeros remain: consume them, then fail on the missing one.
+            self._pos = self._len
+            raise AdviceError("advice underflow: needed 1 bits, have 0")
+        count = left - rest.bit_length()
+        self._pos += count + 1
+        return count
 
     def read_gamma(self) -> int:
         """Consume an Elias-gamma value (>= 1)."""
         width = self.read_unary()
-        if width == 0:
-            return 1
-        return (1 << width) + self.read_uint(width)
+        return (1 << width) | self.read_uint(width)
 
     def read_gamma0(self) -> int:
         """Consume a shifted gamma value (>= 0)."""

@@ -63,6 +63,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.dfs_wakeup import VisitedIds
 from repro.errors import SimulationError
 from repro.sim.adversary import DelayStrategy
 from repro.sim.async_engine import _STEP_EVERY
@@ -320,6 +321,9 @@ def _canon(obj, depth: int = 0):
                 for k, v in obj.items()
             )
         )
+    if t is VisitedIds:
+        # The DFS token's visited list stands for the tuple of its IDs.
+        return ("seq",) + tuple(_canon(x, depth + 1) for x in obj)
     if isinstance(obj, random.Random):
         return _rng_token(obj)
     d = getattr(obj, "__dict__", None)

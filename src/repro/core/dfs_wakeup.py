@@ -23,11 +23,13 @@ Guarantees (proved in the paper, verified empirically by the benches):
   O(n log n) messages and O(n log n) time w.h.p.
 
 LOCAL-only: the token carries up to n IDs, far beyond any CONGEST cap.
+The visited list is a :class:`VisitedIds`, so a hop costs O(1) in the
+list's length rather than a copy, a set and a re-measurement of it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.base import ASYNC, BOTH, AlgorithmBase, WakeUpAlgorithm
 from repro.sim.node import NodeAlgorithm, NodeContext
@@ -41,6 +43,78 @@ PHASE_DFS_TOKEN = "dfs-token"
 
 # Rank key: (rank, origin_id), compared lexicographically as in Sec 3.1.
 RankKey = Tuple[int, int]
+
+
+class VisitedIds:
+    """The token's visited-ID list: an immutable sequence of IDs.
+
+    Versions of one token's list share an append-only ID list and an
+    ID -> position index; a version is a prefix length over them.
+    :meth:`plus` on the newest version appends to the shared list in
+    place, which older versions cannot see past their length.  On an
+    older version it copies the prefix first, so no version ever
+    changes.  Appending, membership and :meth:`size_bits` are O(1).
+
+    To everything outside the algorithm it is the tuple of its IDs:
+    ``size_bits()`` is what :func:`~repro.sim.messages.bit_size`
+    charges that tuple, ``repr`` prints it, it compares and hashes
+    equal to it, and the model checker's state normal form treats it
+    as that tuple.
+    """
+
+    __slots__ = ("_ids", "_pos", "_n", "_bits")
+
+    def __init__(self, ids: Iterable[int] = ()):
+        self._ids: List[int] = []
+        self._pos: Dict[int, int] = {}
+        self._n = 0
+        self._bits = 0
+        for x in ids:
+            self._append(x)
+
+    def _append(self, x: int) -> None:
+        # A tuple element costs 2 framing + 1 sign + max(1, bit_length)
+        # bits (repro.sim.messages), and an ID is an int.
+        self._pos.setdefault(x, self._n)
+        self._ids.append(x)
+        self._n += 1
+        self._bits += 3 + max(1, x.bit_length())
+
+    def plus(self, x: int) -> "VisitedIds":
+        """This list with ``x`` appended."""
+        if len(self._ids) == self._n:
+            out = VisitedIds.__new__(VisitedIds)
+            out._ids, out._pos = self._ids, self._pos
+            out._n, out._bits = self._n, self._bits
+        else:
+            out = VisitedIds(self._ids[: self._n])
+        out._append(x)
+        return out
+
+    def __contains__(self, x: Any) -> bool:
+        return self._pos.get(x, self._n) < self._n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return iter(self._ids[: self._n])
+
+    def size_bits(self) -> int:
+        """What :func:`~repro.sim.messages.bit_size` charges the tuple
+        of these IDs."""
+        return self._bits
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, (VisitedIds, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class DfsWakeUpNode(AlgorithmBase, NodeAlgorithm):
@@ -79,7 +153,7 @@ class DfsWakeUpNode(AlgorithmBase, NodeAlgorithm):
         self.parent_port[key] = None  # origin: backtracking past me = halt
         self.tokens_forwarded.add(key)
         with self.phase(ctx, PHASE_DFS_TOKEN):
-            self._advance(ctx, key, visited=(ctx.node_id,))
+            self._advance(ctx, key, visited=VisitedIds((ctx.node_id,)))
 
     def on_message(self, ctx: NodeContext, port: int, payload: Any) -> None:
         tag = payload[0]
@@ -96,7 +170,7 @@ class DfsWakeUpNode(AlgorithmBase, NodeAlgorithm):
                 # Case (a): adopt and extend the traversal.
                 self.best = key
                 self.parent_port[key] = port
-                visited = visited + (ctx.node_id,)
+                visited = visited.plus(ctx.node_id)
             else:
                 # The token is backtracking through us; keep exploring.
                 self.best = max(self.best, key)
@@ -104,11 +178,10 @@ class DfsWakeUpNode(AlgorithmBase, NodeAlgorithm):
             self._advance(ctx, key, visited)
 
     # ------------------------------------------------------------------
-    def _advance(self, ctx: NodeContext, key: RankKey, visited: Tuple[int, ...]) -> None:
+    def _advance(self, ctx: NodeContext, key: RankKey, visited: VisitedIds) -> None:
         """Forward the token to an unvisited neighbor, or backtrack."""
-        visited_set = set(visited)
         for p in ctx.ports:
-            if ctx.neighbor_id(p) not in visited_set:
+            if ctx.neighbor_id(p) not in visited:
                 self.child_ports.setdefault(key, []).append(p)
                 ctx.send(p, (TOKEN, key[0], key[1], visited))
                 return
@@ -120,7 +193,7 @@ class DfsWakeUpNode(AlgorithmBase, NodeAlgorithm):
         self.on_token_complete(ctx, key, visited)
 
     def on_token_complete(
-        self, ctx: NodeContext, key: RankKey, visited: Tuple[int, ...]
+        self, ctx: NodeContext, key: RankKey, visited: VisitedIds
     ) -> None:
         """Hook: our own token finished its traversal (it visited every
         ID in ``visited`` and backtracked home).  The base algorithm

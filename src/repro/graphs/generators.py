@@ -285,10 +285,17 @@ def connected_erdos_renyi(n: int, p: float, seed: RandomLike = None) -> Graph:
     """
     rng = _rng(seed)
     g = random_tree(n, rng) if n >= 1 else Graph()
+    # Exactly one rng.random() per non-tree pair i < j, in row order,
+    # and neighbours inserted in that order: a caller's shared rng and
+    # the port numbering (insertion order) both depend on it.
+    adj = g._adj
+    draw = rng.random
     for i in range(n):
+        row = adj[i]
         for j in range(i + 1, n):
-            if not g.has_edge(i, j) and rng.random() < p:
-                g.add_edge(i, j)
+            if j not in row and draw() < p:
+                row[j] = None
+                adj[j][i] = None
     return g
 
 

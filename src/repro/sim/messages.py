@@ -19,7 +19,9 @@ Payloads are built from plain Python values.  Sizes are charged as:
   element (self-delimiting container encoding);
 * ``frozenset`` / ``set`` — as list;
 * ``dict`` — keys and values as a list of pairs;
-* :class:`bytes` — 8 bits per byte.
+* :class:`bytes` — 8 bits per byte;
+* ``float`` — 64 bits;
+* any other object with a ``size_bits()`` method — what it reports.
 
 The convention over-counts small payloads slightly and never
 under-counts asymptotically, which is the safe direction for verifying
@@ -33,9 +35,9 @@ from typing import Any, Dict, Hashable, NamedTuple
 
 from repro.errors import SimulationError
 
-#: Int sequences at least this long take the vectorized measurement
-#: path in :func:`bit_size` (below the threshold the type scan costs
-#:  more than the plain recursion saves).
+#: Int sequences at least this long (fast-wakeup's ID vectors, say)
+#: take the vectorized measurement path in :func:`bit_size` (below the
+#: threshold the type scan costs more than the plain recursion saves).
 _INT_RUN_MIN = 8
 
 
@@ -44,8 +46,8 @@ def bit_size(payload: Any) -> int:
 
     Dispatches on the exact type first (the overwhelmingly common
     case), falling back to the ``isinstance`` ladder for subclasses
-    and the rarer container types.  Long homogeneous int sequences —
-    DFS visited lists, ID vectors — are measured with C-level
+    and the rarer container types.  Long homogeneous int sequences,
+    such as neighbour-ID vectors, are measured with C-level
     ``sum(map(int.bit_length, ...))`` instead of per-element recursion;
     the result is identical, element by element.
     """

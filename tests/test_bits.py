@@ -1,5 +1,7 @@
 """Tests for the bit-level advice codecs."""
 
+from typing import Iterable, List, Sequence, Tuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,17 @@ class TestBits:
     def test_invalid_bit_values(self):
         with pytest.raises(AdviceError):
             Bits([2])
+
+    @pytest.mark.parametrize("value", [1.5, 0.5, "1", "0", None])
+    def test_non_bits_are_rejected_not_truncated(self, value):
+        with pytest.raises(AdviceError):
+            Bits([value])
+
+    def test_bool_and_float_bits_render_as_digits(self):
+        assert Bits([True, 1.0, False, 0.0]) == Bits([1, 1, 0, 0])
+        assert Bits([True, 0.0]).to01() == "10"
+        assert BitWriter().write_bit(True).getvalue().to01() == "1"
+        assert BitWriter().write_bit(1.0).write_bit(False).getvalue().to01() == "10"
 
     def test_equality_and_hash(self):
         assert Bits([1, 0]) == Bits([1, 0])
@@ -99,6 +112,15 @@ class TestReaderPrimitives:
         r = BitReader(Bits.from01("0101"))
         assert r.read_uint(4) == 5
 
+    def test_read_uint_negative_width_raises_without_moving(self):
+        r = BitReader(Bits.from01("1011"))
+        r.read_bit()
+        r.read_bit()
+        with pytest.raises(AdviceError):
+            r.read_uint(-1)
+        assert r.remaining == 2
+        assert r.read_uint(2) == 3
+
 
 @given(values=st.lists(st.integers(0, 2**20), max_size=30))
 @settings(max_examples=60)
@@ -162,3 +184,294 @@ def test_write_bits_embedding():
     r = BitReader(outer)
     assert r.read_bit() == 1
     assert r.read_gamma() == 7
+
+
+# ----------------------------------------------------------------------
+# Reference codec: the tuple-of-0/1 implementation the int-backed one
+# replaced, kept verbatim (bar names) as the oracle for the
+# differential test below.
+# ----------------------------------------------------------------------
+class RefBits:
+    __slots__ = ("_bits",)
+
+    def __init__(self, bits: Iterable[int] = ()):
+        b = tuple(int(x) for x in bits)
+        if any(x not in (0, 1) for x in b):
+            raise AdviceError("bits must be 0 or 1")
+        self._bits = b
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+    def __iter__(self):
+        return iter(self._bits)
+
+    def __getitem__(self, i):
+        return self._bits[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RefBits):
+            return self._bits == other._bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._bits)
+
+    def __add__(self, other: "RefBits") -> "RefBits":
+        if not isinstance(other, RefBits):
+            raise AdviceError("can only concatenate Bits with Bits")
+        new = RefBits.__new__(RefBits)
+        new._bits = self._bits + other._bits
+        return new
+
+    def to01(self) -> str:
+        return "".join(str(b) for b in self._bits)
+
+
+class RefBitWriter:
+    def __init__(self) -> None:
+        self._bits: List[int] = []
+
+    def write_bit(self, b: int) -> "RefBitWriter":
+        if b not in (0, 1):
+            raise AdviceError(f"bit must be 0 or 1, got {b!r}")
+        self._bits.append(b)
+        return self
+
+    def write_uint(self, value: int, width: int) -> "RefBitWriter":
+        if value < 0:
+            raise AdviceError("write_uint requires a nonnegative value")
+        if width < 0:
+            raise AdviceError("width must be nonnegative")
+        if value >= (1 << width):
+            raise AdviceError(f"value {value} does not fit in {width} bits")
+        for i in reversed(range(width)):
+            self._bits.append((value >> i) & 1)
+        return self
+
+    def write_unary(self, value: int) -> "RefBitWriter":
+        if value < 0:
+            raise AdviceError("unary encodes nonnegative values")
+        self._bits.extend([0] * value)
+        self._bits.append(1)
+        return self
+
+    def write_gamma(self, value: int) -> "RefBitWriter":
+        if value < 1:
+            raise AdviceError("Elias gamma encodes values >= 1")
+        width = value.bit_length() - 1
+        self.write_unary(width)
+        if width:
+            self.write_uint(value - (1 << width), width)
+        return self
+
+    def write_gamma0(self, value: int) -> "RefBitWriter":
+        return self.write_gamma(value + 1)
+
+    def write_uint_list(self, values: Sequence[int], width: int) -> "RefBitWriter":
+        self.write_gamma0(len(values))
+        for v in values:
+            self.write_uint(v, width)
+        return self
+
+    def write_gamma_list(self, values: Sequence[int]) -> "RefBitWriter":
+        self.write_gamma0(len(values))
+        for v in values:
+            self.write_gamma0(v)
+        return self
+
+    def write_bits(self, bits: RefBits) -> "RefBitWriter":
+        self._bits.extend(bits)
+        return self
+
+    def getvalue(self) -> RefBits:
+        out = RefBits.__new__(RefBits)
+        out._bits = tuple(self._bits)
+        return out
+
+    def __len__(self) -> int:
+        return len(self._bits)
+
+
+class RefBitReader:
+    def __init__(self, bits: RefBits):
+        self._bits = tuple(bits)
+        self._pos = 0
+
+    @property
+    def remaining(self) -> int:
+        return len(self._bits) - self._pos
+
+    def _take(self, k: int) -> Tuple[int, ...]:
+        if self._pos + k > len(self._bits):
+            raise AdviceError(
+                f"advice underflow: needed {k} bits, have {self.remaining}"
+            )
+        out = self._bits[self._pos: self._pos + k]
+        self._pos += k
+        return out
+
+    def read_bit(self) -> int:
+        return self._take(1)[0]
+
+    def read_uint(self, width: int) -> int:
+        value = 0
+        for b in self._take(width):
+            value = (value << 1) | b
+        return value
+
+    def read_unary(self) -> int:
+        count = 0
+        while True:
+            if self.read_bit() == 1:
+                return count
+            count += 1
+
+    def read_gamma(self) -> int:
+        width = self.read_unary()
+        if width == 0:
+            return 1
+        return (1 << width) + self.read_uint(width)
+
+    def read_gamma0(self) -> int:
+        return self.read_gamma() - 1
+
+    def read_uint_list(self, width: int) -> List[int]:
+        count = self.read_gamma0()
+        return [self.read_uint(width) for _ in range(count)]
+
+    def read_gamma_list(self) -> List[int]:
+        count = self.read_gamma0()
+        return [self.read_gamma0() for _ in range(count)]
+
+
+_small = st.integers(0, 300)
+_width = st.integers(0, 12)
+_chunk = st.lists(st.integers(0, 1), max_size=20)
+
+#: One write primitive and its argument(s); ``concat`` rebuilds the
+#: stream as ``getvalue() + Bits(chunk)``, exercising ``+``.
+_write_ops = st.one_of(
+    st.tuples(st.just("bit"), st.integers(0, 1)),
+    st.tuples(st.just("uint"), _width, st.integers(0, 2**12)),
+    st.tuples(st.just("unary"), st.integers(0, 40)),
+    st.tuples(st.just("gamma"), st.integers(1, 2**40)),
+    st.tuples(st.just("gamma0"), st.integers(0, 2**40)),
+    st.tuples(st.just("uint_list"), _width, st.lists(_small, max_size=6)),
+    st.tuples(st.just("gamma_list"), st.lists(_small, max_size=6)),
+    st.tuples(st.just("bits"), _chunk),
+    st.tuples(st.just("concat"), _chunk),
+)
+
+#: One read primitive; the stream it reads need not match the writes,
+#: so over-reads and misparsed fields are exercised too.  List entries
+#: are at least one bit wide, so a misparsed count runs out of bits
+#: instead of building a huge list of zero-width entries.
+_read_ops = st.one_of(
+    st.tuples(st.just("read_bit")),
+    st.tuples(st.just("read_uint"), st.integers(0, 70)),
+    st.tuples(st.just("read_unary")),
+    st.tuples(st.just("read_gamma")),
+    st.tuples(st.just("read_gamma0")),
+    st.tuples(st.just("read_uint_list"), st.integers(1, 6)),
+    st.tuples(st.just("read_gamma_list")),
+)
+
+
+def _write(w, op, writer_cls, bits_cls):
+    """Apply one write op to writer ``w`` of one implementation; returns
+    (the writer, the value the matching read must give)."""
+    kind, *args = op
+    if kind == "bit":
+        w.write_bit(args[0])
+        return w, args[0]
+    if kind == "uint":
+        width, value = args
+        value %= 1 << width
+        w.write_uint(value, width)
+        return w, value
+    if kind == "unary":
+        w.write_unary(args[0])
+    elif kind == "gamma":
+        w.write_gamma(args[0])
+    elif kind == "gamma0":
+        w.write_gamma0(args[0])
+    elif kind == "uint_list":
+        width, values = args
+        values = [v % (1 << width) for v in values]
+        w.write_uint_list(values, width)
+        return w, values
+    elif kind == "gamma_list":
+        w.write_gamma_list(args[0])
+    elif kind == "bits":
+        w.write_bits(bits_cls(args[0]))
+    else:
+        joined = w.getvalue() + bits_cls(args[0])
+        w = writer_cls()
+        w.write_bits(joined)
+    return w, args[0]
+
+
+def _read_back(r, op):
+    kind, *args = op
+    if kind == "bit":
+        return r.read_bit()
+    if kind == "uint":
+        return r.read_uint(args[0])
+    if kind in ("unary", "gamma", "gamma0", "gamma_list"):
+        return getattr(r, f"read_{kind}")()
+    if kind == "uint_list":
+        return r.read_uint_list(args[0])
+    return [r.read_bit() for _ in args[0]]
+
+
+def _read_outcomes(reader, ops):
+    """(op, value or 'error', remaining) per read op, stopping after
+    the first AdviceError."""
+    out = []
+    for kind, *args in ops:
+        try:
+            value = getattr(reader, kind)(*args)
+        except AdviceError:
+            out.append((kind, "error", reader.remaining))
+            break
+        out.append((kind, value, reader.remaining))
+    return out
+
+
+@given(
+    writes=st.lists(_write_ops, max_size=12),
+    reads=st.lists(_read_ops, max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_codec_matches_tuple_reference(writes, reads):
+    w, w_ref = BitWriter(), RefBitWriter()
+    expected = []
+    for op in writes:
+        w, value = _write(w, op, BitWriter, Bits)
+        w_ref, _ = _write(w_ref, op, RefBitWriter, RefBits)
+        expected.append((op, value))
+        assert len(w) == len(w_ref)
+    bits, ref_bits = w.getvalue(), w_ref.getvalue()
+    assert bits.to01() == ref_bits.to01()
+    assert len(bits) == len(ref_bits)
+    assert list(bits) == list(ref_bits)
+    # == agrees with hash, and with the rendered bits.
+    twin = Bits.from01(ref_bits.to01())
+    assert twin == bits and hash(twin) == hash(bits)
+    grown = bits + Bits([0])
+    assert (grown == bits) is False and grown.to01() == bits.to01() + "0"
+
+    # Reading back what was written gives the written values.
+    r, r_ref = BitReader(bits), RefBitReader(ref_bits)
+    for op, value in expected:
+        got, got_ref = _read_back(r, op), _read_back(r_ref, op)
+        assert got == got_ref == value
+        assert r.remaining == r_ref.remaining
+    assert r.remaining == 0
+
+    # Arbitrary reads (misparses, over-reads) agree step for step and
+    # fail at the same position.
+    assert _read_outcomes(BitReader(bits), reads) == _read_outcomes(
+        RefBitReader(ref_bits), reads
+    )

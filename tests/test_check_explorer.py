@@ -151,6 +151,33 @@ class TestGoldenPins:
         assert _sha256(sorted(result.states)) == states_sha
         assert _sha256(sorted(result.outcomes)) == outcomes_sha
 
+    @pytest.mark.parametrize(
+        "graph_fn,n,wakes,schedules,states,states_digest,outcomes_digest",
+        [
+            (complete_graph, 3, {0: 0.0}, 1, 6,
+             "6955532e00a091d8", "87e95b3626eac4f6"),
+            (cycle_graph, 4, {0: 0.0, 2: 0.3}, 6, 32,
+             "65da284c4f3f18a2", "4a6b20e80a5da5b6"),
+        ],
+    )
+    def test_dfs_rank_explore_pins(self, graph_fn, n, wakes, schedules,
+                                   states, states_digest, outcomes_digest):
+        # dfs-rank's channel states hold the token's visited list, so
+        # these pin its normal form in the state fingerprints.
+        def digest(values):
+            blob = repr(sorted(values)).encode("utf-8")
+            return hashlib.sha256(blob).hexdigest()[:16]
+
+        result = explore(
+            _world(graph_fn, n, "dfs-rank", wakes, Knowledge.KT1)
+        )
+        assert result.completed
+        assert result.stats.violations == 0
+        assert result.stats.schedules == schedules
+        assert len(result.states) == states
+        assert digest(result.states) == states_digest
+        assert digest(result.outcomes) == outcomes_digest
+
     def test_replayed_prefixes_are_not_refingerprinted(self, monkeypatch):
         # Every run retraces its parent's choice points up to the
         # branch point; only the rest (and final states) are hashed.

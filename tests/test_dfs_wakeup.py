@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.dfs_wakeup import DfsWakeUp, TOKEN
+from repro.check.controller import _canon
+from repro.core.dfs_wakeup import DfsWakeUp, TOKEN, VisitedIds
 from repro.core.flooding import Flooding
 from repro.graphs.generators import (
     complete_graph,
@@ -21,6 +24,7 @@ from repro.sim.adversary import (
     UnitDelay,
     WakeSchedule,
 )
+from repro.sim.messages import _INT_RUN_MIN, bit_size
 from repro.sim.runner import run_wakeup
 
 
@@ -211,3 +215,50 @@ class TestClaim4:
             ).run()
             worsts.append(max(len(nd.tokens_forwarded) for nd in nodes.values()))
         assert worsts[1] < 4 * worsts[0]
+
+
+class TestVisitedIds:
+    """The token's shared-prefix visited list stands in for the tuple of
+    its IDs everywhere outside the algorithm: wire size, model-checker
+    normal form, repr, equality and membership."""
+
+    @given(
+        ids=st.lists(
+            st.one_of(st.just(0), st.integers(0, 2**70)),
+            min_size=1,
+            max_size=2 * _INT_RUN_MIN + 2,
+        ),
+        branch_at=st.integers(0, 2 * _INT_RUN_MIN + 2),
+        extra=st.integers(0, 2**20),
+        rank=st.integers(0, 2**40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_tuple_it_replaces(self, ids, branch_at, extra, rank):
+        versions = [VisitedIds(ids[:1])]
+        for x in ids[1:]:
+            versions.append(versions[-1].plus(x))
+        for k, v in enumerate(versions, start=1):
+            t = tuple(ids[:k])
+            assert bit_size((TOKEN, rank, ids[0], v)) == bit_size(
+                (TOKEN, rank, ids[0], t)
+            )
+            assert _canon(v) == _canon(t)
+            assert _canon((TOKEN, rank, v)) == _canon((TOKEN, rank, t))
+            assert repr(v) == repr(t)
+            assert v == t and hash(v) == hash(t) and len(v) == len(t)
+            for x in set(ids) | {extra, -1}:
+                assert (x in v) == (x in t)
+
+        # Extending an older version copies; no version changes.
+        old = versions[min(branch_at, len(versions) - 1)]
+        old_ids = tuple(old)
+        branch = old.plus(extra)
+        assert branch == old_ids + (extra,)
+        assert old == old_ids
+        assert versions[-1] == tuple(ids)
+        assert (extra in versions[-1]) == (extra in ids)
+        assert bit_size(branch) == bit_size(old_ids + (extra,))
+        assert branch.plus(extra + 1) == old_ids + (extra, extra + 1)
+        assert versions[-1].plus(extra) == tuple(ids) + (extra,)
+        # Extending the newest version in place leaves it unchanged too.
+        assert branch == old_ids + (extra,)

@@ -26,6 +26,7 @@ from repro.graphs.generators import (
     star_graph,
     tree_from_prufer,
 )
+from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     diameter,
     is_bipartite,
@@ -167,6 +168,37 @@ class TestErdosRenyi:
 
     def test_deterministic(self):
         assert erdos_renyi(15, 0.3, seed=7) == erdos_renyi(15, 0.3, seed=7)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 200, 512])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_connected_variant_matches_reference_loop(self, n, seed):
+        # Callers pass avg_degree / (n - 1), which exceeds 1 for n <= 7.
+        for p in (0.0, 0.05, 6.0 / max(1, n - 1), 1.0, 2.0):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = connected_erdos_renyi(n, p, seed=rng)
+            want = _reference_connected_erdos_renyi(n, p, ref_rng)
+            # Same adjacency in insertion order (which sets ports) ...
+            assert _adjacency(got) == _adjacency(want)
+            # ... and the same number of draws from a shared generator.
+            assert rng.random() == ref_rng.random()
+            assert _adjacency(connected_erdos_renyi(n, p, seed=seed)) == (
+                _adjacency(_reference_connected_erdos_renyi(n, p, seed))
+            )
+
+
+def _reference_connected_erdos_renyi(n, p, seed):
+    """The has_edge/add_edge double loop connected_erdos_renyi replaced."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    g = random_tree(n, rng) if n >= 1 else Graph()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not g.has_edge(i, j) and rng.random() < p:
+                g.add_edge(i, j)
+    return g
+
+
+def _adjacency(g):
+    return [(v, g.neighbors(v)) for v in g.vertices()]
 
 
 class TestRegular:
