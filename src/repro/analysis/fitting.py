@@ -5,6 +5,9 @@ The reproduction's success criterion is not absolute numbers but
 Theorem 2, and so on.  This module fits power laws (optionally with
 polylog corrections) to measured (n, y) series by least squares in
 log-log space, and compares candidate models.
+
+Both fits are one-variable least squares with closed forms, written in
+pure Python so that the harness imports no numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
-
-import numpy as np
 
 
 @dataclass
@@ -41,14 +42,20 @@ def fit_power_law(ns: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         raise ValueError("need at least two points to fit")
     if any(x <= 0 for x in ns) or any(y <= 0 for y in ys):
         raise ValueError("power-law fit requires positive data")
-    lx = np.log(np.asarray(ns, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    a, b = np.polyfit(lx, ly, 1)
-    pred = a * lx + b
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    lx = [math.log(x) for x in ns]
+    ly = [math.log(y) for y in ys]
+    if min(lx) == max(lx):
+        raise ValueError("power-law fit needs at least two distinct sizes")
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    dx = [x - mx for x in lx]
+    dy = [y - my for y in ly]
+    a = math.fsum(u * v for u, v in zip(dx, dy)) / math.fsum(u * u for u in dx)
+    b = my - a * mx
+    ss_res = math.fsum((v - a * u) ** 2 for u, v in zip(dx, dy))
+    ss_tot = math.fsum(v * v for v in dy)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return PowerLawFit(exponent=float(a), constant=float(math.exp(b)), r_squared=r2)
+    return PowerLawFit(exponent=a, constant=math.exp(b), r_squared=r2)
 
 
 def fit_power_law_deloged(
@@ -92,21 +99,16 @@ def best_exponent_model(
     Used for "who wins" checks: e.g. is Theorem-2 message data closer
     to n^{4/3} (the k=3 lower bound) than to n or n^2?
     """
-    lx = np.asarray(
-        [math.log(n) for n in ns], dtype=float
-    )
-    ly = np.asarray(
-        [
-            math.log(y / (math.log(n) ** log_power if log_power else 1.0))
-            for n, y in zip(ns, ys)
-        ],
-        dtype=float,
-    )
+    lx = [math.log(n) for n in ns]
+    ly = [
+        math.log(y / (math.log(n) ** log_power if log_power else 1.0))
+        for n, y in zip(ns, ys)
+    ]
     errors: Dict[float, float] = {}
     for a in candidates:
-        resid = ly - a * lx
-        b = float(np.mean(resid))  # optimal constant in log space
-        errors[a] = float(np.sqrt(np.mean((resid - b) ** 2)))
+        resid = [v - a * u for u, v in zip(lx, ly)]
+        b = math.fsum(resid) / len(resid)  # optimal constant in log space
+        errors[a] = math.sqrt(math.fsum((r - b) ** 2 for r in resid) / len(resid))
     best = min(errors, key=errors.get)
     return best, errors
 

@@ -10,12 +10,6 @@ from repro.sim.adversary import (
     WakeSchedule,
 )
 from repro.sim.async_engine import AsyncEngine
-from repro.sim.bulk import (
-    HAS_BULK,
-    BulkKernel,
-    BulkSyncEngine,
-    BulkUnavailable,
-)
 from repro.sim.messages import Message, Send, bit_size
 from repro.sim.metrics import Metrics
 from repro.sim.node import NodeAlgorithm, NodeContext
@@ -32,10 +26,6 @@ __all__ = [
     "UnitDelay",
     "WakeSchedule",
     "AsyncEngine",
-    "HAS_BULK",
-    "BulkKernel",
-    "BulkSyncEngine",
-    "BulkUnavailable",
     "Message",
     "Send",
     "bit_size",

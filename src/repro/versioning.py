@@ -41,19 +41,38 @@ deliberately in *no* cache key: orchestration code moves results
 around but never changes what a cell computes — the bit-identical-rows
 conformance suite is what enforces that claim.
 
-Everything here is memoized per process and deliberately import-light:
-salts are computed from *source text on disk*, never by importing the
-measured modules, so hashing the world costs one directory walk and a
-few milliseconds, once.
+Salts are computed from *source text on disk*, never by importing the
+measured modules, and memoized twice.  Within a process every module
+is read and parsed at most once.  Across processes an on-disk memo in
+the package's ``__pycache__``, keyed by each file's raw bytes
+(:func:`_module_facts`), hands back the digest and import candidates
+of every unchanged module: a process reads and hashes the files but
+parses only those edited since the memo was written.  Parsing the
+forty modules one cell's salts cover takes about a quarter of a
+second; with a warm memo the same salts take about ten milliseconds.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import json
+import os
+import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 #: Subsystem -> module-name prefixes (longest prefix wins).  Top-level
 #: one-file modules are listed explicitly under ``harness`` so the
@@ -133,20 +152,16 @@ def subsystem_of(module: str) -> str:
 # ----------------------------------------------------------------------
 # Source normalization + digests
 # ----------------------------------------------------------------------
-def normalized_source(text: str) -> str:
-    """Source with comments, whitespace, and docstrings erased.
-
-    Parses to an AST (which drops comments and formatting by
-    construction), removes every docstring expression, and dumps the
-    tree without position attributes — so a doc-only edit yields the
-    byte-identical normal form.  Text that does not parse (syntax
-    error mid-edit) falls back to the raw text: a conservative digest
-    beats an exception while the user is typing.
-    """
+def _parse(text: str) -> Optional[ast.Module]:
     try:
-        tree = ast.parse(text)
+        return ast.parse(text)
     except SyntaxError:
-        return text
+        return None
+
+
+def _normal_form(tree: ast.Module) -> str:
+    """Dump ``tree`` without docstrings or position attributes (the
+    docstrings are deleted from ``tree`` in place)."""
     for node in ast.walk(tree):
         if isinstance(
             node,
@@ -163,12 +178,27 @@ def normalized_source(text: str) -> str:
     return ast.dump(tree, include_attributes=False)
 
 
+def normalized_source(text: str) -> str:
+    """Source with comments, whitespace, and docstrings erased.
+
+    Parses to an AST (which drops comments and formatting by
+    construction), removes every docstring expression, and dumps the
+    tree without position attributes — so a doc-only edit yields the
+    byte-identical normal form.  Text that does not parse (syntax
+    error mid-edit) falls back to the raw text: a conservative digest
+    beats an exception while the user is typing.
+    """
+    tree = _parse(text)
+    return text if tree is None else _normal_form(tree)
+
+
+def _digest(text: str) -> str:
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+
 def source_digest(text: str) -> str:
     """Stable digest of one module's normalized source."""
-    norm = normalized_source(text)
-    return hashlib.blake2b(
-        norm.encode("utf-8"), digest_size=16
-    ).hexdigest()
+    return _digest(normalized_source(text))
 
 
 def _fold(parts: Iterable[Tuple[str, str]]) -> str:
@@ -196,7 +226,6 @@ def _module_name(root: Path, path: Path) -> str:
 
 
 _MODULE_INDEX: Optional[Dict[str, Path]] = None
-_DIGESTS: Dict[str, str] = {}
 _SUBSYSTEM_SALTS: Dict[str, str] = {}
 _ALGORITHM_SALTS: Dict[str, str] = {}
 
@@ -215,23 +244,141 @@ def module_index(root: Optional[Path] = None) -> Dict[str, Path]:
     return {_module_name(root, p): p for p in sorted(root.rglob("*.py"))}
 
 
-def module_digest(module: str) -> str:
-    """Digest of one module's on-disk source (memoized)."""
-    digest = _DIGESTS.get(module)
-    if digest is None:
-        path = module_index()[module]
-        digest = source_digest(path.read_text(encoding="utf-8"))
-        _DIGESTS[module] = digest
-    return digest
+# ----------------------------------------------------------------------
+# Module facts, memoized per process and on disk
+# ----------------------------------------------------------------------
+class _Facts(NamedTuple):
+    """What the salts need from one module file."""
+
+    raw: str  # blake2b of the file's bytes: the memo key
+    digest: str  # source_digest of its text
+    imports: FrozenSet[str]  # module_imports of its text
 
 
-def clear_salt_cache() -> None:
-    """Forget every memoized digest/salt (tests edit sources on disk)."""
-    global _MODULE_INDEX
-    _MODULE_INDEX = None
-    _DIGESTS.clear()
-    _SUBSYSTEM_SALTS.clear()
-    _ALGORITHM_SALTS.clear()
+def _raw_digest(raw: bytes) -> str:
+    return hashlib.blake2b(raw, digest_size=16).hexdigest()
+
+
+def _source_facts(raw: bytes, module: str, is_package: bool) -> _Facts:
+    """One module's facts from a single parse.  The bytes are decoded
+    as ``Path.read_text`` decodes them (UTF-8, universal newlines), so
+    the facts equal :func:`source_digest` and :func:`module_imports`
+    over the text ``read_text`` returns."""
+    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    tree = _parse(text)
+    if tree is None:
+        return _Facts(_raw_digest(raw), _digest(text), frozenset())
+    imports = frozenset(_tree_imports(tree, module, is_package))
+    return _Facts(_raw_digest(raw), _digest(_normal_form(tree)), imports)
+
+
+_FACTS: Dict[str, _Facts] = {}
+_MEMO_STAMP: Optional[str] = None
+
+
+def _memo_stamp() -> str:
+    """Raw-bytes digest of this file, read once per process: the
+    normalizer and the import parser live here, so editing them voids
+    every memo entry."""
+    global _MEMO_STAMP
+    if _MEMO_STAMP is None:
+        _MEMO_STAMP = _raw_digest(Path(__file__).read_bytes())
+    return _MEMO_STAMP
+
+
+def _memo_path() -> Optional[Path]:
+    """The memo file, or None where the interpreter caches no bytecode.
+    The name carries the cache tag because ``ast.dump`` output differs
+    between Python versions."""
+    tag = sys.implementation.cache_tag
+    if tag is None:
+        return None
+    return package_root() / "__pycache__" / f"salt-memo.{tag}.json"
+
+
+def _load_memo(path: Optional[Path]) -> Dict[str, Any]:
+    """The memo's module entries; empty when the file is missing,
+    unreadable or malformed, or was stamped by another
+    ``versioning.py``."""
+    if path is None:
+        return {}
+    try:
+        memo = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return {}
+    if isinstance(memo, dict) and memo.get("versioning") == _memo_stamp():
+        modules = memo.get("modules")
+        if isinstance(modules, dict):
+            return modules
+    return {}
+
+
+def _memo_entry(entry: Any, raw: str) -> Optional[_Facts]:
+    """The facts a memo entry holds for a file whose bytes digest to
+    ``raw``, or None when the entry is for other bytes or malformed."""
+    if isinstance(entry, dict) and entry.get("raw") == raw:
+        digest, imports = entry.get("digest"), entry.get("imports")
+        if isinstance(digest, str) and isinstance(imports, list) and all(
+            isinstance(name, str) for name in imports
+        ):
+            return _Facts(raw, digest, frozenset(imports))
+    return None
+
+
+def _write_memo(path: Path, old: Mapping[str, Any]) -> None:
+    """Rewrite the memo with this process's facts plus the old entries
+    that still match their files, dropping the rest.  The memo is
+    written to a temporary file and renamed into place; any
+    ``OSError`` (a read-only install, say) leaves the memo as it was."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        modules = {}
+        for module, source in module_index().items():
+            facts = _FACTS.get(module)
+            if facts is None and module in old:
+                facts = _memo_entry(old[module], _raw_digest(source.read_bytes()))
+            if facts is not None:
+                modules[module] = {
+                    "raw": facts.raw,
+                    "digest": facts.digest,
+                    "imports": sorted(facts.imports),
+                }
+        memo = {"versioning": _memo_stamp(), "modules": modules}
+        path.parent.mkdir(exist_ok=True)
+        tmp.write_text(json.dumps(memo, separators=(",", ":")), encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
+def _module_facts(modules: Iterable[str]) -> Dict[str, _Facts]:
+    """Digest and import candidates of each named module.
+
+    Facts known to this process are reused.  For the rest, each file's
+    bytes are read and digested and looked up in the on-disk memo; only
+    the misses are parsed, and a lookup with misses rewrites the memo
+    once.  A hit is trusted as a ``.pyc`` is: the memo lives in the
+    package's ``__pycache__`` and is keyed by content.
+    """
+    modules = list(modules)
+    todo = [m for m in modules if m not in _FACTS]
+    if todo:
+        index = module_index()
+        path = _memo_path()
+        memo = _load_memo(path)
+        missed = False
+        for module in todo:
+            source = index[module]
+            raw = source.read_bytes()
+            facts = _memo_entry(memo.get(module), _raw_digest(raw))
+            if facts is None:
+                facts = _source_facts(raw, module, source.name == "__init__.py")
+                missed = True
+            _FACTS[module] = facts
+        if missed and path is not None:
+            _write_memo(path, memo)
+    return {m: _FACTS[m] for m in modules}
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +397,8 @@ def subsystem_salt(name: str) -> str:
     """The derived code-version salt for one subsystem (memoized)."""
     salt = _SUBSYSTEM_SALTS.get(name)
     if salt is None:
-        salt = _fold(
-            (m, module_digest(m)) for m in subsystem_modules(name)
-        )
+        facts = _module_facts(subsystem_modules(name))
+        salt = _fold((m, f.digest) for m, f in facts.items())
         _SUBSYSTEM_SALTS[name] = salt
     return salt
 
@@ -266,15 +412,10 @@ def salt_vector() -> Dict[str, str]:
 # ----------------------------------------------------------------------
 # Per-algorithm salts (import closure within the algorithms subsystem)
 # ----------------------------------------------------------------------
-def module_imports(source: str, module: str) -> Set[str]:
-    """Module names a source text imports (absolute and relative,
-    top-level and function-local alike), as candidate names — callers
-    intersect with the real module index."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return set()
-    package = module.rsplit(".", 1)[0] if "." in module else module
+def _tree_imports(tree: ast.Module, module: str, is_package: bool) -> Set[str]:
+    # A package ``__init__`` resolves relative imports against itself,
+    # any other module against its parent.
+    package = module if is_package else module.rpartition(".")[0] or module
     found: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -299,6 +440,36 @@ def module_imports(source: str, module: str) -> Set[str]:
     return found
 
 
+def module_imports(
+    source: str, module: str, *, is_package: bool = False
+) -> Set[str]:
+    """Module names a source text imports (absolute and relative,
+    top-level and function-local alike), as candidate names — callers
+    intersect with the real module index.  ``is_package`` marks
+    ``module`` as a package ``__init__``."""
+    tree = _parse(source)
+    return set() if tree is None else _tree_imports(tree, module, is_package)
+
+
+def _closure(
+    start: str, imports: Mapping[str, Iterable[str]], barriers: Iterable[str]
+) -> Set[str]:
+    barriers = set(barriers)
+    seen: Set[str] = set()
+    frontier = [start]
+    while frontier:
+        mod = frontier.pop()
+        if mod in seen or mod not in imports:
+            continue
+        seen.add(mod)
+        if mod in barriers:
+            continue
+        for cand in imports[mod]:
+            if cand in imports and cand not in seen:
+                frontier.append(cand)
+    return seen
+
+
 def import_closure(
     start: str,
     sources: Mapping[str, str],
@@ -307,22 +478,15 @@ def import_closure(
 ) -> Set[str]:
     """Transitive import closure of ``start`` restricted to the modules
     in ``sources``.  ``barriers`` are included when reached but never
-    expanded through (the registry pattern).  Pure over the given
-    mapping, so tests drive it with synthetic packages."""
-    barriers = set(barriers)
-    seen: Set[str] = set()
-    frontier = [start]
-    while frontier:
-        mod = frontier.pop()
-        if mod in seen or mod not in sources:
-            continue
-        seen.add(mod)
-        if mod in barriers:
-            continue
-        for cand in module_imports(sources[mod], mod):
-            if cand in sources and cand not in seen:
-                frontier.append(cand)
-    return seen
+    expanded through (the registry pattern).  A module counts as a
+    package when ``sources`` holds one of its submodules.  Pure over
+    the given mapping, so tests drive it with synthetic packages."""
+    packages = {m.rpartition(".")[0] for m in sources}
+    imports = {
+        m: module_imports(text, m, is_package=m in packages)
+        for m, text in sources.items()
+    }
+    return _closure(start, imports, barriers)
 
 
 def _algorithm_module(algorithm: str) -> Optional[str]:
@@ -364,18 +528,14 @@ def algorithm_salt(algorithm: str) -> str:
     if module is None or subsystem_of(module) != "algorithms":
         salt = subsystem_salt("algorithms")
     else:
-        index = module_index()
-        algo_sources = {
-            m: index[m].read_text(encoding="utf-8")
-            for m in subsystem_modules("algorithms")
-        }
-        members = import_closure(
-            module, algo_sources, barriers=ALGORITHM_BARRIER_MODULES
+        facts = _module_facts(subsystem_modules("algorithms"))
+        members = _closure(
+            module,
+            {m: f.imports for m, f in facts.items()},
+            ALGORITHM_BARRIER_MODULES,
         )
-        members.update(
-            b for b in ALGORITHM_BARRIER_MODULES if b in algo_sources
-        )
-        salt = _fold((m, module_digest(m)) for m in sorted(members))
+        members.update(b for b in ALGORITHM_BARRIER_MODULES if b in facts)
+        salt = _fold((m, facts[m].digest) for m in sorted(members))
     _ALGORITHM_SALTS[algorithm] = salt
     return salt
 

@@ -86,6 +86,85 @@ class TestPowerLaw:
             [2.0, 2.0]
         )
 
+    def test_equal_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            fit_power_law([8, 8, 8], [1, 2, 3])
+
+
+def _numpy_fit_power_law(np, ns, ys):
+    """Reference: the same fit through ``np.polyfit``."""
+    lx = np.log(np.asarray(ns, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    a, b = np.polyfit(lx, ly, 1)
+    pred = a * lx + b
+    ss_res = float(np.sum((ly - pred) ** 2))
+    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return float(a), float(math.exp(b)), r2
+
+
+def _numpy_best_exponent_model(np, ns, ys, candidates, log_power):
+    """Reference: the same model choice through numpy arrays."""
+    lx = np.asarray([math.log(n) for n in ns], dtype=float)
+    ly = np.asarray(
+        [
+            math.log(y / (math.log(n) ** log_power if log_power else 1.0))
+            for n, y in zip(ns, ys)
+        ],
+        dtype=float,
+    )
+    errors = {}
+    for a in candidates:
+        resid = ly - a * lx
+        b = float(np.mean(resid))
+        errors[a] = float(np.sqrt(np.mean((resid - b) ** 2)))
+    return min(errors, key=errors.get), errors
+
+
+def _doubling_grids(count, seed):
+    """Noisy power laws with polylog factors on doubling-size grids."""
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        first = rng.randint(1, 8)
+        ns = [2**k for k in range(first, first + rng.randint(2, 10))]
+        a, c = rng.uniform(0.5, 2.5), rng.uniform(0.1, 50.0)
+        log_power = rng.choice([0.0, 0.5, 1.0])
+        ys = [
+            c * n**a * math.log(n) ** log_power * rng.lognormvariate(0, 0.2)
+            for n in ns
+        ]
+        yield ns, ys, log_power
+
+
+class TestFitsAgainstNumpy:
+    """The pure-Python fits against the numpy reference, with
+    tolerances fixed before comparing."""
+
+    def test_fit_power_law(self):
+        np = pytest.importorskip("numpy")
+        for ns, ys, _ in _doubling_grids(1000, seed=3):
+            a, c, r2 = _numpy_fit_power_law(np, ns, ys)
+            fit = fit_power_law(ns, ys)
+            assert fit.exponent == pytest.approx(a, rel=1e-9)
+            assert fit.constant == pytest.approx(c, rel=1e-9)
+            assert fit.r_squared == pytest.approx(r2, rel=0, abs=1e-9)
+
+    def test_best_exponent_model(self):
+        np = pytest.importorskip("numpy")
+        candidates = [1.0, 4 / 3, 1.5, 2.0, 2.5]
+        for ns, ys, log_power in _doubling_grids(1000, seed=4):
+            want_best, want = _numpy_best_exponent_model(
+                np, ns, ys, candidates, log_power
+            )
+            best, errors = best_exponent_model(
+                ns, ys, candidates, log_power=log_power
+            )
+            assert best == want_best
+            for a in candidates:
+                assert errors[a] == pytest.approx(want[a], rel=0, abs=1e-9)
+
 
 class TestStats:
     def test_summarize(self):

@@ -14,6 +14,9 @@ The invalidation contract PR-9 rests on:
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -99,8 +102,6 @@ class TestStability:
             text=True,
             check=True,
         ).stdout
-        import json
-
         vector, flooding = json.loads(out)
         assert vector == V.salt_vector()
         assert flooding == V.algorithm_salt("flooding")
@@ -194,6 +195,19 @@ class TestImportClosure:
             "p.top",
         }
 
+    def test_package_init_resolves_against_itself(self):
+        # A package __init__'s relative imports name its submodules,
+        # not its siblings.
+        assert "repro.core.flooding" in V.module_imports(
+            "from .flooding import Flooding\n", "repro.core", is_package=True
+        )
+        sources = {
+            "p.sub": "from .m import x\n",
+            "p.sub.m": "x = 1\n",
+            "p.m": "x = 2\n",
+        }
+        assert V.import_closure("p.sub", sources) == {"p.sub", "p.sub.m"}
+
 
 # ----------------------------------------------------------------------
 # Per-algorithm salts
@@ -267,41 +281,45 @@ class TestAlgorithmSalts:
 # ----------------------------------------------------------------------
 # Edit sensitivity over a real (sandboxed) package copy
 # ----------------------------------------------------------------------
+def _copy_package(dest, edit=None):
+    """Copy the real package (its ``__pycache__`` and salt memo too)
+    under ``dest`` and optionally apply ``edit``; returns the directory
+    to put on ``PYTHONPATH``."""
+    root = dest / "site"
+    shutil.copytree(V.package_root(), root / "repro")
+    if edit is not None:
+        target, transform = edit
+        path = root / "repro" / target
+        path.write_text(transform(path.read_text()))
+    return root
+
+
+def _salts_in(root):
+    """Derive salts in a subprocess rooted at ``root`` (the memoized
+    module walk binds to the imported package location)."""
+    script = (
+        "import json\n"
+        "from repro import versioning as V\n"
+        "print(json.dumps({'vector': V.salt_vector(), "
+        "'flooding': V.algorithm_salt('flooding'), "
+        "'spanner': V.algorithm_salt('spanner-advice')}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    ).stdout
+    return json.loads(out)
+
+
 class TestEditSensitivity:
     def _salts_for_tree(self, tmp_path, edit=None):
-        """Copy the real package, optionally apply ``edit``, and
-        derive salts in a subprocess rooted at the copy (the memoized
-        module walk binds to the imported package location)."""
-        import shutil
-
-        root = tmp_path / "site"
-        shutil.copytree(V.package_root(), root / "repro")
-        if edit is not None:
-            target, transform = edit
-            path = root / "repro" / target
-            path.write_text(transform(path.read_text()))
-        script = (
-            "import json\n"
-            "from repro import versioning as V\n"
-            "print(json.dumps({'vector': V.salt_vector(), "
-            "'flooding': V.algorithm_salt('flooding'), "
-            "'spanner': V.algorithm_salt('spanner-advice')}))\n"
-        )
-        import json as _json
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(root)
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-            env=env,
-        ).stdout
-        return _json.loads(out)
+        """Salts of a copy of the real package, optionally edited."""
+        return _salts_in(_copy_package(tmp_path, edit))
 
     def test_algorithm_edit_isolated(self, tmp_path):
         base = self._salts_for_tree(tmp_path)
@@ -365,3 +383,107 @@ class TestEditSensitivity:
         for sub in ("engine", "graphs", "algorithms", "check",
                     "harness"):
             assert edited["vector"][sub] == base["vector"][sub]
+
+
+# ----------------------------------------------------------------------
+# On-disk salt memo
+# ----------------------------------------------------------------------
+def _memo_file(root):
+    return root / "repro" / "__pycache__" / V._memo_path().name
+
+
+def _this_process_salts():
+    return {
+        "vector": V.salt_vector(),
+        "flooding": V.algorithm_salt("flooding"),
+        "spanner": V.algorithm_salt("spanner-advice"),
+    }
+
+
+def _poison(memo, stamp):
+    """A memo whose entries keep their keys but carry wrong digests,
+    under ``stamp``: salts computed from it would move."""
+    modules = {
+        m: dict(e, digest="0" * 32) for m, e in memo["modules"].items()
+    }
+    return {"versioning": stamp, "modules": modules}
+
+
+def _wrong_shapes(memo, stamp):
+    """Right stamp and keys, wrongly typed values."""
+    modules = {
+        m: {"raw": e["raw"], "digest": 7, "imports": "repro"}
+        for m, e in memo["modules"].items()
+    }
+    return {"versioning": stamp, "modules": modules}
+
+
+class TestSaltMemo:
+    """The memo is a pure cache: no state of it changes a salt."""
+
+    def test_facts_equal_recomputation_from_text(self):
+        for module, path in V.module_index().items():
+            text = path.read_text(encoding="utf-8")
+            is_package = path.name == "__init__.py"
+            want = (
+                V.source_digest(text),
+                V.module_imports(text, module, is_package=is_package),
+            )
+            parsed = V._source_facts(path.read_bytes(), module, is_package)
+            known = V._module_facts([module])[module]
+            for facts in (parsed, known):
+                assert (facts.digest, set(facts.imports)) == want, module
+
+    def test_bytes_decode_as_read_text(self, tmp_path):
+        # CRLF and lone CR line ends: the unparsable-text fallback
+        # digests the text itself, so the newline translation shows.
+        for raw in (b"def f(:\r\n", b"x = 1\ry = 2\r\n"):
+            path = tmp_path / "m.py"
+            path.write_bytes(raw)
+            facts = V._source_facts(raw, "m", False)
+            assert facts.digest == V.source_digest(
+                path.read_text(encoding="utf-8")
+            )
+
+    def test_cold_and_memo_runs_agree(self, tmp_path):
+        root = _copy_package(tmp_path)
+        memo = _memo_file(root)
+        memo.unlink(missing_ok=True)
+        cold = _salts_in(root)
+        written = memo.stat()
+        warm = _salts_in(root)
+        assert warm == cold == _this_process_salts()
+        # Every lookup hit, so the memo was not rewritten.
+        assert memo.stat().st_ino == written.st_ino
+        assert memo.stat().st_mtime_ns == written.st_mtime_ns
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda memo: b"\x80\x00 not json {",
+            lambda memo: json.dumps(_wrong_shapes(memo, V._memo_stamp())).encode(),
+            lambda memo: b"[1, 2, 3]",
+            lambda memo: json.dumps(_poison(memo, "f" * 32)).encode(),
+        ],
+        ids=["garbage", "wrong-shape-entries", "wrong-shape", "foreign-stamp"],
+    )
+    def test_bad_memo_is_ignored_and_rewritten(self, tmp_path, spoil):
+        root = _copy_package(tmp_path)
+        memo = _memo_file(root)
+        memo.unlink(missing_ok=True)
+        cold = _salts_in(root)
+        memo.write_bytes(spoil(json.loads(memo.read_bytes())))
+        assert _salts_in(root) == cold
+        rewritten = json.loads(memo.read_bytes())
+        assert rewritten["versioning"] == V._memo_stamp()
+        assert set(rewritten["modules"]) == set(V.module_index())
+
+    def test_unwritable_pycache_is_harmless(self, tmp_path):
+        # Root ignores file modes, so the cache directory is made a
+        # regular file instead: every read and write of it fails.
+        root = _copy_package(tmp_path)
+        cache = root / "repro" / "__pycache__"
+        shutil.rmtree(cache)
+        cache.write_text("not a directory\n")
+        assert _salts_in(root) == _this_process_salts()
+        assert cache.read_text() == "not a directory\n"
