@@ -996,7 +996,7 @@ def _make_executor(args) -> ParallelSweepExecutor:
         progress=_make_progress(args),
         topology_dir=args.topology_dir,
         use_topology_store=(False if args.no_topology_store else None),
-        backend=getattr(args, "exec_backend", "fork"),
+        backend=getattr(args, "exec_backend", "steal"),
     )
 
 
@@ -1649,13 +1649,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--backend",
-        choices=("serial", "fork", "steal"),
+        choices=("serial", "steal"),
         default="steal",
         help=(
-            "execution backend for multi-worker jobs; the default "
-            "work-stealing pool interleaves queued jobs' cells "
-            "(largest first) instead of running head-of-line "
-            "(default: %(default)s)"
+            "execution backend for multi-worker jobs: steal = the "
+            "worker pool, one cell per task, largest cells first; "
+            "serial = force inline (default: %(default)s)"
         ),
     )
     p_serve.add_argument(
@@ -1749,14 +1748,14 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--exec-backend",
-        choices=("serial", "fork", "steal"),
-        default="fork",
+        choices=("serial", "steal"),
+        default="steal",
         help=(
             "execution backend for the multi-worker path "
-            "(repro.experiments.backends): fork = chunked process "
-            "pool, steal = shared-queue work stealing (largest cells "
-            "first), serial = force inline. Rows are bit-identical "
-            "across all three (default: %(default)s)"
+            "(repro.experiments.backends): steal = the worker pool, "
+            "one cell per task, largest cells first; serial = force "
+            "inline. Rows are bit-identical across both "
+            "(default: %(default)s)"
         ),
     )
     parser.add_argument(

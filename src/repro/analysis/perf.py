@@ -121,15 +121,15 @@ PROFILES: Dict[str, Dict[str, Any]] = {
         "baseline": "BENCH_executor.json",
         "bench": "benchmarks/bench_executor_scaling.py",
         "key_fields": ("mix", "workers"),
-        "metric": "steal_speedup",
-        "unit": "x fork wall / steal wall",
+        "metric": "pool_speedup",
+        "unit": "x serial wall / pool wall",
         "required_fields": (
             "mix",
             "workers",
             "cells",
-            "fork_s",
-            "steal_s",
-            "steal_speedup",
+            "serial_s",
+            "pool_s",
+            "pool_speedup",
         ),
     },
 }

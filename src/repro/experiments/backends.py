@@ -1,297 +1,71 @@
-"""Execution backends: how cell batches reach worker processes.
+"""The worker pool: how cache-missed cells reach worker processes.
 
-PR-9 extracted the fork-pool plumbing that lived inline in
-``ParallelSweepExecutor._run_pool`` behind a small protocol so the
-*scheduling policy* can vary without touching result handling, caching,
-or telemetry (all of which stay in the executor, in the parent
-process):
+The executor (:class:`repro.experiments.parallel.ParallelSweepExecutor`)
+keeps result handling, caching and telemetry in the parent process and
+hands the cells it has to run to :class:`WorkStealingBackend`: N forked
+workers that take one cell at a time from a shared cursor over the
+cells, ordered largest ``n`` first.  The most expensive cells therefore
+start at once and the small ones fill the gaps (the LPT heuristic); no
+worker sits idle while another still has a queue of its own.  The sort
+is stable on input order, so the trials of one topology stay adjacent
+and tend to share a worker's warm in-process topology LRU.
 
-* :class:`SerialBackend` — runs every batch inline; the degenerate
-  backend the ``--exec-backend serial`` flag forces for debugging and
-  the conformance suite's baseline.
-* :class:`ForkPoolBackend` — the original design: one
-  :class:`~concurrent.futures.ProcessPoolExecutor` (fork context) with
-  all batches submitted up front.  Batches complete in an arbitrary
-  order but are *assigned* to workers in submission order, so one
-  expensive straggler batch near the end of the list serializes the
-  tail.
-* :class:`WorkStealingBackend` — N worker processes pulling batches
-  from one shared queue, with size-aware scheduling: batches are
-  enqueued largest-``n`` first, so the expensive cells start
-  immediately and the small ones pack the gaps (the classic LPT
-  heuristic).  Each worker keeps its own warm in-process topology LRU
-  (inherited machinery — the per-process ``_MEM_CACHE`` in
-  :mod:`repro.graphs.compile`), and ships per-cell metrics deltas in
-  the payloads exactly as the fork pool does, so ``workers=0`` and
-  ``workers=N`` stay bit-identical.
+Each worker announces a cell before running it and sends the payload
+after, both on its own pipe, which only that worker writes.  A worker
+that dies (a SIGKILL'd cell, the OOM killer) therefore shows up as the
+end of its pipe, after everything it sent, and costs exactly the one
+cell it announced: that cell drains as ``None`` and the executor
+retries it in its isolated single-worker pool.  The survivors keep
+taking cells.
 
-The protocol is deliberately batch-shaped, not cell-shaped: a batch is
-one IPC round trip and one unit of crash blast-radius.  A drained
-``None`` payload list means "this batch's worker died" — the executor
-feeds those cells to its isolated-retry path, which is unchanged.
+``backend="serial"`` (``--exec-backend serial``) is not a pool: the
+executor runs cells inline, as it does for ``workers`` 0 and 1.
 
-Determinism contract: backends only decide *where and when* a batch
+Determinism contract: the pool only decides *where and when* a cell
 runs.  Every cell still executes via
 :func:`repro.experiments.parallel.run_cell` from its plain-data spec,
-so rows are bit-identical across serial/fork/steal — enforced by the
-cross-backend conformance tests in ``tests/test_backends.py``.
+so rows are bit-identical inline and pooled at any worker count,
+enforced by the conformance tests in ``tests/test_backends.py``.
 """
 
 from __future__ import annotations
 
-import os
-import queue as queue_mod
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
-
-#: Smallest batch worth one IPC round trip.  Without a floor the
-#: chunk heuristic degenerates to one-cell batches on small sweeps
-#: (e.g. 8 misses across 4 workers -> ceil(8/16) = 1), paying
-#: per-future submit/result overhead per *cell*; with it, small sweeps
-#: still give every worker work (the floor is capped by
-#: ceil(misses/workers)) but amortize the IPC.
-MIN_CHUNK = 4
-
-#: Payloads drained for one submitted batch; ``None`` = worker died.
-DrainItem = Tuple[int, Optional[List[Dict[str, Any]]]]
+from multiprocessing.connection import wait
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
-def plan_batches(
-    misses: Sequence[Tuple[int, Any, str]],
-    workers: int,
-    chunk_size: Optional[int] = None,
-) -> List[List[Tuple[int, Any, str]]]:
-    """Slice the miss list into submission batches.
+def _steal_worker(order, cursor, conn, specs, cell_timeout, topology_store,
+                  collect):
+    """Worker-process loop: take the next cell, announce it, run it,
+    send the payload.  ``run_cell`` is looked up on its module at call
+    time, so a wrapper installed there before the fork is the one that
+    runs."""
+    from repro.experiments import parallel
 
-    An explicit ``chunk_size`` wins; otherwise the chunk targets ~4
-    batches per worker (pool balance) but never drops below
-    :data:`MIN_CHUNK` cells unless that would leave workers idle.
-    Batches are contiguous slices, so multi-trial cells at one size
-    land in one batch and share the worker's warm topology cache.
-    """
-    misses = list(misses)
-    if not misses:
-        return []
-    workers = max(1, workers)
-    if chunk_size:
-        chunk = chunk_size
-    else:
-        balanced = -(-len(misses) // (workers * 4))
-        floor = min(MIN_CHUNK, -(-len(misses) // workers))
-        chunk = max(balanced, floor, 1)
-    return [
-        misses[i : i + chunk] for i in range(0, len(misses), chunk)
-    ]
-
-
-def batch_weight(specs: Sequence[Any]) -> int:
-    """Scheduling weight of one batch: the work is superlinear in
-    ``n``, so the largest cell dominates; ties break toward more
-    cells."""
-    if not specs:
-        return 0
-    return max(int(getattr(s, "n", 0)) for s in specs) * len(specs)
-
-
-class ExecutionBackend(Protocol):
-    """How the executor talks to any backend.
-
-    ``submit_batch`` is non-blocking enqueue; ``drain`` yields
-    ``(token, payloads)`` for every submitted batch exactly once, in
-    completion order, with ``payloads=None`` for a batch whose worker
-    process died; ``stats`` reports backend-side counters (merged into
-    nothing automatically — diagnostics only); ``close`` releases
-    worker processes and is idempotent.
-    """
-
-    name: str
-
-    def submit_batch(self, token: int, specs: List[Any]) -> None: ...
-
-    def drain(self) -> Iterator[DrainItem]: ...
-
-    def stats(self) -> Dict[str, float]: ...
-
-    def close(self) -> None: ...
-
-
-# ----------------------------------------------------------------------
-# Serial
-# ----------------------------------------------------------------------
-class SerialBackend:
-    """Runs batches inline, in submission order.  Exists so "which
-    backend?" is a pure config axis: the conformance suite diffs fork
-    and steal rows against this one."""
-
-    name = "serial"
-
-    def __init__(
-        self,
-        workers: int = 1,
-        cell_timeout: Optional[float] = None,
-        topology_store: Optional[Any] = None,
-        collect_metrics: bool = False,
-    ):
-        self.cell_timeout = cell_timeout
-        self.topology_store = topology_store
-        self.collect_metrics = collect_metrics
-        self._pending: List[Tuple[int, List[Any]]] = []
-        self._batches = 0
-
-    def submit_batch(self, token: int, specs: List[Any]) -> None:
-        self._pending.append((token, specs))
-
-    def drain(self) -> Iterator[DrainItem]:
-        from repro.experiments.parallel import _run_cell_batch
-
-        while self._pending:
-            token, specs = self._pending.pop(0)
-            self._batches += 1
-            yield token, _run_cell_batch(
-                specs,
-                self.cell_timeout,
-                topology_store=self.topology_store,
-                collect_metrics=self.collect_metrics,
-            )
-
-    def stats(self) -> Dict[str, float]:
-        return {"batches": float(self._batches)}
-
-    def close(self) -> None:
-        self._pending.clear()
-
-
-# ----------------------------------------------------------------------
-# Fork pool
-# ----------------------------------------------------------------------
-class ForkPoolBackend:
-    """The original pool: ProcessPoolExecutor over a fork context,
-    every batch submitted up front, results in completion order.  A
-    ``BrokenProcessPool`` marks every unfinished batch crashed (the
-    pool is dead); the executor's isolation pass sorts out which cell
-    was the killer."""
-
-    name = "fork"
-
-    def __init__(
-        self,
-        workers: int,
-        cell_timeout: Optional[float] = None,
-        topology_store: Optional[Any] = None,
-        collect_metrics: bool = False,
-    ):
-        self.workers = max(1, workers)
-        self.cell_timeout = cell_timeout
-        self.topology_store = topology_store
-        self.collect_metrics = collect_metrics
-        self._pending: List[Tuple[int, List[Any]]] = []
-        self._batches = 0
-        self._crashed = 0
-
-    def submit_batch(self, token: int, specs: List[Any]) -> None:
-        self._pending.append((token, specs))
-
-    def drain(self) -> Iterator[DrainItem]:
-        from repro.experiments.parallel import _run_cell_batch
-
-        if not self._pending:
-            return
-        ctx = get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=ctx
-        ) as pool:
-            futs = {
-                pool.submit(
-                    _run_cell_batch,
-                    specs,
-                    self.cell_timeout,
-                    self.topology_store,
-                    self.collect_metrics,
-                ): token
-                for token, specs in self._pending
-            }
-            self._pending.clear()
-            for fut in as_completed(futs):
-                token = futs[fut]
-                self._batches += 1
-                try:
-                    yield token, fut.result()
-                except BrokenProcessPool:
-                    # One of this batch's cells (or a neighbour) took
-                    # a worker down; every unfinished future fails with
-                    # the same error.
-                    self._crashed += 1
-                    yield token, None
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "batches": float(self._batches),
-            "crashed_batches": float(self._crashed),
-        }
-
-    def close(self) -> None:
-        self._pending.clear()
-
-
-# ----------------------------------------------------------------------
-# Work stealing
-# ----------------------------------------------------------------------
-def _steal_worker(task_q, result_q, cell_timeout, topology_store, collect):
-    """Worker-process loop: pull a batch, announce it, run it, ship the
-    payloads.  The ``("start", token, pid)`` message is what lets the
-    parent attribute a dead worker to the batch it was holding."""
-    from repro.experiments.parallel import _run_cell_batch
-
-    pid = os.getpid()
     while True:
-        task = task_q.get()
-        if task is None:  # shutdown sentinel
+        with cursor.get_lock():
+            at = cursor.value
+            cursor.value = at + 1
+        if at >= len(order):
             return
-        token, specs = task
-        result_q.put(("start", token, pid))
-        payloads = _run_cell_batch(
-            specs,
+        index = order[at]
+        conn.send(("start", index))
+        payload = parallel.run_cell(
+            specs[index],
             cell_timeout,
             topology_store=topology_store,
             collect_metrics=collect,
         )
-        result_q.put(("done", token, payloads))
+        conn.send(("done", index, payload))
 
 
 class WorkStealingBackend:
-    """N workers stealing batches from one shared queue.
+    """N forked workers stealing cells, largest ``n`` first."""
 
-    Scheduling is size-aware: at drain time the buffered batches are
-    sorted by :func:`batch_weight` descending before being enqueued,
-    so the most expensive cells start first and a single large-``n``
-    straggler overlaps the long tail of small cells instead of
-    serializing after it.  (The fork pool assigns batches in
-    submission order, which is exactly the pathological case the
-    skewed-mix bench measures.)
-
-    Crash handling: a worker that dies mid-batch (SIGKILL'd by a cell,
-    OOM, ...) is detected by the parent's reaper — the batch it
-    announced via ``start`` but never finished drains as ``None`` and
-    the remaining workers keep stealing.  If *every* worker dies, all
-    still-pending batches drain as ``None``; the executor's isolated
-    retry path owns them from there.
-    """
-
-    name = "steal"
-
-    #: How long the parent waits on the result queue before checking
-    #: for dead workers.
+    #: Longest wait for a worker message.  A bounded wait lets an
+    #: exception raised into this thread (the serve daemon's job
+    #: budget) land promptly; it cannot land inside a blocking call.
     _POLL_S = 0.1
 
     def __init__(
@@ -305,145 +79,77 @@ class WorkStealingBackend:
         self.cell_timeout = cell_timeout
         self.topology_store = topology_store
         self.collect_metrics = collect_metrics
-        self._pending: List[Tuple[int, List[Any]]] = []
-        self._procs: List[Any] = []
-        self._batches = 0
-        self._crashed = 0
-        self._ctx = get_context("fork")
 
-    def submit_batch(self, token: int, specs: List[Any]) -> None:
-        self._pending.append((token, specs))
-
-    def drain(self) -> Iterator[DrainItem]:
-        if not self._pending:
+    def drain(
+        self, specs: Sequence[Any]
+    ) -> Iterator[Tuple[int, Optional[Dict[str, Any]]]]:
+        """Run every spec; yield ``(index, payload)`` once per spec, in
+        completion order, with ``payload=None`` for a cell whose worker
+        died.  Closing the generator early kills the workers."""
+        if not specs:
             return
-        # Largest work first: LPT scheduling over batch weights.
-        ordered = sorted(
-            self._pending,
-            key=lambda item: batch_weight(item[1]),
-            reverse=True,
+        ctx = get_context("fork")
+        order = sorted(
+            range(len(specs)), key=lambda i: specs[i].n, reverse=True
         )
-        self._pending.clear()
-        task_q = self._ctx.Queue()
-        result_q = self._ctx.Queue()
-        for item in ordered:
-            task_q.put(item)
-        nworkers = min(self.workers, len(ordered))
-        for _ in range(nworkers):
-            task_q.put(None)
-        self._procs = [
-            self._ctx.Process(
-                target=_steal_worker,
-                args=(
-                    task_q,
-                    result_q,
-                    self.cell_timeout,
-                    self.topology_store,
-                    self.collect_metrics,
-                ),
-                daemon=True,
-            )
-            for _ in range(nworkers)
-        ]
-        for proc in self._procs:
-            proc.start()
-        pending = {token for token, _ in ordered}
-        in_flight: Dict[int, int] = {}  # pid -> token
-        while pending:
-            msgs: List[Tuple[str, int, Any]] = []
-            try:
-                msgs.append(result_q.get(timeout=self._POLL_S))
-            except queue_mod.Empty:
-                pass
-            # Opportunistically drain everything already shipped, so a
-            # finished batch is never misread as crashed just because
-            # its worker exited before the parent got to the message.
-            while True:
-                try:
-                    msgs.append(result_q.get_nowait())
-                except queue_mod.Empty:
-                    break
-            for kind, token, extra in msgs:
-                if kind == "start":
-                    in_flight[extra] = token
-                elif kind == "done":
-                    in_flight = {
-                        pid: t
-                        for pid, t in in_flight.items()
-                        if t != token
-                    }
-                    if token in pending:
-                        pending.discard(token)
-                        self._batches += 1
-                        yield token, extra
-            if msgs:
-                continue
-            # The queue is quiet: reap dead workers.  Anything a dead
-            # worker announced but never finished drains as crashed;
-            # the survivors keep stealing from the shared queue.
-            for proc in [p for p in self._procs if not p.is_alive()]:
-                self._procs.remove(proc)
-                token = in_flight.pop(proc.pid, None)
-                if token is not None and token in pending:
-                    pending.discard(token)
-                    self._crashed += 1
-                    yield token, None
-            if not self._procs and pending:
-                # Every worker is gone; nothing left can finish.
-                for token in sorted(pending):
-                    self._crashed += 1
-                    yield token, None
-                pending.clear()
-        self._join()
-
-    def _join(self) -> None:
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-        self._procs = []
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "batches": float(self._batches),
-            "crashed_batches": float(self._crashed),
-        }
-
-    def close(self) -> None:
-        self._pending.clear()
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        self._procs = []
+        cursor = ctx.Value("q", 0)
+        holding: Dict[Any, Optional[int]] = {}  # pipe -> announced cell
+        procs: List[Any] = []
+        try:
+            for _ in range(min(self.workers, len(specs))):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_steal_worker,
+                    args=(
+                        order,
+                        cursor,
+                        send,
+                        specs,
+                        self.cell_timeout,
+                        self.topology_store,
+                        self.collect_metrics,
+                    ),
+                    daemon=True,
+                )
+                proc.start()
+                # Close the parent's write end before the next fork, so
+                # the worker holds the only one and its exit is EOF.
+                send.close()
+                procs.append(proc)
+                holding[recv] = None
+            unfinished = set(range(len(specs)))
+            while holding:
+                for conn in wait(list(holding), self._POLL_S):
+                    try:
+                        msg = conn.recv()
+                    except (EOFError, OSError):
+                        # The worker is gone; a cell it announced but
+                        # never finished died with it.
+                        index = holding.pop(conn)
+                        conn.close()
+                        if index is not None:
+                            unfinished.discard(index)
+                            yield index, None
+                        continue
+                    if msg[0] == "start":
+                        holding[conn] = msg[1]
+                    else:
+                        holding[conn] = None
+                        unfinished.discard(msg[1])
+                        yield msg[1], msg[2]
+            # Cells no worker announced (every worker died before the
+            # cursor ran out) can no longer run here.
+            for index in sorted(unfinished):
+                yield index, None
+        finally:
+            for proc in procs:
+                if proc.is_alive():  # the caller stopped early
+                    proc.kill()
+                proc.join()
+            for conn in holding:
+                conn.close()
 
 
-#: Backend registry the executor (and CLI flag choices) resolve
-#: through.
-BACKENDS = {
-    "serial": SerialBackend,
-    "fork": ForkPoolBackend,
-    "steal": WorkStealingBackend,
-}
-
-
-def make_backend(
-    name: str,
-    workers: int,
-    cell_timeout: Optional[float] = None,
-    topology_store: Optional[Any] = None,
-    collect_metrics: bool = False,
-) -> ExecutionBackend:
-    """Instantiate a backend by registry name."""
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown execution backend {name!r}; known: {sorted(BACKENDS)}"
-        ) from None
-    return cls(
-        workers=workers,
-        cell_timeout=cell_timeout,
-        topology_store=topology_store,
-        collect_metrics=collect_metrics,
-    )
+#: Pool registry, keyed by ``--exec-backend`` name.  ``serial`` is the
+#: executor's inline path and has no pool.
+BACKENDS = {"steal": WorkStealingBackend}

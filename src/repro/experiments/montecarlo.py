@@ -13,14 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 from repro.errors import ReproError
-from repro.experiments.parallel import (
-    CellOutcome,
-    CellSpec,
-    ParallelSweepExecutor,
-)
 
 
 @dataclass
@@ -95,52 +90,6 @@ def estimate_success(
         low=low,
         high=high,
     )
-
-
-def success_from_outcomes(
-    outcomes: Sequence[CellOutcome], confidence: float = 0.95
-) -> SuccessEstimate:
-    """Wilson estimate over executor cell outcomes.
-
-    A cell counts as a success iff it completed *and* woke the whole
-    network; structured failures (``WakeUpFailure``, timeout, worker
-    crash) count as failures rather than aborting the estimate.
-    """
-    trials = len(outcomes)
-    successes = sum(
-        1
-        for o in outcomes
-        if o.ok and o.result is not None and o.result.all_awake
-    )
-    low, high = wilson_interval(successes, trials, confidence)
-    return SuccessEstimate(
-        successes=successes,
-        trials=trials,
-        confidence=confidence,
-        low=low,
-        high=high,
-    )
-
-
-def estimate_success_cells(
-    cells: Sequence[CellSpec],
-    executor: Optional[ParallelSweepExecutor] = None,
-    confidence: float = 0.95,
-) -> Tuple[SuccessEstimate, List[CellOutcome]]:
-    """Executor-routed Monte-Carlo: each cell is one independent trial
-    (vary ``trial``/``seed`` across cells); runs fan out over worker
-    processes and warm cells replay from the on-disk cache.
-
-    Cells should set ``require_all_awake=False`` when partial wake-ups
-    are the interesting outcome rather than an error; either way a
-    failed cell is a failed trial.
-    """
-    if not cells:
-        raise ReproError("trials must be positive")
-    if executor is None:
-        executor = ParallelSweepExecutor(workers=0, use_cache=False)
-    outcomes = executor.run(list(cells))
-    return success_from_outcomes(outcomes, confidence), outcomes
 
 
 def trials_for_separation(p0: float, p1: float, confidence: float = 0.95) -> int:

@@ -448,29 +448,6 @@ def run_cell(
     return payload
 
 
-def _run_cell_batch(
-    specs: List[CellSpec],
-    cell_timeout: Optional[float],
-    topology_store: Optional[TopologyStore] = None,
-    collect_metrics: bool = False,
-) -> List[Dict[str, Any]]:
-    """Chunked worker task: one IPC round trip for several cells.
-
-    All cells in a batch share the worker's topology caches, so a batch
-    of T trials at one size performs at most one topology build (zero
-    when another worker, or a previous run, already wrote the
-    artifact)."""
-    return [
-        run_cell(
-            spec,
-            cell_timeout,
-            topology_store=topology_store,
-            collect_metrics=collect_metrics,
-        )
-        for spec in specs
-    ]
-
-
 # ----------------------------------------------------------------------
 # Outcomes
 # ----------------------------------------------------------------------
@@ -557,13 +534,11 @@ class ParallelSweepExecutor:
         ``1`` runs cells inline in this process (the serial baseline —
         same code path as the workers, no pool overhead).
     backend:
-        Execution backend for the multi-worker path
-        (:mod:`repro.experiments.backends`): ``"fork"`` (default) is
-        the chunked :class:`~concurrent.futures.ProcessPoolExecutor`
-        pool, ``"steal"`` is the shared-queue work-stealing pool
-        (largest cells scheduled first), ``"serial"`` forces the
+        ``"steal"`` (default) runs the multi-worker path on the
+        work-stealing pool of :mod:`repro.experiments.backends`: one
+        cell per task, largest ``n`` first.  ``"serial"`` forces the
         inline path regardless of ``workers``.  Rows are bit-identical
-        across all three — backends only reorder wall-clock work.
+        either way; the pool only reorders wall-clock work.
     cache_dir / use_cache:
         On-disk memoization of successful cells, keyed by
         :func:`cell_key`.  Failures are never cached.
@@ -582,9 +557,6 @@ class ParallelSweepExecutor:
     cell_timeout:
         Per-cell wall-clock budget in seconds, enforced inside the
         worker; an overrun becomes a ``"timeout"`` outcome.
-    chunk_size:
-        Cells per submitted task; ``None`` picks a size that gives each
-        worker ~4 chunks, amortizing IPC without starving the pool.
     retries:
         How often a cell whose *worker process died* is retried (in an
         isolated single-worker pool).  Default 1.
@@ -621,28 +593,26 @@ class ParallelSweepExecutor:
         cache_dir: Union[str, Path] = DEFAULT_CACHE_DIR,
         use_cache: bool = True,
         cell_timeout: Optional[float] = None,
-        chunk_size: Optional[int] = None,
         retries: int = 1,
         recorder: Optional[Recorder] = None,
         progress: Optional[Any] = None,
         topology_dir: Union[str, Path] = DEFAULT_TOPOLOGY_DIR,
         use_topology_store: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
-        backend: str = "fork",
+        backend: str = "steal",
     ):
         from repro.experiments.backends import BACKENDS
 
-        if backend not in BACKENDS:
+        if backend != "serial" and backend not in BACKENDS:
             raise ReproError(
                 f"unknown execution backend {backend!r}; "
-                f"known: {sorted(BACKENDS)}"
+                f"known: {sorted(['serial', *BACKENDS])}"
             )
         self.backend = backend
         self.workers = os.cpu_count() or 1 if workers is None else workers
         self.cache_dir = Path(cache_dir)
         self.use_cache = use_cache
         self.cell_timeout = cell_timeout
-        self.chunk_size = chunk_size
         self.retries = retries
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.progress = progress
@@ -717,13 +687,7 @@ class ParallelSweepExecutor:
                         topology_store=self._topology_store,
                         collect_metrics=collect,
                     )
-                    self._absorb_topology(payload)
-                    self._absorb_metrics(payload)
-                    outcomes[idx] = _outcome_from_payload(
-                        spec, key, payload, cached=False
-                    )
-                    self._maybe_cache(key, payload, spec)
-                    self._publish(outcomes[idx])
+                    self._land(idx, spec, key, payload, outcomes)
             else:
                 self._run_pool(misses, outcomes, collect)
 
@@ -825,54 +789,56 @@ class ParallelSweepExecutor:
             self.progress.cell(outcome)
 
     # -- pool management -------------------------------------------------
+    def _land(
+        self,
+        idx: int,
+        spec: CellSpec,
+        key: str,
+        payload: Dict[str, Any],
+        outcomes: Dict[int, CellOutcome],
+        attempts: int = 1,
+    ) -> None:
+        """Turn one executed cell's payload into its outcome: absorb
+        its worker stats, cache it, publish it."""
+        self._absorb_topology(payload)
+        self._absorb_metrics(payload)
+        outcomes[idx] = _outcome_from_payload(
+            spec, key, payload, cached=False
+        )
+        outcomes[idx].attempts = attempts
+        self._maybe_cache(key, payload, spec)
+        self._publish(outcomes[idx])
+
     def _run_pool(
         self,
         misses: List[Tuple[int, CellSpec, str]],
         outcomes: Dict[int, CellOutcome],
         collect: bool = False,
     ) -> None:
-        """Fan cache misses across the configured execution backend.
+        """Fan cache misses across the worker pool
+        (:mod:`repro.experiments.backends`), one cell per task; a cell
+        drained as ``None`` lost its worker process and falls through
+        to :meth:`_run_isolated` for retry."""
+        from repro.experiments.backends import BACKENDS
 
-        The executor plans batches (one IPC round trip each — see
-        :func:`repro.experiments.backends.plan_batches`), the backend
-        runs them; a batch drained as ``None`` lost its worker process
-        and falls through to :meth:`_run_isolated` for per-cell retry,
-        exactly like the pre-backend ``BrokenProcessPool`` path."""
-        from repro.experiments.backends import make_backend, plan_batches
-
-        batches = plan_batches(misses, self.workers, self.chunk_size)
-        backend = make_backend(
-            self.backend,
-            workers=self.workers,
+        pool = BACKENDS[self.backend](
+            self.workers,
             cell_timeout=self.cell_timeout,
             topology_store=self._topology_store,
             collect_metrics=collect,
         )
-        survivors: List[Tuple[int, CellSpec, str]] = []
+        crashed: List[Tuple[int, CellSpec, str]] = []
+        results = pool.drain([spec for _, spec, _ in misses])
         try:
-            for token, batch in enumerate(batches):
-                backend.submit_batch(
-                    token, [spec for _, spec, _ in batch]
-                )
-            for token, payloads in backend.drain():
-                batch = batches[token]
-                if payloads is None:
-                    # This batch's worker died (or the pool broke);
-                    # defer to the isolation pass.
-                    survivors.extend(batch)
-                    continue
-                for (idx, spec, key), payload in zip(batch, payloads):
-                    self._absorb_topology(payload)
-                    self._absorb_metrics(payload)
-                    outcomes[idx] = _outcome_from_payload(
-                        spec, key, payload, cached=False
-                    )
-                    self._maybe_cache(key, payload, spec)
-                    self._publish(outcomes[idx])
+            for i, payload in results:
+                if payload is None:
+                    crashed.append(misses[i])
+                else:
+                    self._land(*misses[i], payload, outcomes)
         finally:
-            backend.close()
-        if survivors:
-            self._run_isolated(survivors, outcomes, collect)
+            results.close()
+        if crashed:
+            self._run_isolated(sorted(crashed), outcomes, collect)
 
     def _run_isolated(
         self,
@@ -924,14 +890,7 @@ class ParallelSweepExecutor:
                     )
                     self._publish(outcomes[idx])
                     break
-                self._absorb_topology(payload)
-                self._absorb_metrics(payload)
-                outcomes[idx] = _outcome_from_payload(
-                    spec, key, payload, cached=False
-                )
-                outcomes[idx].attempts = attempts
-                self._maybe_cache(key, payload, spec)
-                self._publish(outcomes[idx])
+                self._land(idx, spec, key, payload, outcomes, attempts)
                 break
 
     # -- cache -----------------------------------------------------------
@@ -942,14 +901,19 @@ class ParallelSweepExecutor:
         path = self._cache_path(key)
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # also bytes that are not UTF-8
             return None
         # The key already encodes the full salt vector, so a key match
         # implies salt-live; the schema check rejects v1 envelopes that
-        # could only collide by accident.
-        if data.get("schema") != CACHE_SCHEMA or data.get("key") != key:
+        # could only collide by accident.  Any other shape is a miss.
+        if (
+            not isinstance(data, dict)
+            or data.get("schema") != CACHE_SCHEMA
+            or data.get("key") != key
+        ):
             return None
-        return data.get("payload")
+        payload = data.get("payload")
+        return payload if isinstance(payload, dict) else None
 
     def _maybe_cache(
         self, key: str, payload: Dict[str, Any], spec: CellSpec
@@ -992,12 +956,6 @@ class ParallelSweepExecutor:
                 removed += 1
         return removed
 
-    def purge_topologies(self, stale_only: bool = False) -> int:
-        """Delete stored compiled topologies; returns the number
-        removed.  Independent of :meth:`purge_cache` — cached cell
-        *results* survive a topology purge and vice versa."""
-        return TopologyStore(self.topology_dir).purge(stale_only=stale_only)
-
 
 def classify_cell_envelope(path: Union[str, Path]) -> Tuple[str, str]:
     """Liveness of one on-disk cell envelope: ``("live", "")`` or
@@ -1007,14 +965,18 @@ def classify_cell_envelope(path: Union[str, Path]) -> Tuple[str, str]:
     the ``repro cache info`` salt report and ``purge --stale``."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return "stale", "unreadable"
-    if not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA:
+    if not isinstance(data, dict):
+        return "stale", "unreadable"
+    if data.get("schema") != CACHE_SCHEMA:
         return "stale", "legacy"
     salts = data.get("salts")
     algorithm = data.get("algorithm")
     if not isinstance(salts, dict) or not isinstance(algorithm, str):
         return "stale", "legacy"
+    if not isinstance(data.get("payload"), dict):
+        return "stale", "unreadable"
     current = cell_salt_vector(algorithm)
     if "check" in salts:
         # Controlled-cell envelope: the key folded the check salt too.

@@ -6,7 +6,7 @@ genome — duplicates within a generation are evaluated once and fan
 back out) and runs through a
 :class:`~repro.experiments.parallel.ParallelSweepExecutor`.  That buys
 candidate evaluation everything cells already have: any execution
-backend (``serial``/``fork``/``steal``), on-disk result caching (a
+backend (``serial``/``steal``), on-disk result caching (a
 re-run of a converged search is all cache hits), crash isolation and
 retry, telemetry, and metrics.
 

@@ -103,10 +103,9 @@ class ServeConfig:
     cell_timeout: Optional[float] = 30.0
     #: Executor worker processes (0/1 = in-process cells).
     workers: int = 0
-    #: Execution backend for multi-worker jobs (``serial`` / ``fork``
-    #: / ``steal``).  The daemon defaults to the work-stealing pool so
-    #: queued jobs' cells interleave (largest first) instead of
-    #: running head-of-line; rows are backend-independent.
+    #: Execution backend for multi-worker jobs: ``steal`` (the worker
+    #: pool, one cell per task, largest cells first) or ``serial``
+    #: (inline); rows are backend-independent.
     backend: str = "steal"
     cache_dir: str = str(DEFAULT_CACHE_DIR)
     topology_dir: str = str(DEFAULT_TOPOLOGY_DIR)

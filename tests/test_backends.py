@@ -1,15 +1,14 @@
-"""Execution backends (`repro.experiments.backends`).
+"""The worker pool (`repro.experiments.backends`).
 
-The backend contract PR-9 introduced:
+The contract:
 
-* **conformance** — serial, fork-pool, and work-stealing backends
-  produce bit-identical sweep rows at any worker count;
-* **scheduling is plumbing** — `plan_batches` enforces the MIN_CHUNK
-  IPC floor, `batch_weight` orders largest-`n` first, and neither may
-  reorder the executor's *output* (outcomes stay in input order);
-* **fault isolation** — a worker SIGKILL under the stealing backend
-  becomes a structured crashed-cell record while every other cell
-  completes;
+* **conformance** — the inline path and the work-stealing pool produce
+  bit-identical sweep rows at any worker count;
+* **scheduling is plumbing** — the pool dispatches one cell per task,
+  largest `n` first, so a big cell starts before any small one ends,
+  yet outcomes come back in input order;
+* **fault isolation** — a worker SIGKILL becomes a structured
+  crashed-cell record while every other cell completes;
 * **migration** — legacy (pre-salt-vector) cache envelopes are
   classified stale, re-executed transparently, and produce identical
   rows; `purge --stale` removes exactly them.
@@ -18,16 +17,14 @@ The backend contract PR-9 introduced:
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
+from repro.core.flooding import Flooding
 from repro.errors import ReproError
-from repro.experiments.backends import (
-    BACKENDS,
-    MIN_CHUNK,
-    batch_weight,
-    plan_batches,
-)
+from repro.experiments.backends import BACKENDS
 from repro.experiments.parallel import (
     CellSpec,
     ParallelSweepExecutor,
@@ -68,59 +65,24 @@ def _fault_cell(algorithm, n=12, **kw):
 
 
 # ----------------------------------------------------------------------
-# Batch planning
-# ----------------------------------------------------------------------
-class TestPlanBatches:
-    MISSES = [(i, f"spec{i}", f"key{i}") for i in range(8)]
-
-    def test_empty(self):
-        assert plan_batches([], 4) == []
-
-    def test_explicit_chunk_size_wins(self):
-        batches = plan_batches(self.MISSES, 4, chunk_size=1)
-        assert [len(b) for b in batches] == [1] * 8
-
-    def test_small_sweep_floor_caps_at_fair_share(self):
-        # 8 misses / 4 workers: the MIN_CHUNK floor would starve two
-        # workers, so it caps at ceil(8/4)=2 — every worker gets work.
-        batches = plan_batches(self.MISSES, 4)
-        assert [len(b) for b in batches] == [2, 2, 2, 2]
-
-    def test_min_chunk_floor_applies(self):
-        # 16 misses / 4 workers: balanced chunk would be 1 (a future
-        # per cell); the floor lifts it to MIN_CHUNK.
-        misses = [(i, None, str(i)) for i in range(16)]
-        batches = plan_batches(misses, 4)
-        assert all(len(b) == MIN_CHUNK for b in batches)
-
-    def test_large_sweep_targets_four_batches_per_worker(self):
-        misses = [(i, None, str(i)) for i in range(96)]
-        batches = plan_batches(misses, 2)
-        assert [len(b) for b in batches] == [12] * 8
-
-    def test_batches_are_contiguous_slices(self):
-        batches = plan_batches(self.MISSES, 4)
-        assert [m for b in batches for m in b] == self.MISSES
-
-
-class TestBatchWeight:
-    def test_largest_cell_dominates(self):
-        small = [_fault_cell(GOOD, n=16), _fault_cell(GOOD, n=16, trial=1)]
-        big = [_fault_cell(GOOD, n=512)]
-        assert batch_weight(big) > batch_weight(small)
-
-    def test_ties_break_toward_more_cells(self):
-        one = [_fault_cell(GOOD, n=32)]
-        two = [_fault_cell(GOOD, n=32), _fault_cell(GOOD, n=32, trial=1)]
-        assert batch_weight(two) > batch_weight(one)
-
-
-# ----------------------------------------------------------------------
 # Backend selection
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_known_backends(self):
-        assert set(BACKENDS) == {"serial", "fork", "steal"}
+        # One pool; "serial" is the executor's inline path.
+        assert set(BACKENDS) == {"steal"}
+        assert ParallelSweepExecutor().backend == "steal"
+        ParallelSweepExecutor(backend="serial")
+        with pytest.raises(ReproError, match="unknown execution backend"):
+            ParallelSweepExecutor(backend="fork")
+
+    def test_cli_rejects_fork_backend(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "flooding", "--exec-backend", "fork"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fork'" in capsys.readouterr().err
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ReproError, match="unknown execution backend"):
@@ -149,8 +111,8 @@ class TestConformance:
                 workers=0, use_cache=False, backend="serial"
             ).run(cells)
         ]
-        for backend in ("serial", "fork", "steal"):
-            for workers in (0, 4):
+        for backend in ("serial", "steal"):
+            for workers in (0, 2, 4):
                 out = ParallelSweepExecutor(
                     workers=workers, use_cache=False, backend=backend
                 ).run(cells)
@@ -161,7 +123,7 @@ class TestConformance:
                 )
 
     def test_outcomes_stay_in_input_order_despite_lpt(self):
-        # Stealing runs the largest batch first; outcomes must still
+        # Stealing runs the largest cell first; outcomes must still
         # come back in submission order.
         cells = [
             _fault_cell(GOOD, n=12),
@@ -169,12 +131,66 @@ class TestConformance:
             _fault_cell(GOOD, n=12, trial=1),
         ]
         out = ParallelSweepExecutor(
-            workers=2, use_cache=False, backend="steal", chunk_size=1
+            workers=2, use_cache=False, backend="steal"
         ).run(cells)
         assert [(o.spec.n, o.spec.trial) for o in out] == [
             (12, 0), (48, 0), (12, 1)
         ]
         assert all(o.ok for o in out)
+
+
+class LoggedFlooding(Flooding):
+    """Flooding that appends ``start N`` / ``end N`` lines to a log
+    around a fixed sleep, so the log records the order in which pooled
+    cells start and end."""
+
+    name = "test-logged-flooding"
+
+    def __init__(self, log: str, pace: float = 0.2):
+        super().__init__()
+        self.log = log
+        self.pace = pace
+
+    def _note(self, line: str) -> None:
+        fd = os.open(self.log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{line}\n".encode())
+        finally:
+            os.close(fd)
+
+    def build_nodes(self, setup):
+        self._note(f"start {setup.n}")
+        time.sleep(self.pace)
+        self._note(f"end {setup.n}")
+        return super().build_nodes(setup)
+
+
+class TestDispatchOrder:
+    def test_largest_cell_starts_before_any_cell_ends(self, tmp_path):
+        # Twelve small cells, then one large one last in input order.
+        # Dispatch in input order, or of 4-cell batches ranked by
+        # max(n) x size, would start it only after small ones end.
+        log = tmp_path / "cells.log"
+        params = {"log": str(log)}
+        cells = [
+            _fault_cell(f"{HERE}:LoggedFlooding", n=48, trial=t,
+                        algo_params=params)
+            for t in range(12)
+        ]
+        cells.append(
+            _fault_cell(f"{HERE}:LoggedFlooding", n=96, algo_params=params)
+        )
+        out = ParallelSweepExecutor(workers=2, use_cache=False).run(cells)
+        assert all(o.ok for o in out)
+        lines = log.read_text().splitlines()
+        assert sorted(lines) == sorted(
+            [f"start {n}" for n in [48] * 12 + [96]]
+            + [f"end {n}" for n in [48] * 12 + [96]]
+        )
+        first_end = next(
+            i for i, line in enumerate(lines) if line.startswith("end")
+        )
+        assert lines.index("start 96") < first_end, lines
 
 
 # ----------------------------------------------------------------------

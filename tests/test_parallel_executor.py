@@ -28,6 +28,7 @@ from repro.experiments.parallel import (
     CellSpec,
     ParallelSweepExecutor,
     cell_key,
+    classify_cell_envelope,
     run_cell,
 )
 from repro.experiments.storage import load_records, merge_records
@@ -96,14 +97,6 @@ class TestConformance:
             assert p.result.summary() == s.result.summary()
             assert p.result.time_all_awake == s.result.time_all_awake
             assert p.rho_awk == s.rho_awk
-
-    def test_chunked_submission_matches_unchunked(self, grid):
-        cells, serial = grid
-        chunked = ParallelSweepExecutor(
-            workers=2, use_cache=False, chunk_size=5
-        ).run(cells)
-        for s, c in zip(serial, chunked):
-            assert c.result.summary() == s.result.summary()
 
 
 class TestCache:
@@ -187,6 +180,30 @@ class TestCache:
         again = ParallelSweepExecutor(workers=0, cache_dir=tmp_path / "c")
         self._sweep(again)
         assert again.stats["executed"] == again.stats["cells"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"null", b"[1, 2]", b"\xff\xfe", None],
+        ids=["null", "list", "not-utf8", "list-payload"],
+    )
+    def test_malformed_cache_file_is_a_miss(self, tmp_path, content):
+        # Valid JSON of the wrong shape and bytes that are not UTF-8
+        # used to escape run() and `repro cache info` as exceptions.
+        cell = _fault_cell(GOOD)
+        cold = ParallelSweepExecutor(workers=0, cache_dir=tmp_path / "c")
+        clean = [o.record() for o in cold.run([cell])]
+        (path,) = (tmp_path / "c").rglob("*.json")
+        if content is None:
+            data = json.loads(path.read_text())
+            data["payload"] = [1, 2]
+            content = json.dumps(data).encode()
+        path.write_bytes(content)
+        assert classify_cell_envelope(path) == ("stale", "unreadable")
+        again = ParallelSweepExecutor(workers=0, cache_dir=tmp_path / "c")
+        rows = [o.record() for o in again.run([cell])]
+        assert again.stats["executed"] == 1
+        assert rows == clean
+        assert classify_cell_envelope(path) == ("live", "")
 
 
 class TestCacheKeys:
