@@ -251,18 +251,12 @@ def _cmd_report(args) -> int:
 def _replay_staleness(replay_dir) -> Dict[str, int]:
     """Live/stale split of the replay directory against the current
     engine+check salts."""
-    import json as _json
-
     from repro.check.controller import replay_is_stale
 
     counts = {"live": 0, "stale": 0}
     if replay_dir.is_dir():
         for p in sorted(replay_dir.rglob("*.json")):
-            try:
-                data = _json.loads(p.read_text(encoding="utf-8"))
-                counts["stale" if replay_is_stale(data) else "live"] += 1
-            except (OSError, ValueError):
-                counts["stale"] += 1
+            counts["stale" if replay_is_stale(p) else "live"] += 1
     return counts
 
 
@@ -371,18 +365,11 @@ def _cmd_cache(args) -> int:
     if args.what in ("topologies", "all"):
         removed_topos = store.purge(stale_only=stale_only)
     if args.what in ("replays", "all") and replay_dir.is_dir():
-        import json as _json
-
         from repro.check.controller import replay_is_stale
 
         for p in sorted(replay_dir.rglob("*.json")):
-            if stale_only:
-                try:
-                    data = _json.loads(p.read_text(encoding="utf-8"))
-                    if not replay_is_stale(data):
-                        continue
-                except (OSError, ValueError):
-                    pass  # unreadable counts as stale
+            if stale_only and not replay_is_stale(p):
+                continue
             p.unlink()
             removed_replays += 1
     if args.what in ("atlas", "all"):

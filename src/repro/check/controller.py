@@ -788,16 +788,19 @@ def load_replay(path) -> Dict[str, object]:
     return data
 
 
-def replay_is_stale(data: Mapping) -> bool:
-    """Whether a replay artifact was recorded under superseded engine
-    or check code.  Loading a stale replay still works (the format is
-    stable) but bit-exactness is no longer guaranteed; ``repro cache
-    info`` reports these and ``purge --stale`` removes them.  Artifacts
-    predating the salt stamp count as stale — their provenance is
-    unknowable."""
+def replay_is_stale(path) -> bool:
+    """Whether the replay artifact at ``path`` was recorded under
+    superseded engine or check code.  Loading a stale replay still works
+    (the format is stable) but bit-exactness is no longer guaranteed;
+    ``repro cache info`` reports these and ``purge --stale`` removes
+    them.  Artifacts predating the salt stamp count as stale — their
+    provenance is unknowable — and so do files that are not a JSON
+    object (unreadable, not UTF-8, ``null``, a list)."""
     from repro.versioning import replay_salt_vector
 
-    salts = data.get("salts")
-    if not isinstance(salts, dict):
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # also bytes that are not UTF-8
         return True
-    return dict(salts) != replay_salt_vector()
+    salts = data.get("salts") if isinstance(data, dict) else None
+    return not isinstance(salts, dict) or salts != replay_salt_vector()

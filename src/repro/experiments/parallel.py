@@ -45,7 +45,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -146,12 +146,11 @@ class CellSpec:
         """Content hash of this cell's compiled topology — the
         ``(workload kind, params, n, graphs-salt)`` digest shared by
         every trial at the same size.  Deliberately a derived property,
-        not a dataclass field: it never enters ``as_dict`` and
-        therefore never perturbs :func:`cell_key`."""
+        not a dataclass field: it never perturbs :func:`cell_key`."""
         return topology_key(self.workload, self.n)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+
+_SPEC_FIELDS = tuple(f.name for f in fields(CellSpec))
 
 
 def _cell_salts(spec: CellSpec) -> Dict[str, str]:
@@ -178,13 +177,27 @@ def cell_key(spec: CellSpec) -> str:
     serialized.  Any differing input — seed, size, algorithm
     parameter, adversary knob — yields a different key, and so does
     any code edit that can reach this cell's execution; code edits
-    elsewhere leave the key (and the cached row) untouched."""
-    blob = json.dumps(
-        {"salts": _cell_salts(spec), "spec": spec.as_dict()},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=repr,
-    )
+    elsewhere leave the key (and the cached row) untouched.
+
+    The spec is read field by field, not deep-copied; a field whose
+    value JSON cannot encode raises :class:`~repro.errors.ReproError`
+    naming it, since no stable key exists for it."""
+    values = {name: getattr(spec, name) for name in _SPEC_FIELDS}
+    try:
+        blob = json.dumps(
+            {"salts": _cell_salts(spec), "spec": values},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+    except TypeError:
+        for name, value in values.items():
+            try:
+                json.dumps(value, sort_keys=True)
+            except TypeError as exc:
+                raise ReproError(
+                    f"cell spec field {name!r} has no stable cache key: {exc}"
+                ) from None
+        raise
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -894,13 +907,13 @@ class ParallelSweepExecutor:
                 break
 
     # -- cache -----------------------------------------------------------
-    def _cache_path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.json"
+    def _cache_path(self, key: str) -> str:
+        return f"{self.cache_dir}/{key[:2]}/{key}.json"
 
     def _cache_load(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._cache_path(key)
         try:
-            data = json.loads(path.read_text())
+            with open(self._cache_path(key), encoding="utf-8") as fh:
+                data = json.load(fh)
         except (OSError, ValueError):  # also bytes that are not UTF-8
             return None
         # The key already encodes the full salt vector, so a key match
@@ -920,7 +933,7 @@ class ParallelSweepExecutor:
     ) -> None:
         if not self.use_cache or not payload.get("ok"):
             return
-        path = self._cache_path(key)
+        path = Path(self._cache_path(key))
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(

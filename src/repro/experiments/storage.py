@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import platform
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
@@ -25,7 +25,9 @@ FORMAT_VERSION = 1
 def _jsonable(value: Any) -> Any:
     """Best-effort conversion of result objects to JSON-safe values."""
     if is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in asdict(value).items()}
+        return {
+            f.name: _jsonable(getattr(value, f.name)) for f in fields(value)
+        }
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

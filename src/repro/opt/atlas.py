@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -91,7 +91,7 @@ def load_atlas(
     if not path.exists():
         return empty_atlas()
     data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("kind") != ATLAS_KIND:
+    if not isinstance(data, dict) or data.get("kind") != ATLAS_KIND:
         raise ReproError(f"{path} is not a {ATLAS_KIND} file")
     if data.get("version") != ATLAS_VERSION:
         raise ReproError(
@@ -152,7 +152,7 @@ def make_entry(
         "optimizer": optimizer,
         "genome": genome.as_dict(),
         "digest": genome.key(),
-        "spec": spec.as_dict(),
+        "spec": asdict(spec),
         "expect": {
             "messages": float(expect["messages"]),
             "bits": float(expect["bits"]),
@@ -374,7 +374,10 @@ def artifact_is_stale(data: Mapping[str, Any]) -> bool:
     salts = data.get("salts")
     if not isinstance(salts, dict) or "algorithm" not in data:
         return True
-    controlled = data.get("genome", {}).get("kind") == "choice_prefix"
+    genome = data.get("genome")
+    controlled = (
+        isinstance(genome, dict) and genome.get("kind") == "choice_prefix"
+    )
     try:
         current = atlas_salt_vector(
             data["algorithm"], controlled=controlled
@@ -393,17 +396,24 @@ def atlas_artifact_report(
     if replay_dir.is_dir():
         for path in sorted(replay_dir.glob("*.json")):
             report["count"] += 1
-            try:
-                data = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                report["stale"] += 1
-                continue
-            if (
-                data.get("kind") != ATLAS_REPLAY_KIND
-                or artifact_is_stale(data)
-            ):
+            if not _artifact_file_is_live(path):
                 report["stale"] += 1
     return report
+
+
+def _artifact_file_is_live(path: Path) -> bool:
+    """Whether ``path`` holds a runtime artifact stamped with the
+    current salts.  A file that is not a JSON object (unreadable, not
+    UTF-8, ``null``, a list) is stale."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # also bytes that are not UTF-8
+        return False
+    return (
+        isinstance(data, dict)
+        and data.get("kind") == ATLAS_REPLAY_KIND
+        and not artifact_is_stale(data)
+    )
 
 
 def improve_atlas(
@@ -583,16 +593,8 @@ def purge_atlas_artifacts(
     replay_dir = Path(replay_dir)
     if replay_dir.is_dir():
         for path in sorted(replay_dir.glob("*.json")):
-            if stale_only:
-                try:
-                    data = json.loads(path.read_text(encoding="utf-8"))
-                except (OSError, json.JSONDecodeError):
-                    data = {}
-                if (
-                    data.get("kind") == ATLAS_REPLAY_KIND
-                    and not artifact_is_stale(data)
-                ):
-                    continue
+            if stale_only and _artifact_file_is_live(path):
+                continue
             path.unlink()
             removed += 1
     return removed

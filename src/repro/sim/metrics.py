@@ -22,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
+from repro.errors import SimulationError
+
 Vertex = Hashable
 
 
@@ -125,55 +127,55 @@ class Metrics:
     # ------------------------------------------------------------------
     # Lean serialization (parallel executor / result cache)
     # ------------------------------------------------------------------
-    def compact(self) -> "Metrics":
+    def compact(self) -> "LeanMetrics":
         """A lightweight copy that keeps every scalar but drops the
-        per-node/per-edge Counters and the per-vertex wake-time map.
+        per-node/per-edge Counters and the per-vertex wake maps.
 
         Used when a result crosses a process boundary or is persisted to
         the on-disk cache: the heavy collections grow with n and m, yet
-        everything Table 1 reports is scalar.  The wake-time map is
-        replaced by placeholder entries that preserve the derived
-        quantities (:meth:`awake_count`, :attr:`time_all_awake`) without
-        carrying a per-vertex dict (placeholder keys hash stably and
-        compare equal across processes).  The wake-cause map gets the
-        same treatment: per-vertex attribution is dropped, per-cause
-        counts (:meth:`wake_cause_counts`) survive exactly.
+        everything Table 1 reports is scalar.  The wake maps are
+        replaced by the three numbers read from them — the awake count,
+        the wake span (:attr:`time_all_awake`) and the per-cause counts
+        — so the copy's size does not depend on n.
         """
-        m = Metrics(
+        return LeanMetrics(
             messages_total=self.messages_total,
             bits_total=self.bits_total,
             max_message_bits=self.max_message_bits,
             first_wake=self.first_wake,
             last_activity=self.last_activity,
             events_processed=self.events_processed,
+            awake=self.awake_count(),
+            wake_span=self.time_all_awake,
+            causes=self.wake_cause_counts(),
         )
-        if self.wake_time:
-            count = len(self.wake_time)
-            last_wake = max(self.wake_time.values())
-            first = self.first_wake if self.first_wake is not None else last_wake
-            m.wake_time = {("awake", i): first for i in range(count - 1)}
-            m.wake_time[("awake", count - 1)] = last_wake
-            # Re-attach causes to the placeholder keys in sorted-cause
-            # order: which placeholder carries which cause is arbitrary,
-            # the per-cause counts are preserved bit-for-bit.
-            causes = [
-                c
-                for cause, cnt in self.wake_cause_counts().items()
-                for c in [cause] * cnt
-            ]
-            m.wake_cause = {
-                ("awake", i): cause for i, cause in enumerate(causes)
-            }
-        return m
 
-    @staticmethod
-    def placeholder_wake_causes(counts: Dict[str, int]) -> Dict:
-        """Rebuild a placeholder ``wake_cause`` map (keys aligned with
-        :meth:`compact`'s wake-time placeholders) from per-cause
-        counts; used by the lean-result deserializer."""
-        causes = [
-            c
-            for cause in sorted(counts)
-            for c in [cause] * int(counts[cause])
-        ]
-        return {("awake", i): cause for i, cause in enumerate(causes)}
+
+@dataclass
+class LeanMetrics(Metrics):
+    """Metrics without the per-vertex maps, as :meth:`Metrics.compact`
+    and the lean-dict deserializer build them.  :meth:`awake_count`,
+    :attr:`time_all_awake` and :meth:`wake_cause_counts` stay exact,
+    read from plain values; :meth:`total_awake_time` needs the
+    per-vertex wake times, so it raises."""
+
+    awake: int = 0
+    wake_span: float = 0.0
+    causes: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def time_all_awake(self) -> float:
+        return self.wake_span
+
+    def awake_count(self) -> int:
+        return self.awake
+
+    def wake_cause_counts(self) -> Dict[str, int]:
+        return dict(self.causes)
+
+    def total_awake_time(self) -> float:
+        """Raises :class:`~repro.errors.SimulationError`."""
+        raise SimulationError(
+            "lean metrics keep no per-vertex wake times; "
+            "total_awake_time() needs the live run's metrics"
+        )

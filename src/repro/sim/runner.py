@@ -8,7 +8,7 @@ quantity for the execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Hashable, Optional
 
 from repro.errors import SimulationError, WakeUpFailure
@@ -17,7 +17,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.adversary import Adversary
 from repro.sim.async_engine import AsyncEngine
-from repro.sim.metrics import Metrics
+from repro.sim.metrics import LeanMetrics, Metrics
 from repro.sim.sync_engine import SyncEngine
 from repro.sim.trace import Trace
 
@@ -79,23 +79,8 @@ class WakeUpResult:
         aggregators read.  ``asleep`` is kept (it is empty on success
         and is exactly the failure diagnostic on partial wake-ups).
         """
-        return WakeUpResult(
-            algorithm=self.algorithm,
-            engine=self.engine,
-            n=self.n,
-            messages=self.messages,
-            bits=self.bits,
-            max_message_bits=self.max_message_bits,
-            time=self.time,
-            time_all_awake=self.time_all_awake,
-            all_awake=self.all_awake,
-            asleep=self.asleep,
-            wake_time={},
-            advice_max_bits=self.advice_max_bits,
-            advice_avg_bits=self.advice_avg_bits,
-            advice_total_bits=self.advice_total_bits,
-            metrics=self.metrics.compact(),
-            trace=None,
+        return replace(
+            self, wake_time={}, metrics=self.metrics.compact(), trace=None
         )
 
     def to_lean_dict(self) -> Dict[str, object]:
@@ -127,30 +112,26 @@ class WakeUpResult:
     def from_lean_dict(cls, data: Dict[str, object]) -> "WakeUpResult":
         """Rebuild a lean result from :meth:`to_lean_dict` output.
 
-        The reconstruction is exact for every summary scalar; the
+        The reconstruction is exact for every summary scalar and for the
+        metrics' awake count, wake span and per-cause wake counts; the
         ``asleep`` set comes back as reprs (vertices are not JSON keys)
         and ``wake_time`` stays empty, mirroring :meth:`lean`.
         """
         md = data["metrics"]
-        metrics = Metrics(
+        metrics = LeanMetrics(
             messages_total=int(data["messages"]),
             bits_total=int(data["bits"]),
             max_message_bits=int(data["max_message_bits"]),
             first_wake=md["first_wake"],
             last_activity=float(md["last_activity"]),
             events_processed=int(md["events_processed"]),
+            awake=int(md["awake_count"]),
+            wake_span=float(data["time_all_awake"]),
+            causes={
+                cause: int(count)
+                for cause, count in sorted(md.get("wake_causes", {}).items())
+            },
         )
-        count = int(md["awake_count"])
-        if count:
-            first = md["first_wake"] or 0.0
-            last_wake = first + float(data["time_all_awake"])
-            metrics.wake_time = {
-                ("awake", i): first for i in range(count - 1)
-            }
-            metrics.wake_time[("awake", count - 1)] = last_wake
-            metrics.wake_cause = Metrics.placeholder_wake_causes(
-                md.get("wake_causes", {})
-            )
         return cls(
             algorithm=str(data["algorithm"]),
             engine=str(data["engine"]),

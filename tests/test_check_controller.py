@@ -20,6 +20,7 @@ from repro.check.controller import (
     ReplayDelay,
     load_replay,
     make_replay,
+    replay_is_stale,
     save_replay,
 )
 from repro.core import get_algorithm
@@ -391,6 +392,9 @@ class TestReplayArtifacts:
         assert loaded["choices"] == list(ctl.log.choices)
         assert loaded["delays"] == dict(ctl.log.delays)
         assert loaded["algorithm"] == "flooding"
+        assert not replay_is_stale(path)
+        path.write_text('{"salts": {"engine": "0"}}')
+        assert replay_is_stale(path)
 
     def test_load_rejects_foreign_json(self, tmp_path):
         p = tmp_path / "x.json"

@@ -146,6 +146,42 @@ class TestCheckCommands:
         assert "2 replay artifact(s)" in capsys.readouterr().out
         assert not list(tmp_path.glob("*.json"))
 
+    @staticmethod
+    def _cache_dirs(tmp_path):
+        return [
+            "--cache-dir", str(tmp_path / "cells"),
+            "--topology-dir", str(tmp_path / "topologies"),
+            "--replay-dir", str(tmp_path / "replay"),
+            "--atlas-dir", str(tmp_path / "atlas"),
+        ]
+
+    @pytest.mark.parametrize("kind, row", [("replay", "replays"),
+                                           ("atlas", "atlas")])
+    @pytest.mark.parametrize(
+        "content", [b"null", b"[1, 2]", b"\xff\xfe"],
+        ids=["null", "list", "not-utf8"],
+    )
+    def test_malformed_artifact_is_stale(
+        self, capsys, tmp_path, kind, row, content
+    ):
+        # A replay or atlas file that is not a JSON object used to
+        # escape `cache info` and `cache purge --stale` as a traceback.
+        (tmp_path / kind).mkdir()
+        bad = tmp_path / kind / "bad.json"
+        bad.write_bytes(content)
+        dirs = self._cache_dirs(tmp_path)
+        assert main(["cache", "info", *dirs]) == 0
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] == [row]
+        ]
+        entries, live, stale = line.split()[2:5]
+        assert (entries, live, stale) == ("1", "0", "1")
+        assert main(["cache", "purge", "all", "--stale", *dirs]) == 0
+        out = capsys.readouterr().out
+        assert f"1 {'atlas ' if kind == 'atlas' else ''}replay artifact" in out
+        assert not bad.exists()
+
 
 class TestMetricsCommands:
     def _sweep_with_metrics(self, tmp_path):

@@ -472,3 +472,77 @@ class TestAwakeTime:
         from repro.sim.metrics import Metrics
 
         assert Metrics().total_awake_time() == 0.0
+
+
+class TestLeanMetrics:
+    """A lean result's metrics hold scalars, not per-vertex maps: the
+    awake count, wake span and per-cause counts stay exact at any n,
+    and the one measure that needs the maps raises."""
+
+    AWAKE = 10**6
+
+    def _lean_dict(self):
+        return {
+            "algorithm": "flooding", "engine": "async", "n": self.AWAKE,
+            "messages": 3 * self.AWAKE, "bits": 7 * self.AWAKE,
+            "max_message_bits": 7, "time": 21.5, "time_all_awake": 0.2,
+            "all_awake": True, "asleep": [], "advice_max_bits": 0,
+            "advice_avg_bits": 0.0, "advice_total_bits": 0,
+            "metrics": {
+                "first_wake": 0.1, "last_activity": 21.6,
+                "events_processed": 4 * self.AWAKE,
+                "awake_count": self.AWAKE,
+                "wake_causes": {"message": self.AWAKE - 3, "adversary": 3},
+            },
+        }
+
+    def _assert_exact(self, metrics):
+        assert metrics.wake_time == {} and metrics.wake_cause == {}
+        assert metrics.awake_count() == self.AWAKE
+        # (0.1 + 0.2) - 0.1 != 0.2: the span is kept, not rebuilt
+        # from the first and last wake times.
+        assert metrics.time_all_awake == 0.2
+        assert metrics.wake_cause_counts() == {
+            "adversary": 3, "message": self.AWAKE - 3,
+        }
+        assert metrics.events_processed == 4 * self.AWAKE
+        with pytest.raises(SimulationError):
+            metrics.total_awake_time()
+
+    def test_from_lean_dict_keeps_scalars(self):
+        from repro.sim.runner import WakeUpResult
+
+        back = WakeUpResult.from_lean_dict(self._lean_dict())
+        self._assert_exact(back.metrics)
+        assert back.time_all_awake == 0.2
+        assert back.to_lean_dict() == self._lean_dict()
+
+    def test_pickled_lean_copy_keeps_scalars(self):
+        import pickle
+
+        from repro.sim.runner import WakeUpResult
+
+        back = WakeUpResult.from_lean_dict(self._lean_dict())
+        again = pickle.loads(pickle.dumps(back.lean()))
+        self._assert_exact(again.metrics)
+        assert again.summary() == back.summary()
+
+    def test_lean_copy_of_live_run(self):
+        import pickle
+
+        g = path_graph(6)
+        setup = make_setup(g, knowledge=Knowledge.KT0, seed=1)
+        adversary = Adversary(
+            WakeSchedule({0: 0.25, 5: 0.5}), UniformRandomDelay(seed=3)
+        )
+        live = run_wakeup(setup, Flooding(), adversary, engine="async")
+        lean = pickle.loads(pickle.dumps(live.lean()))
+        assert lean.metrics.wake_time == {} and lean.trace is None
+        assert lean.metrics.awake_count() == live.metrics.awake_count()
+        assert lean.metrics.time_all_awake == live.metrics.time_all_awake
+        assert lean.metrics.wake_cause_counts() == {
+            "adversary": 2, "message": 4,
+        }
+        assert live.metrics.total_awake_time() > 0
+        with pytest.raises(SimulationError):
+            lean.metrics.total_awake_time()

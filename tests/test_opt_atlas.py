@@ -181,9 +181,10 @@ class TestEntries:
         assert load_atlas(path) == atlas
         # A missing file is an empty atlas; a wrong file is an error.
         assert load_atlas(tmp_path / "absent.json") == empty_atlas()
-        (tmp_path / "junk.json").write_text('{"kind": "other"}')
-        with pytest.raises(ReproError):
-            load_atlas(tmp_path / "junk.json")
+        for junk in ('{"kind": "other"}', "null", "[1, 2]"):
+            (tmp_path / "junk.json").write_text(junk)
+            with pytest.raises(ReproError):
+                load_atlas(tmp_path / "junk.json")
 
     def test_check_atlas_passes_good_and_flags_bad(self, tmp_path):
         atlas = empty_atlas()
@@ -241,8 +242,11 @@ class TestArtifacts:
         # ones survive.
         stale = dict(data, salts=dict(data["salts"], engine="0" * 16))
         (adir / "stale.json").write_text(json.dumps(stale))
-        assert atlas_artifact_report(adir) == {"count": 2, "stale": 1}
-        assert purge_atlas_artifacts(adir, stale_only=True) == 1
+        (adir / "no-genome.json").write_text(
+            json.dumps(dict(stale, genome=None))
+        )
+        assert atlas_artifact_report(adir) == {"count": 3, "stale": 2}
+        assert purge_atlas_artifacts(adir, stale_only=True) == 2
         assert atlas_artifact_report(adir) == {"count": 1, "stale": 0}
         assert purge_atlas_artifacts(adir) == 1
         assert atlas_artifact_report(adir) == {"count": 0, "stale": 0}

@@ -15,6 +15,7 @@ The contract under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -24,6 +25,8 @@ import time
 import pytest
 
 from repro.core.base import WakeUpAlgorithm
+from repro.core.registry import get_algorithm
+from repro.errors import ReproError
 from repro.experiments.parallel import (
     CellSpec,
     ParallelSweepExecutor,
@@ -34,10 +37,12 @@ from repro.experiments.parallel import (
 from repro.experiments.storage import load_records, merge_records
 from repro.graphs.compile import clear_memory_cache
 from repro.experiments.sweeps import (
+    algorithm_model,
     parallel_sweep,
     rows_from_outcomes,
     sweep_cells,
 )
+from repro.experiments.table1 import table1_cells
 from repro.sim.node import NodeAlgorithm
 
 # The conformance grid: algorithms spanning engines (async/sync),
@@ -50,6 +55,58 @@ GRID_ALGORITHMS = [
 ]
 GRID_SIZES = [16, 24]
 GRID_SEEDS = [0, 1]
+
+
+#: sha256 over the space-joined cell keys of each grid in
+#: :func:`_pinned_grid`, with the salt vector fixed.
+PINNED_KEY_DIGESTS = {
+    "table1-seed4":
+        "7aad5893a23cea4cc17e5e0d480c283f69f7c2a35a349050f3925a977a9120f9",
+    "table1-seed5":
+        "25ab1b872c541a7c0a8e1f1a5e2eaf1c5ad65b9370e9e2cf56bd3369750e4157",
+    "fip06-tree-advice":
+        "b286ad104475694a02557a7ff217004a0fa66fa2ed9ada876555bd5d4ba93db6",
+    "sqrt-threshold-advice":
+        "9136738ce6601004a2a6bf39b4b8d131a119536cc4b99734f0500b9684860c65",
+    "child-encoding":
+        "b78331315fc33cfa276b722ad65383e64f05f90aeed3f435d3a3752830c6f6ab",
+    "log-spanner-advice":
+        "69b9721bba9a88e7c1f3453775a5e19f75f2fd92e16c322d502b700aef9f6b5a",
+    "dfs-rank":
+        "98fddfdf91db0984717c23e3073883f609a3c5ff8997a9e423526acab2d7d20a",
+    "controlled-vector":
+        "bfb80c540f663ee6f30137878cb4d1f20dd8d8d86c7ef46d7a32c725cf63ae35",
+}
+
+
+def _pinned_grid(name):
+    """The Table-1 cells (seeds 4 and 5), a theorem sweep's grid as
+    scripts/regen_experiments.py builds it, or one controlled cell
+    whose vector delay and choices are tuples."""
+    if name.startswith("table1-seed"):
+        return table1_cells(n=200, seed=int(name[len("table1-seed"):]))
+    if name == "controlled-vector":
+        return [
+            CellSpec(
+                algorithm="flooding", n=12, seed=3, knowledge="KT0",
+                workload={"kind": "er_single_wake", "avg_degree": 3.0,
+                          "seed": 3},
+                delay={"kind": "vector", "values": (0.25, 0.5, 1.0)},
+                controller={"kind": "replay", "choices": (0, 2, 1),
+                            "laziness": 0.5},
+            )
+        ]
+    knowledge, bandwidth, engine = algorithm_model(get_algorithm(name))
+    return sweep_cells(
+        name,
+        {"kind": "er_single_wake", "avg_degree": 6.0, "seed": 13},
+        sizes=[64, 128, 256, 512],
+        engine=engine,
+        knowledge=knowledge,
+        bandwidth=bandwidth,
+        trials=3,
+        seed=2,
+    )
 
 
 def _grid_cells():
@@ -244,6 +301,30 @@ class TestCacheKeys:
     def test_any_changed_input_changes_key(self, change):
         base = cell_key(CellSpec(**self.BASE))
         assert cell_key(CellSpec(**{**self.BASE, **change})) != base
+
+    @pytest.mark.parametrize("grid", sorted(PINNED_KEY_DIGESTS))
+    def test_keys_match_pinned_digests(self, grid, monkeypatch):
+        # The digests were computed when cell_key still deep-copied the
+        # spec through dataclasses.asdict; the salts are fixed so only
+        # the spec serialization is pinned.
+        import repro.experiments.parallel as parallel
+
+        monkeypatch.setattr(
+            parallel, "_cell_salts",
+            lambda spec: {"algorithms": "a", "engine": "e", "graphs": "g"},
+        )
+        keys = " ".join(cell_key(c) for c in _pinned_grid(grid))
+        digest = hashlib.sha256(keys.encode()).hexdigest()
+        assert digest == PINNED_KEY_DIGESTS[grid]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("algo_params", {"k": object()}), ("workload", {"kind": {1, 2}})],
+    )
+    def test_unencodable_field_raises_naming_it(self, field, value):
+        spec = CellSpec(**{**self.BASE, field: value})
+        with pytest.raises(ReproError, match=repr(field)):
+            cell_key(spec)
 
 
 # ----------------------------------------------------------------------
