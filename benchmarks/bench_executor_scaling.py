@@ -78,12 +78,11 @@ MIN_SKEWED_SPEEDUP = 1.7
 class PacedFlooding(Flooding):
     """Flooding with a calibrated wall-clock cost.
 
-    Spins in small sleeps (a single blocking sleep would also work
-    here, but small increments keep the per-cell watchdog responsive)
-    before delegating to the real algorithm on a tiny graph, so a
-    cell's cost is its ``pace`` parameter, not its compute.  The
-    actual wake-up run keeps the rows real — the pool-versus-inline
-    equality assertion below compares genuine sweep records.
+    Spins in small sleeps before delegating to the real algorithm on
+    a tiny graph, so a cell's cost is its ``pace`` parameter, not its
+    compute.  The actual wake-up run keeps the rows real — the
+    pool-versus-inline equality assertion below compares genuine sweep
+    records.
     """
 
     name = "bench-paced-flooding"

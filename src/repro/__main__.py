@@ -983,7 +983,6 @@ def _make_executor(args) -> ParallelSweepExecutor:
         progress=_make_progress(args),
         topology_dir=args.topology_dir,
         use_topology_store=(False if args.no_topology_store else None),
-        backend=getattr(args, "exec_backend", "steal"),
     )
 
 
@@ -1073,7 +1072,6 @@ def _cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         topology_dir=args.topology_dir,
         use_cache=not args.no_cache,
-        backend=args.backend,
     )
     # Under --metrics the wrapper in main() installed a live global
     # registry whose snapshot lands on disk at exit; route the serve
@@ -1632,17 +1630,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=0,
-        help="executor worker processes (default: in-process cells)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=("serial", "steal"),
-        default="steal",
-        help=(
-            "execution backend for multi-worker jobs: steal = the "
-            "worker pool, one cell per task, largest cells first; "
-            "serial = force inline (default: %(default)s)"
-        ),
+        help="executor worker processes (default: cells run in the "
+        "job process, or in one worker under a cell cap)",
     )
     p_serve.add_argument(
         "--no-cache", action="store_true",
@@ -1734,18 +1723,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help="worker processes (default: cpu count; 0/1 = in-process)",
     )
     parser.add_argument(
-        "--exec-backend",
-        choices=("serial", "steal"),
-        default="steal",
-        help=(
-            "execution backend for the multi-worker path "
-            "(repro.experiments.backends): steal = the worker pool, "
-            "one cell per task, largest cells first; serial = force "
-            "inline. Rows are bit-identical across both "
-            "(default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="skip the on-disk result cache (force recompute)",
@@ -1759,7 +1736,8 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "--cell-timeout",
         type=float,
         default=None,
-        help="per-cell wall-clock budget in seconds",
+        help="per-cell wall-clock budget in seconds; a budgeted "
+        "cell runs in a worker process, killed when it overruns",
     )
     parser.add_argument(
         "--topology-dir",

@@ -15,11 +15,18 @@ after, both on its own pipe, which only that worker writes.  A worker
 that dies (a SIGKILL'd cell, the OOM killer) therefore shows up as the
 end of its pipe, after everything it sent, and costs exactly the one
 cell it announced: that cell drains as ``None`` and the executor
-retries it in its isolated single-worker pool.  The survivors keep
-taking cells.
+retries it in a one-worker pool.
 
-``backend="serial"`` (``--exec-backend serial``) is not a pool: the
-executor runs cells inline, as it does for ``workers`` 0 and 1.
+The pool also enforces ``cell_timeout``.  The parent notes when each
+announcement arrives; a cell whose budget runs out before its payload
+does has its worker killed and drains as a ``timeout`` payload.  Ending
+the process is what bounds the cell, so a pure-Python loop, a blocked
+``sleep`` and a long C call all stop on time.  A worker that ends while
+holding a cell is replaced by a fresh one on the same cursor, so the
+pool keeps its width.  Nothing a killed worker held can stall the
+others: the cursor's lock is a POSIX record lock and the topology
+store's per-key lock an ``flock``, and the kernel drops both with the
+process.
 
 Determinism contract: the pool only decides *where and when* a cell
 runs.  Every cell still executes via
@@ -30,13 +37,15 @@ enforced by the conformance tests in ``tests/test_backends.py``.
 
 from __future__ import annotations
 
+import fcntl
+import tempfile
+import time
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
-def _steal_worker(order, cursor, conn, specs, cell_timeout, topology_store,
-                  collect):
+def _steal_worker(order, cursor, lock, conn, specs, topology_store, collect):
     """Worker-process loop: take the next cell, announce it, run it,
     send the payload.  ``run_cell`` is looked up on its module at call
     time, so a wrapper installed there before the fork is the one that
@@ -44,16 +53,18 @@ def _steal_worker(order, cursor, conn, specs, cell_timeout, topology_store,
     from repro.experiments import parallel
 
     while True:
-        with cursor.get_lock():
-            at = cursor.value
-            cursor.value = at + 1
+        # A lockf lock belongs to its process, so a worker killed while
+        # holding it releases it.
+        fcntl.lockf(lock, fcntl.LOCK_EX)
+        at = cursor.value
+        cursor.value = at + 1
+        fcntl.lockf(lock, fcntl.LOCK_UN)
         if at >= len(order):
             return
         index = order[at]
         conn.send(("start", index))
         payload = parallel.run_cell(
             specs[index],
-            cell_timeout,
             topology_store=topology_store,
             collect_metrics=collect,
         )
@@ -62,11 +73,6 @@ def _steal_worker(order, cursor, conn, specs, cell_timeout, topology_store,
 
 class WorkStealingBackend:
     """N forked workers stealing cells, largest ``n`` first."""
-
-    #: Longest wait for a worker message.  A bounded wait lets an
-    #: exception raised into this thread (the serve daemon's job
-    #: budget) land promptly; it cannot land inside a blocking call.
-    _POLL_S = 0.1
 
     def __init__(
         self,
@@ -85,71 +91,117 @@ class WorkStealingBackend:
     ) -> Iterator[Tuple[int, Optional[Dict[str, Any]]]]:
         """Run every spec; yield ``(index, payload)`` once per spec, in
         completion order, with ``payload=None`` for a cell whose worker
-        died.  Closing the generator early kills the workers."""
+        died and a ``timeout`` payload for one that overran
+        ``cell_timeout``.  Closing the generator early kills the
+        workers."""
         if not specs:
             return
         ctx = get_context("fork")
         order = sorted(
             range(len(specs)), key=lambda i: specs[i].n, reverse=True
         )
-        cursor = ctx.Value("q", 0)
-        holding: Dict[Any, Optional[int]] = {}  # pipe -> announced cell
-        procs: List[Any] = []
+        cursor = ctx.RawValue("q", 0)
+        lock = tempfile.TemporaryFile()
+        budget = self.cell_timeout
+        # pipe -> [worker process, announced cell or None, announced at]
+        running: Dict[Any, List[Any]] = {}
+
+        def fork() -> None:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_steal_worker,
+                args=(
+                    order,
+                    cursor,
+                    lock,
+                    send,
+                    specs,
+                    self.topology_store,
+                    self.collect_metrics,
+                ),
+                daemon=True,
+            )
+            proc.start()
+            # Close the parent's write end before the next fork, so the
+            # worker holds the only one and its exit is EOF.
+            send.close()
+            running[recv] = [proc, None, 0.0]
+
+        def retire(conn) -> None:
+            """Forget an ended worker; replace it if it held a cell
+            (each replacement is paid for by a consumed cell) and the
+            cursor has cells left."""
+            proc, index, _ = running.pop(conn)
+            conn.close()
+            proc.join()
+            if index is not None and cursor.value < len(order):
+                fork()
+
         try:
             for _ in range(min(self.workers, len(specs))):
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_steal_worker,
-                    args=(
-                        order,
-                        cursor,
-                        send,
-                        specs,
-                        self.cell_timeout,
-                        self.topology_store,
-                        self.collect_metrics,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                # Close the parent's write end before the next fork, so
-                # the worker holds the only one and its exit is EOF.
-                send.close()
-                procs.append(proc)
-                holding[recv] = None
+                fork()
             unfinished = set(range(len(specs)))
-            while holding:
-                for conn in wait(list(holding), self._POLL_S):
+            while running:
+                timeout = None
+                if budget is not None:
+                    starts = [
+                        since for _, index, since in running.values()
+                        if index is not None
+                    ]
+                    if starts:
+                        timeout = max(
+                            0.0, min(starts) + budget - time.monotonic()
+                        )
+                for conn in wait(list(running), timeout):
+                    worker = running[conn]
                     try:
                         msg = conn.recv()
                     except (EOFError, OSError):
                         # The worker is gone; a cell it announced but
                         # never finished died with it.
-                        index = holding.pop(conn)
-                        conn.close()
+                        index = worker[1]
+                        retire(conn)
                         if index is not None:
                             unfinished.discard(index)
                             yield index, None
                         continue
                     if msg[0] == "start":
-                        holding[conn] = msg[1]
+                        worker[1], worker[2] = msg[1], time.monotonic()
                     else:
-                        holding[conn] = None
+                        worker[1] = None
                         unfinished.discard(msg[1])
                         yield msg[1], msg[2]
-            # Cells no worker announced (every worker died before the
-            # cursor ran out) can no longer run here.
+                if budget is None:
+                    continue
+                now = time.monotonic()
+                for conn, (proc, index, since) in list(running.items()):
+                    if index is None or now - since < budget or conn.poll():
+                        continue
+                    # Over budget with no payload waiting: the cell ends
+                    # with its worker.
+                    proc.kill()
+                    retire(conn)
+                    unfinished.discard(index)
+                    yield index, {
+                        "ok": False,
+                        "status": "timeout",
+                        "error": f"cell exceeded {budget}s budget",
+                        "error_kind": "Timeout",
+                        "duration": now - since,
+                    }
+            # Cells no worker announced (one died between claiming and
+            # announcing a cell, or every worker died before the cursor
+            # ran out) can no longer run here.
             for index in sorted(unfinished):
                 yield index, None
         finally:
-            for proc in procs:
-                if proc.is_alive():  # the caller stopped early
-                    proc.kill()
+            for conn, (proc, _, _) in running.items():
+                proc.kill()  # the caller stopped early
                 proc.join()
-            for conn in holding:
                 conn.close()
+            lock.close()
 
 
-#: Pool registry, keyed by ``--exec-backend`` name.  ``serial`` is the
-#: executor's inline path and has no pool.
+#: Every pool class, by name.  Instrumentation (perfbench's tracer)
+#: finds the pool's ``drain`` through this map.
 BACKENDS = {"steal": WorkStealingBackend}

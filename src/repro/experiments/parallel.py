@@ -18,9 +18,11 @@ Design constraints, in order:
 2. **Robustness.**  A cell that raises
    :class:`~repro.errors.WakeUpFailure`, times out, or takes its worker
    down mid-task becomes a structured failed-cell record in the sweep
-   output; it never aborts the sweep.  A crashed worker is retried once
-   (in an isolated single-worker pool so a deterministic crasher cannot
-   poison its neighbours' retry budget).
+   output; it never aborts the sweep.  A budgeted cell always runs in a
+   worker process, and the pool kills the worker when the budget runs
+   out.  A crashed worker is retried once (in an isolated one-worker
+   pool so a deterministic crasher cannot poison its neighbours' retry
+   budget).
 3. **Cache safety.**  Cache entries are keyed by a content hash of the
    full cell spec plus the *derived* per-subsystem code salts
    (:mod:`repro.versioning`): the engine salt, the graphs salt, and
@@ -43,15 +45,12 @@ import importlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.deadline import Watchdog
 from repro.errors import ReproError, WakeUpFailure
+from repro.experiments.backends import WorkStealingBackend
 from repro.graphs.compile import (
     DEFAULT_TOPOLOGY_DIR,
     TopologyStore,
@@ -281,10 +280,6 @@ def _build_controller(spec: Dict[str, Any]):
     raise ReproError(f"unknown controller kind {kind!r}")
 
 
-class _CellTimeout(Exception):
-    pass
-
-
 def _execute_cell(
     spec: CellSpec,
     scratch: Optional[Dict[str, Any]] = None,
@@ -360,21 +355,17 @@ def _execute_cell(
 
 def run_cell(
     spec: CellSpec,
-    cell_timeout: Optional[float] = None,
     topology_store: Optional[TopologyStore] = None,
     collect_metrics: bool = False,
 ) -> Dict[str, Any]:
     """Worker entry point for one cell: never raises.
 
-    Failures come back as structured payloads; the per-cell timeout is
-    enforced worker-side with a :class:`repro.deadline.Watchdog` — a
-    timer thread that raises into this thread at the next bytecode
-    boundary, interrupting even a CPU-bound engine loop — so a slow
-    cell costs its budget and nothing more.  Unlike the original
-    ``SIGALRM`` implementation this works from *any* thread: the
-    :mod:`repro.serve` daemon's job workers run cells off the main
-    thread, where an alarm can never be armed (the budget used to be
-    silently unenforced there).
+    Failures come back as structured payloads.  ``run_cell`` holds no
+    budget: the executor runs every cell under ``cell_timeout`` in a
+    pool worker (:mod:`repro.experiments.backends`), and the pool kills
+    that worker when the budget runs out, so a slow cell costs its
+    budget and nothing more, whatever it is doing and from whichever
+    thread the executor was called.
     When the spec enables a flight recorder, every failure payload
     carries ``trace_tail`` — the last events before things went wrong.
 
@@ -395,62 +386,28 @@ def run_cell(
     if collect_metrics:
         local_registry = MetricsRegistry()
         prev_registry = set_global_registry(local_registry)
-    watchdog = (
-        Watchdog(cell_timeout, exc_type=_CellTimeout)
-        if cell_timeout is not None
-        else None
-    )
-    timeout_payload = {
-        "ok": False,
-        "status": "timeout",
-        "error": f"cell exceeded {cell_timeout}s budget",
-        "error_kind": "Timeout",
-    }
     try:
-        try:
-            # The timer is armed *inside* the try so a very short budget
-            # cannot fire in the gap before the except clauses are live.
-            if watchdog is not None:
-                watchdog.start()
-            payload = _execute_cell(
-                spec, scratch, topology_store=topology_store
-            )
-            payload["ok"] = True
-            payload["status"] = "ok"
-        except _CellTimeout:
-            watchdog.mark_caught()
-            payload = timeout_payload
-        except WakeUpFailure as exc:
-            payload = {
-                "ok": False,
-                "status": "failed",
-                "error": str(exc),
-                "error_kind": "WakeUpFailure",
-                "asleep": sorted(repr(v) for v in exc.asleep),
-            }
-        except Exception as exc:  # noqa: BLE001 — structured, not swallowed
-            payload = {
-                "ok": False,
-                "status": "failed",
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": type(exc).__name__,
-            }
-        finally:
-            if watchdog is not None:
-                watchdog.cancel()
-    except _CellTimeout:
-        # The expiry was already in flight when an except/finally clause
-        # above ran; the watchdog is one-shot, so just record it.
-        watchdog.mark_caught()
-        payload = timeout_payload
+        payload = _execute_cell(spec, scratch, topology_store=topology_store)
+        payload["ok"] = True
+        payload["status"] = "ok"
+    except WakeUpFailure as exc:
+        payload = {
+            "ok": False,
+            "status": "failed",
+            "error": str(exc),
+            "error_kind": "WakeUpFailure",
+            "asleep": sorted(repr(v) for v in exc.asleep),
+        }
+    except Exception as exc:  # noqa: BLE001 — structured, not swallowed
+        payload = {
+            "ok": False,
+            "status": "failed",
+            "error": f"{type(exc).__name__}: {exc}",
+            "error_kind": type(exc).__name__,
+        }
     finally:
         if local_registry is not None:
             set_global_registry(prev_registry)
-    if watchdog is not None and watchdog.absorb():
-        # The deadline expired: the verdict is a timeout even when the
-        # cell raced it to completion, and absorb() guarantees no
-        # in-flight _CellTimeout can detonate in a later frame.
-        payload = timeout_payload
     if not payload.get("ok") and scratch.get("trace") is not None:
         payload["trace_tail"] = scratch["trace"].tail()
     if local_registry is not None:
@@ -545,13 +502,11 @@ class ParallelSweepExecutor:
     workers:
         Process count; ``None`` means ``os.cpu_count()``.  ``0`` or
         ``1`` runs cells inline in this process (the serial baseline —
-        same code path as the workers, no pool overhead).
-    backend:
-        ``"steal"`` (default) runs the multi-worker path on the
-        work-stealing pool of :mod:`repro.experiments.backends`: one
-        cell per task, largest ``n`` first.  ``"serial"`` forces the
-        inline path regardless of ``workers``.  Rows are bit-identical
-        either way; the pool only reorders wall-clock work.
+        same code path as the workers, no pool overhead); more run them
+        on the work-stealing pool of :mod:`repro.experiments.backends`:
+        one cell per task, largest ``n`` first.  Rows are
+        bit-identical either way; the pool only reorders wall-clock
+        work.
     cache_dir / use_cache:
         On-disk memoization of successful cells, keyed by
         :func:`cell_key`.  Failures are never cached.
@@ -568,11 +523,14 @@ class ParallelSweepExecutor:
         "topology.hit_disk"]`` plus one ``topology_stats`` telemetry
         event per sweep.
     cell_timeout:
-        Per-cell wall-clock budget in seconds, enforced inside the
-        worker; an overrun becomes a ``"timeout"`` outcome.
+        Per-cell wall-clock budget in seconds.  A budgeted cell always
+        runs in a pool worker (a one-worker pool when ``workers`` is 0
+        or 1), which the pool kills when the budget runs out; the
+        overrun becomes a ``"timeout"`` outcome with no
+        ``metrics_delta`` and no ``trace_tail``, like a crashed cell.
     retries:
         How often a cell whose *worker process died* is retried (in an
-        isolated single-worker pool).  Default 1.
+        isolated one-worker pool).  Default 1.
     recorder:
         Telemetry sink (:mod:`repro.obs`).  The executor frames the
         sweep with ``sweep_start``/``sweep_end`` and publishes a
@@ -612,16 +570,7 @@ class ParallelSweepExecutor:
         topology_dir: Union[str, Path] = DEFAULT_TOPOLOGY_DIR,
         use_topology_store: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
-        backend: str = "steal",
     ):
-        from repro.experiments.backends import BACKENDS
-
-        if backend != "serial" and backend not in BACKENDS:
-            raise ReproError(
-                f"unknown execution backend {backend!r}; "
-                f"known: {sorted(['serial', *BACKENDS])}"
-            )
-        self.backend = backend
         self.workers = os.cpu_count() or 1 if workers is None else workers
         self.cache_dir = Path(cache_dir)
         self.use_cache = use_cache
@@ -659,10 +608,7 @@ class ParallelSweepExecutor:
         collect = mreg.enabled
         if self.recorder.enabled:
             self.recorder.emit(
-                "sweep_start",
-                cells=len(cells),
-                workers=self.workers,
-                backend=self.backend,
+                "sweep_start", cells=len(cells), workers=self.workers
             )
         if self.progress is not None:
             self.progress.start(len(cells), self.workers)
@@ -692,11 +638,10 @@ class ParallelSweepExecutor:
             mreg.gauge("repro_executor_cells_queued").set(len(misses))
 
         if misses:
-            if self.workers <= 1 or self.backend == "serial":
+            if self.workers <= 1 and self.cell_timeout is None:
                 for idx, spec, key in misses:
                     payload = run_cell(
                         spec,
-                        self.cell_timeout,
                         topology_store=self._topology_store,
                         collect_metrics=collect,
                     )
@@ -822,6 +767,14 @@ class ParallelSweepExecutor:
         self._maybe_cache(key, payload, spec)
         self._publish(outcomes[idx])
 
+    def _pool(self, workers: int, collect: bool) -> WorkStealingBackend:
+        return WorkStealingBackend(
+            workers,
+            cell_timeout=self.cell_timeout,
+            topology_store=self._topology_store,
+            collect_metrics=collect,
+        )
+
     def _run_pool(
         self,
         misses: List[Tuple[int, CellSpec, str]],
@@ -832,16 +785,10 @@ class ParallelSweepExecutor:
         (:mod:`repro.experiments.backends`), one cell per task; a cell
         drained as ``None`` lost its worker process and falls through
         to :meth:`_run_isolated` for retry."""
-        from repro.experiments.backends import BACKENDS
-
-        pool = BACKENDS[self.backend](
-            self.workers,
-            cell_timeout=self.cell_timeout,
-            topology_store=self._topology_store,
-            collect_metrics=collect,
-        )
         crashed: List[Tuple[int, CellSpec, str]] = []
-        results = pool.drain([spec for _, spec, _ in misses])
+        results = self._pool(self.workers, collect).drain(
+            [spec for _, spec, _ in misses]
+        )
         try:
             for i, payload in results:
                 if payload is None:
@@ -859,14 +806,13 @@ class ParallelSweepExecutor:
         outcomes: Dict[int, CellOutcome],
         collect: bool = False,
     ) -> None:
-        """Post-crash path: one fresh single-worker pool per cell, so a
-        deterministically crashing cell cannot consume its neighbours'
-        retry budget.  Each cell gets ``retries`` extra attempts."""
-        ctx = get_context("fork")
+        """Post-crash path: each cell alone in a fresh one-worker pool,
+        so a deterministically crashing cell cannot consume its
+        neighbours' retry budget.  Each cell gets ``retries`` extra
+        attempts."""
+        pool = self._pool(1, collect)
         for idx, spec, key in cells:
-            attempts = 0
-            while True:
-                attempts += 1
+            for attempts in range(1, self.retries + 2):
                 if attempts > 1:
                     if self.recorder.enabled:
                         self.recorder.emit(
@@ -877,34 +823,19 @@ class ParallelSweepExecutor:
                         self._mreg.counter(
                             "repro_executor_cell_retries_total"
                         ).inc()
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=1, mp_context=ctx
-                    ) as pool:
-                        payload = pool.submit(
-                            run_cell,
-                            spec,
-                            self.cell_timeout,
-                            self._topology_store,
-                            collect,
-                        ).result()
-                except BrokenProcessPool:
-                    if attempts <= self.retries:
-                        continue
-                    outcomes[idx] = CellOutcome(
-                        spec=spec,
-                        key=key,
-                        status="crashed",
-                        error=(
-                            "worker process died "
-                            f"({attempts} attempt(s))"
-                        ),
-                        attempts=attempts,
-                    )
-                    self._publish(outcomes[idx])
+                ((_, payload),) = pool.drain([spec])
+                if payload is not None:
+                    self._land(idx, spec, key, payload, outcomes, attempts)
                     break
-                self._land(idx, spec, key, payload, outcomes, attempts)
-                break
+            else:
+                outcomes[idx] = CellOutcome(
+                    spec=spec,
+                    key=key,
+                    status="crashed",
+                    error=f"worker process died ({attempts} attempt(s))",
+                    attempts=attempts,
+                )
+                self._publish(outcomes[idx])
 
     # -- cache -----------------------------------------------------------
     def _cache_path(self, key: str) -> str:
@@ -957,7 +888,9 @@ class ParallelSweepExecutor:
         matches the current code and removes the rest (superseded
         salts, legacy v1 envelopes, unreadable files) — the surgical
         successor of the old all-or-nothing purge, surfaced as
-        ``repro cache purge --stale``."""
+        ``repro cache purge --stale``.  A full purge also deletes the
+        temp files of writers killed between write and rename; a
+        stale-only one keeps them, since a live writer may own them."""
         removed = 0
         if self.cache_dir.is_dir():
             for entry in self.cache_dir.rglob("*.json"):
@@ -967,6 +900,9 @@ class ParallelSweepExecutor:
                         continue
                 entry.unlink()
                 removed += 1
+            if not stale_only:
+                for entry in self.cache_dir.rglob("*.tmp.*"):
+                    entry.unlink()
         return removed
 
 

@@ -623,8 +623,12 @@ class TopologyStore:
                 path.unlink()
                 removed += 1
             if not stale_only:
-                for entry in self.root.rglob("*.lock"):
-                    entry.unlink()
+                # Lock files, and the temp files of writers killed
+                # between write and rename (a live writer may own one,
+                # so a stale-only purge keeps them).
+                for pattern in ("*.lock", "*.tmp.*"):
+                    for entry in self.root.rglob(pattern):
+                        entry.unlink()
         return removed
 
     def artifact_count(self) -> int:

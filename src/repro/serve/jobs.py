@@ -10,10 +10,10 @@ hash into the executor's cell cache exactly as CLI sweeps do, so a job
 overlapping an earlier one (same algorithm, subset of sizes) re-executes
 only the cells nobody has computed yet.
 
-Execution is budgeted twice: per-cell (``cell_timeout``, enforced
-inside :func:`repro.experiments.parallel.run_cell` by a
-:class:`repro.deadline.Watchdog`) and per-job (the daemon's wall
-budget, a second watchdog around :func:`execute_job` — see
+Execution is budgeted twice, and each budget ends a process: per cell
+(``cell_timeout``: the executor's pool kills the worker running the
+cell) and per job (the daemon's wall budget: the runner kills the
+process group of the job process that runs :func:`execute_job` — see
 :mod:`repro.serve.server`).
 """
 

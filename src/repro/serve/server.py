@@ -5,7 +5,8 @@ sweep/check/worstcase jobs from many concurrent clients — the software
 analogue of the paper's adversarial arrival model: work shows up at
 unpredictable times and the system must stay responsive and bounded.
 
-Architecture (one process, three thread roles):
+Architecture (one daemon process, three thread roles, one job process
+at a time):
 
 * **accept loop** — takes connections off the listener, one handler
   thread per connection (the protocol is one request per connection,
@@ -18,6 +19,13 @@ Architecture (one process, three thread roles):
   deduplication free: overlapping jobs admitted together run one after
   another against the same cell cache, so each distinct cell executes
   exactly once (the later job replays it as a cache hit).
+* **job process** — the runner forks one per job.  It leads its own
+  process group (its pool workers join it), installs a fresh metrics
+  registry as the global one, relays its telemetry to the runner over
+  a pipe, and ends by sending its result (or error) plus the registry
+  snapshot.  The runner publishes the relayed events to the job's
+  watchers and merges the snapshot into the daemon registry under the
+  metrics lock, which guards every access to that registry.
 
 Admission control — every path produces a *structured* rejection line,
 never a dropped connection:
@@ -28,18 +36,19 @@ never a dropped connection:
   thousands of queued jobs degrade into fast rejections, not
   unbounded memory).
 
-Budgets: each cell runs under the executor's ``cell_timeout`` watchdog
-and the whole job under a second :class:`repro.deadline.Watchdog`
-(``job_timeout``).  ``JobTimeout`` derives from ``BaseException`` so
-the broad ``except Exception`` inside cell execution cannot swallow
-the job-level deadline.  Both watchdogs work precisely because the
-budget machinery no longer depends on SIGALRM: the runner is not the
-main thread.
+Budgets end processes.  A cell over ``cell_timeout`` has its pool
+worker killed by the executor (a job with a cell cap therefore runs its
+cells in a worker even at ``workers`` 0).  At ``job_timeout`` the
+runner kills the job's whole process group, pool workers included, and
+drops whatever the job had not yet sent in full: a killed job adds
+nothing to the daemon registry but its ``repro_serve_*`` entries, and
+no event is half-published.
 
 A crashed or timed-out cell is already a structured outcome at the
-executor layer; a job that raises, times out, or is cancelled by
-shutdown becomes a structured ``failed``/``timeout`` job record — the
-daemon itself keeps serving either way.
+executor layer; a job that raises, times out, dies without its final
+message, or is cancelled by shutdown becomes a structured
+``failed``/``timeout`` job record — the daemon itself keeps serving
+either way.
 """
 
 from __future__ import annotations
@@ -47,22 +56,27 @@ from __future__ import annotations
 import contextlib
 import os
 import queue
+import signal
 import socket
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.deadline import Watchdog
 from repro.experiments.parallel import (
     DEFAULT_CACHE_DIR,
     ParallelSweepExecutor,
 )
 from repro.graphs.compile import DEFAULT_TOPOLOGY_DIR
 from repro.obs.events import serialize_event
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    emit_snapshot,
+    set_global_registry,
+)
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.serve.jobs import (
     canonical_spec,
@@ -77,11 +91,6 @@ from repro.serve.protocol import (
     dump_line,
     parse_request,
 )
-
-
-class JobTimeout(BaseException):
-    """Job wall-budget expiry.  A ``BaseException`` so per-cell
-    ``except Exception`` handlers inside the job cannot absorb it."""
 
 
 #: States a job can be observed in; the last three are terminal.
@@ -101,12 +110,9 @@ class ServeConfig:
     job_timeout: Optional[float] = 120.0
     #: Per-cell budget cap; job specs may ask for less, never more.
     cell_timeout: Optional[float] = 30.0
-    #: Executor worker processes (0/1 = in-process cells).
+    #: Executor worker processes (0/1 = cells in the job process,
+    #: unless a cell budget applies).
     workers: int = 0
-    #: Execution backend for multi-worker jobs: ``steal`` (the worker
-    #: pool, one cell per task, largest cells first) or ``serial``
-    #: (inline); rows are backend-independent.
-    backend: str = "steal"
     cache_dir: str = str(DEFAULT_CACHE_DIR)
     topology_dir: str = str(DEFAULT_TOPOLOGY_DIR)
     use_cache: bool = True
@@ -220,6 +226,18 @@ class _JobRecorder(Recorder):
             self._tee.write(event)
 
 
+class _PipeRecorder(Recorder):
+    """A job process's telemetry sink: every event goes to the runner,
+    which publishes it through the job's :class:`_JobRecorder`."""
+
+    def __init__(self, conn):
+        super().__init__()
+        self._conn = conn
+
+    def write(self, event: Dict[str, Any]) -> None:
+        self._conn.send(("event", event))
+
+
 class SweepServer:
     """See the module docstring for the threading/admission model."""
 
@@ -237,11 +255,12 @@ class SweepServer:
             maxsize=self.config.max_queue
         )
         self._lock = threading.Lock()  # _jobs + depth bookkeeping
-        self._mlock = threading.Lock()  # handler-side metric writes
+        self._mlock = threading.Lock()  # every daemon-registry access
         self._depth = 0  # admitted, not yet terminal
         self._shutdown = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
+        self._job_proc: Optional[Any] = None  # the running job process
         self.started_at = time.time()
 
     # -- lifecycle -------------------------------------------------------
@@ -279,10 +298,15 @@ class SweepServer:
 
     def stop(self) -> None:
         """Stop accepting; fail queued jobs structurally; wait for the
-        runner to finish the in-flight job."""
+        runner to finish the in-flight job, and kill the job's process
+        group if that takes longer than 30 s."""
         self._shutdown.set()
         for t in self._threads:
             t.join(timeout=30.0)
+        proc = self._job_proc
+        if proc is not None:  # not daemonic: exit would wait for it
+            with contextlib.suppress(OSError):
+                os.killpg(proc.pid, signal.SIGKILL)
         if self._listener is not None:
             with contextlib.suppress(OSError):
                 self._listener.close()
@@ -521,7 +545,10 @@ class SweepServer:
                 continue
             if job is None:
                 continue
-            self._run_job(job)
+            try:
+                self._run_job(job)
+            except OSError as exc:  # e.g. no memory left to fork
+                self._finish_job(job, "failed", None, str(exc), 0.0)
 
     def _make_executor(
         self, job: Job, rec: Recorder
@@ -541,8 +568,6 @@ class SweepServer:
             cell_timeout=cell_timeout,
             recorder=rec,
             topology_dir=self.config.topology_dir,
-            metrics=self.metrics,
-            backend=self.config.backend,
         )
 
     def _run_job(self, job: Job) -> None:
@@ -551,45 +576,74 @@ class SweepServer:
         job.started = time.time()
         start = time.perf_counter()
         rec.emit("job_start", job=job.id, job_kind=job.spec["kind"])
-        status: str = "done"
-        result: Optional[Dict[str, Any]] = None
-        error: Optional[str] = None
         budget = self.config.job_timeout
-        dog = (
-            Watchdog(budget, exc_type=JobTimeout)
-            if budget is not None
-            else None
-        )
+        ctx = get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        # Built here, so what it derives once (the graphs salt) stays
+        # in the daemon for every later job.
+        executor = self._make_executor(job, _PipeRecorder(send))
+        # Not daemonic: a daemonic process may not fork the pool.
+        proc = ctx.Process(target=_job_main, args=(job.spec, executor, send))
+        proc.start()
+        send.close()
+        with contextlib.suppress(OSError):  # the child may have exited
+            os.setpgid(proc.pid, proc.pid)
+        self._job_proc = proc
+        final = None
+        timed_out = snapshot_due = False
         try:
-            try:
-                if dog is not None:
-                    dog.start()
-                executor = self._make_executor(job, rec)
-                result = execute_job(job.spec, executor, recorder=rec)
-                # A sweep whose cells crashed / timed out / failed is a
-                # *failed job* with the per-cell records attached — not
-                # a "done" job with bad news buried in the payload.
-                bad = (result or {}).get("failed_cells") or []
-                if bad:
-                    status = "failed"
-                    error = "{} cell(s) did not complete ({})".format(
-                        len(bad),
-                        ", ".join(sorted({str(c["status"]) for c in bad})),
-                    )
-            except JobTimeout:
-                dog.mark_caught()
-                status, error = "timeout", _budget_msg(budget)
-            except Exception as exc:  # the job failed, not the daemon
-                status = "failed"
-                error = f"{type(exc).__name__}: {exc}"
-            finally:
-                if dog is not None:
-                    dog.cancel()
-        except JobTimeout:
-            dog.mark_caught()
-            status, error, result = "timeout", _budget_msg(budget), None
-        if dog is not None and dog.absorb():
-            status, error, result = "timeout", _budget_msg(budget), None
+            while final is None:
+                left = None
+                if budget is not None:
+                    left = max(0.0, start + budget - time.perf_counter())
+                if not recv.poll(left):
+                    timed_out = True
+                    break
+                try:
+                    msg = recv.recv()
+                except (EOFError, OSError):
+                    break  # exited or died before its final message
+                if msg[0] != "event":
+                    final = msg
+                elif msg[1]["kind"] == "metrics_snapshot":
+                    # Published below as the daemon registry's, once
+                    # this job's metrics are merged into it, so the
+                    # stream's snapshots only ever accumulate.
+                    snapshot_due = True
+                else:
+                    rec.write(msg[1])
+        finally:
+            # Whatever the outcome, nothing the job forked outlives it.
+            with contextlib.suppress(OSError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.join()
+            recv.close()
+            self._job_proc = None
+        status, result, error = "failed", None, None
+        if timed_out:
+            status, error = "timeout", _budget_msg(budget)
+        elif final is None:
+            error = (
+                f"job process died (exit code {proc.exitcode}) "
+                "before sending its result"
+            )
+        else:
+            _, result, error, snapshot = final
+            with self._mlock:
+                self.metrics.merge_snapshot(snapshot)
+                if snapshot_due:
+                    emit_snapshot(rec, self.metrics)
+            # A sweep whose cells crashed / timed out / failed is a
+            # *failed job* with the per-cell records attached — not a
+            # "done" job with bad news buried in the payload.
+            bad = (result or {}).get("failed_cells") or []
+            if bad:
+                error = "{} cell(s) did not complete ({})".format(
+                    len(bad),
+                    ", ".join(sorted({str(c["status"]) for c in bad})),
+                )
+            elif error is None:
+                status = "done"
         duration = time.perf_counter() - start
         rec.emit("job_end", job=job.id, status=status, duration=duration)
         self._finish_job(job, status, result, error, duration)
@@ -616,17 +670,31 @@ class SweepServer:
             self.metrics.gauge("repro_serve_queue_depth").set(depth)
 
     def _metrics_snapshot(self) -> Dict[str, Any]:
-        # The runner mutates the registry concurrently; a snapshot
-        # taken mid-insert can hit a dict-changed-during-iteration —
-        # retry, it settles immediately.
-        for _ in range(8):
-            try:
-                with self._mlock:
-                    return self.metrics.snapshot()
-            except RuntimeError:
-                continue
-        return {"counters": {}, "gauges": {}, "histograms": {},
-                "schema": 0}
+        with self._mlock:
+            return self.metrics.snapshot()
+
+
+def _job_main(
+    spec: Dict[str, Any], executor: ParallelSweepExecutor, conn
+) -> None:
+    """Body of a job process: run the job against a fresh global
+    registry, relay its events over ``conn`` (the executor's recorder
+    writes there), then send the result (or the error) and the
+    registry snapshot.
+
+    The daemon forks this from a thread while other threads may hold
+    the server's locks, so it takes none of them: it writes only to its
+    own registry and pipe."""
+    os.setpgid(0, 0)  # the runner sets it too; whichever runs first
+    registry = MetricsRegistry()
+    set_global_registry(registry)
+    result: Optional[Dict[str, Any]] = None
+    error: Optional[str] = None
+    try:
+        result = execute_job(spec, executor, recorder=executor.recorder)
+    except Exception as exc:  # the job failed, not the daemon
+        error = f"{type(exc).__name__}: {exc}"
+    conn.send(("end", result, error, registry.snapshot()))
 
 
 def _budget_msg(budget: Optional[float]) -> str:

@@ -106,7 +106,6 @@ SUBSYSTEMS: Dict[str, Tuple[str, ...]] = {
         "repro.apps",
         "repro.versioning",
         "repro.errors",
-        "repro.deadline",
         "repro.__main__",
     ),
 }

@@ -8,7 +8,8 @@ The contract:
   largest `n` first, so a big cell starts before any small one ends,
   yet outcomes come back in input order;
 * **fault isolation** — a worker SIGKILL becomes a structured
-  crashed-cell record while every other cell completes;
+  crashed-cell record, and a cell over its budget a ``timeout`` record
+  that ends only its own worker, while every other cell completes;
 * **migration** — legacy (pre-salt-vector) cache envelopes are
   classified stale, re-executed transparently, and produce identical
   rows; `purge --stale` removes exactly them.
@@ -23,8 +24,7 @@ import time
 import pytest
 
 from repro.core.flooding import Flooding
-from repro.errors import ReproError
-from repro.experiments.backends import BACKENDS
+from repro.experiments.backends import BACKENDS, WorkStealingBackend
 from repro.experiments.parallel import (
     CellSpec,
     ParallelSweepExecutor,
@@ -65,38 +65,64 @@ def _fault_cell(algorithm, n=12, **kw):
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# Path selection: `workers` and the cell budget, no backend knob
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_known_backends(self):
-        # One pool; "serial" is the executor's inline path.
+        # One pool, and no executor parameter to pick another.
         assert set(BACKENDS) == {"steal"}
-        assert ParallelSweepExecutor().backend == "steal"
-        ParallelSweepExecutor(backend="serial")
-        with pytest.raises(ReproError, match="unknown execution backend"):
-            ParallelSweepExecutor(backend="fork")
+        with pytest.raises(TypeError):
+            ParallelSweepExecutor(backend="steal")
 
-    def test_cli_rejects_fork_backend(self, capsys):
-        from repro.__main__ import main
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "flooding", "--exec-backend", "steal"],
+            ["serve", "--backend", "steal"],
+        ],
+        ids=["exec-backend", "serve-backend"],
+    )
+    def test_cli_has_no_backend_flags(self, capsys, argv):
+        from repro.__main__ import build_parser
 
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "flooding", "--exec-backend", "fork"])
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
-        assert "invalid choice: 'fork'" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="unknown execution backend"):
-            ParallelSweepExecutor(backend="threads")
-
-    def test_sweep_start_event_names_backend(self):
+    def test_sweep_start_event_has_no_backend(self):
         from repro.obs.recorder import MemoryRecorder
 
         rec = MemoryRecorder()
         ParallelSweepExecutor(
-            workers=0, use_cache=False, backend="serial", recorder=rec
+            workers=0, use_cache=False, recorder=rec
         ).run(_cells(trials=1))
         (start,) = rec.of_kind("sweep_start")
-        assert start["backend"] == "serial"
+        assert "backend" not in start
+        assert (start["cells"], start["workers"]) == (2, 0)
+
+    @pytest.mark.parametrize(
+        "workers, cell_timeout, pool_width",
+        [(0, None, None), (1, None, None), (2, None, 2),
+         (0, 30.0, 1), (1, 30.0, 1), (2, 30.0, 2)],
+    )
+    def test_workers_and_budget_choose_the_path(
+        self, monkeypatch, workers, cell_timeout, pool_width
+    ):
+        # workers 0/1 run inline, unless a budget needs a worker to end.
+        widths = []
+        drain = WorkStealingBackend.drain
+
+        def spy(self, specs):
+            widths.append(self.workers)
+            return drain(self, specs)
+
+        monkeypatch.setattr(WorkStealingBackend, "drain", spy)
+        out = ParallelSweepExecutor(
+            workers=workers, use_cache=False, cell_timeout=cell_timeout
+        ).run(_cells(trials=1))
+        assert all(o.ok for o in out)
+        assert widths == ([] if pool_width is None else [pool_width])
 
 
 # ----------------------------------------------------------------------
@@ -108,19 +134,25 @@ class TestConformance:
         baseline = [
             o.record()
             for o in ParallelSweepExecutor(
-                workers=0, use_cache=False, backend="serial"
+                workers=0, use_cache=False
             ).run(cells)
         ]
-        for backend in ("serial", "steal"):
-            for workers in (0, 2, 4):
-                out = ParallelSweepExecutor(
-                    workers=workers, use_cache=False, backend=backend
-                ).run(cells)
-                rows = [o.record() for o in out]
-                assert rows == baseline, (
-                    f"rows diverged under backend={backend} "
-                    f"workers={workers}"
-                )
+        for workers in (0, 2, 4):
+            out = ParallelSweepExecutor(
+                workers=workers, use_cache=False
+            ).run(cells)
+            rows = [o.record() for o in out]
+            assert rows == baseline, f"rows diverged at workers={workers}"
+
+    def test_each_cell_drains_exactly_once_under_contention(self):
+        # Six workers race for the shared cursor over 120 tiny cells; a
+        # lost update would run a cell twice or skip one.
+        specs = [_fault_cell(GOOD, n=8, trial=t) for t in range(120)]
+        drained = [
+            i for i, payload in WorkStealingBackend(6).drain(specs)
+            if payload is not None and payload["ok"]
+        ]
+        assert sorted(drained) == list(range(len(specs)))
 
     def test_outcomes_stay_in_input_order_despite_lpt(self):
         # Stealing runs the largest cell first; outcomes must still
@@ -130,9 +162,7 @@ class TestConformance:
             _fault_cell(GOOD, n=48),
             _fault_cell(GOOD, n=12, trial=1),
         ]
-        out = ParallelSweepExecutor(
-            workers=2, use_cache=False, backend="steal"
-        ).run(cells)
+        out = ParallelSweepExecutor(workers=2, use_cache=False).run(cells)
         assert [(o.spec.n, o.spec.trial) for o in out] == [
             (12, 0), (48, 0), (12, 1)
         ]
@@ -205,7 +235,7 @@ class TestStealFaults:
             _fault_cell(GOOD, trial=2),
         ]
         out = ParallelSweepExecutor(
-            workers=2, use_cache=False, backend="steal", retries=1
+            workers=2, use_cache=False, retries=1
         ).run(cells)
         by_algo = {o.spec.algorithm: o for o in out}
         crashed = by_algo[f"{HERE}:KillerAlgo"]
@@ -214,16 +244,39 @@ class TestStealFaults:
         assert len(good) == 3 and all(o.ok for o in good)
 
     def test_wakeup_failure_is_structured_not_crash(self):
-        out = ParallelSweepExecutor(
-            workers=2, use_cache=False, backend="steal"
-        ).run([_fault_cell(GOOD), _fault_cell(f"{HERE}:SilentAlgo")])
+        out = ParallelSweepExecutor(workers=2, use_cache=False).run(
+            [_fault_cell(GOOD), _fault_cell(f"{HERE}:SilentAlgo")]
+        )
         assert [o.status for o in out] == ["ok", "failed"]
         assert "never woke up" in out[1].error
 
+    def test_timeout_ends_only_its_worker(self):
+        # One worker: the n=48 cell runs first and hangs.  Its worker is
+        # killed at the budget and a fresh one runs the three small
+        # cells, each once, with no retry.
+        from repro.obs.recorder import MemoryRecorder
 
-# KillerAlgo/SilentAlgo live in tests.test_parallel_executor; re-export
+        rec = MemoryRecorder()
+        cells = [
+            _fault_cell(GOOD, trial=t) for t in range(3)
+        ] + [_fault_cell(f"{HERE}:BlockedAlgo", n=48)]
+        start = time.monotonic()
+        out = ParallelSweepExecutor(
+            workers=1, use_cache=False, cell_timeout=1.0, recorder=rec
+        ).run(cells)
+        assert time.monotonic() - start < 10.0
+        assert [o.status for o in out] == ["ok", "ok", "ok", "timeout"]
+        assert [o.attempts for o in out[:3]] == [1, 1, 1]
+        assert rec.of_kind("cell_retry") == []
+
+
+# The fault algorithms live in tests.test_parallel_executor; re-export
 # them under this module's dotted path so fork workers resolve them.
-from tests.test_parallel_executor import KillerAlgo, SilentAlgo  # noqa: E402,F401
+from tests.test_parallel_executor import (  # noqa: E402,F401
+    BlockedAlgo,
+    KillerAlgo,
+    SilentAlgo,
+)
 
 
 # ----------------------------------------------------------------------

@@ -155,6 +155,23 @@ class TestCheckCommands:
             "--atlas-dir", str(tmp_path / "atlas"),
         ]
 
+    def test_full_purge_removes_orphaned_temp_files(self, tmp_path):
+        # A writer killed between its temp write and the rename leaves
+        # <key>.tmp.<pid> behind in either store.  Only a full purge may
+        # remove it: under --stale a live writer may still own it.
+        planted = [
+            tmp_path / store / "ab" / "ab12.tmp.4242"
+            for store in ("cells", "topologies")
+        ]
+        for path in planted:
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b"half a write")
+        dirs = self._cache_dirs(tmp_path)
+        assert main(["cache", "purge", "all", "--stale", *dirs]) == 0
+        assert all(path.exists() for path in planted)
+        assert main(["cache", "purge", "all", *dirs]) == 0
+        assert not any(path.exists() for path in planted)
+
     @pytest.mark.parametrize("kind, row", [("replay", "replays"),
                                            ("atlas", "atlas")])
     @pytest.mark.parametrize(

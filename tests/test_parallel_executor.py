@@ -10,7 +10,8 @@ The contract under test:
   identical merged JSON artifact; any changed input changes the key;
 * **robustness** — a ``WakeUpFailure``, a worker killed mid-task, and a
   per-cell timeout each become a structured failed-cell record while
-  the rest of the sweep completes.
+  the rest of the sweep completes; a timeout ends its cell on schedule
+  whatever the cell is doing, by ending the worker.
 """
 
 from __future__ import annotations
@@ -359,12 +360,8 @@ class KillerAlgo(WakeUpAlgorithm):
 
 
 class SleeperAlgo(WakeUpAlgorithm):
-    """Burns wall-clock past any sane per-cell budget.
-
-    Sleeps in small increments rather than one blocking call: the
-    watchdog's async exception lands at a bytecode boundary, so a
-    single 30s C-level sleep would only time out on return.
-    """
+    """Burns wall-clock past any sane per-cell budget, in small
+    sleeps."""
 
     name = "test-sleeper"
     congest_safe = True
@@ -381,8 +378,7 @@ class SleeperAlgo(WakeUpAlgorithm):
 
 class BusyAlgo(WakeUpAlgorithm):
     """Pure-Python busy loop — the CPU-bound runaway a real engine hang
-    looks like; only an async-exception watchdog can interrupt it off
-    the main thread."""
+    looks like."""
 
     name = "test-busy"
     congest_safe = True
@@ -391,6 +387,21 @@ class BusyAlgo(WakeUpAlgorithm):
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             pass
+        raise AssertionError("timeout did not fire")
+
+    def make_node(self, vertex, setup):  # pragma: no cover
+        raise AssertionError("unreachable")
+
+
+class BlockedAlgo(WakeUpAlgorithm):
+    """Blocks in one 30-s C call, which no bytecode-level interrupt can
+    reach before it returns."""
+
+    name = "test-blocked"
+    congest_safe = True
+
+    def build_nodes(self, setup):
+        time.sleep(30.0)
         raise AssertionError("timeout did not fire")
 
     def make_node(self, vertex, setup):  # pragma: no cover
@@ -456,18 +467,14 @@ class TestFaultInjection:
         assert out[1].status == "timeout"
         assert "budget" in out[1].error
 
-    def test_cell_timeout_enforced_off_main_thread(self):
-        # Regression: the budget used to be armed with SIGALRM, gated on
-        # threading.current_thread() is threading.main_thread() — so a
-        # cell_timeout passed from any worker thread (exactly what the
-        # serve daemon's job workers do) was silently never enforced and
-        # a hanging cell ran to its natural end.
+    @staticmethod
+    def _run_off_main_thread(algorithm):
         box = {}
 
         def work():
-            box["payload"] = run_cell(
-                _fault_cell(f"{HERE}:SleeperAlgo"), cell_timeout=0.5
-            )
+            (box["outcome"],) = ParallelSweepExecutor(
+                workers=0, use_cache=False, cell_timeout=0.5
+            ).run([_fault_cell(algorithm)])
 
         t = threading.Thread(target=work, daemon=True)
         start = time.monotonic()
@@ -475,31 +482,63 @@ class TestFaultInjection:
         t.join(timeout=15.0)
         assert not t.is_alive(), "hanging cell was never timed out"
         assert time.monotonic() - start < 15.0
-        assert box["payload"]["status"] == "timeout"
-        assert "budget" in box["payload"]["error"]
+        return box["outcome"]
+
+    def test_cell_timeout_enforced_off_main_thread(self):
+        # Regression: the budget used to be armed with SIGALRM, gated on
+        # threading.current_thread() is threading.main_thread() — so a
+        # cell_timeout passed from any worker thread (exactly what the
+        # serve daemon's job runner did) was silently never enforced
+        # and a hanging cell ran to its natural end.
+        outcome = self._run_off_main_thread(f"{HERE}:SleeperAlgo")
+        assert outcome.status == "timeout"
+        assert "budget" in outcome.error
 
     def test_cell_timeout_interrupts_cpu_bound_loop_off_main_thread(self):
-        box = {}
+        outcome = self._run_off_main_thread(f"{HERE}:BusyAlgo")
+        assert outcome.status == "timeout"
 
-        def work():
-            box["payload"] = run_cell(
-                _fault_cell(f"{HERE}:BusyAlgo"), cell_timeout=0.5
-            )
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_cell_blocked_in_one_call_times_out_on_schedule(self, workers):
+        # A budget raised into the cell's thread waited for the 30-s
+        # sleep to return (about 30 s); ending the worker does not.
+        start = time.monotonic()
+        (outcome,) = ParallelSweepExecutor(
+            workers=workers, use_cache=False, cell_timeout=0.5
+        ).run([_fault_cell(f"{HERE}:BlockedAlgo")])
+        assert time.monotonic() - start < 3.0
+        assert outcome.status == "timeout"
+        assert outcome.duration >= 0.5
 
-        t = threading.Thread(target=work, daemon=True)
-        t.start()
-        t.join(timeout=15.0)
-        assert not t.is_alive()
-        assert box["payload"]["status"] == "timeout"
+    @pytest.mark.bulk
+    def test_bulk_cell_times_out_on_schedule(self):
+        # Flooding on a 50,000-vertex path runs 50,000 bulk rounds, each
+        # a scipy matvec over every vertex: about 10 s on a 2-vCPU host,
+        # over 30x its budget.  The pool ends it on time wherever it is.
+        import repro.sim.bulk  # noqa: F401 — workers fork with scipy loaded
 
-    def test_near_zero_timeout_never_escapes_run_cell(self):
+        spec = CellSpec(
+            algorithm=GOOD, n=50_000, engine="bulk", knowledge="KT0",
+            bandwidth="CONGEST",
+            workload={"kind": "check_world", "graph": "path"},
+        )
+        start = time.monotonic()
+        (outcome,) = ParallelSweepExecutor(
+            workers=2, use_cache=False, cell_timeout=0.3
+        ).run([spec])
+        assert time.monotonic() - start < 1.3
+        assert outcome.status == "timeout"
+
+    def test_near_zero_timeout_is_a_structured_outcome(self):
         # Regression: the alarm used to be armed before the try block,
         # so a budget short enough to fire in that gap leaked a raw
-        # _CellTimeout out of the "never raises" worker entry point.
-        for _ in range(20):
-            payload = run_cell(_fault_cell(GOOD), cell_timeout=1e-6)
-            assert payload["status"] in ("timeout", "ok")
-            assert "duration" in payload
+        # exception out of the "never raises" cell entry point.
+        for _ in range(5):
+            (outcome,) = ParallelSweepExecutor(
+                workers=0, use_cache=False, cell_timeout=1e-6
+            ).run([_fault_cell(GOOD)])
+            assert outcome.status in ("timeout", "ok")
+            assert outcome.duration > 0
 
     def test_failures_are_never_cached(self, tmp_path):
         ex = ParallelSweepExecutor(workers=0, cache_dir=tmp_path / "c")

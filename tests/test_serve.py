@@ -11,9 +11,12 @@ The contract under test, matching docs/serving.md:
   completed job (the dedup counter ticks, nothing re-runs);
 * **cell economy** — across overlapping jobs, each distinct cell is
   *executed* exactly once; later jobs replay it from the cell cache;
-* **fault isolation** — a timed-out cell, a hung job (wall budget), and
-  a worker killed mid-cell each produce a structured failed/timeout job
-  while the daemon keeps serving subsequent requests;
+* **fault isolation** — a timed-out cell, a hung job (wall budget), a
+  worker killed mid-cell, and a job process killed by its own cell each
+  produce a structured failed/timeout job while the daemon keeps
+  serving subsequent requests; a job budget ends every process the job
+  forked, and a job killed mid-write changes nothing in the daemon but
+  its ``repro_serve_*`` entries;
 * **admission** — invalid specs, oversized cell budgets, and a full
   queue are structured rejections, never hangs or daemon deaths.
 
@@ -35,13 +38,16 @@ import pytest
 
 from repro.core.base import WakeUpAlgorithm
 from repro.core.registry import register
+from repro.experiments.parallel import ParallelSweepExecutor
 from repro.obs import validate_event
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     ServeClient,
     ServeConfig,
     SweepServer,
     canonical_spec,
     count_cells,
+    execute_job,
     job_id,
     validate_job,
 )
@@ -67,8 +73,7 @@ CHECKER = _load_checker()
 # admits them; the executor pool forks, so workers inherit these).
 # ----------------------------------------------------------------------
 class HangAlgo(WakeUpAlgorithm):
-    """Burns wall-clock in small sleeps so a watchdog's async exception
-    can land at a bytecode boundary."""
+    """Burns wall-clock past any budget, in small sleeps."""
 
     name = "test-serve-hang"
     congest_safe = True
@@ -96,8 +101,36 @@ class KillAlgo(WakeUpAlgorithm):
         raise AssertionError("unreachable")
 
 
+class PidHangAlgo(WakeUpAlgorithm):
+    """Appends ``"<pid> <parent pid>"`` to :attr:`log`, then blocks in
+    one 30-s sleep."""
+
+    name = "test-serve-pid-hang"
+    congest_safe = True
+    log = ""  # set by the test before the job process forks
+
+    def build_nodes(self, setup):
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()} {os.getppid()}\n")
+        time.sleep(30.0)
+        raise AssertionError("no budget ever fired")
+
+    def make_node(self, vertex, setup):  # pragma: no cover
+        raise AssertionError("unreachable")
+
+
 register("test-serve-hang", HangAlgo)
 register("test-serve-kill", KillAlgo)
+register("test-serve-pid-hang", PidHangAlgo)
+
+
+def _alive(pid):
+    """A zombie has exited; only its parent's wait is missing."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def sweep_spec(algorithm="flooding", sizes=(12, 16), **kw):
@@ -286,6 +319,37 @@ class TestConcurrentClients:
         assert "repro_serve_jobs_total" in str(stats["metrics"])
 
 
+class TestDaemonLog:
+    def test_daemon_log_snapshots_accumulate(self, tmp_path):
+        # Each job process counts into a fresh registry; the log must
+        # still read as one registry that only accumulates, with its
+        # last snapshot profiling every executed cell of every job.
+        from repro.obs.recorder import JsonlRecorder
+
+        log = tmp_path / "daemon.jsonl"
+        server = SweepServer(
+            ServeConfig(
+                socket_path=str(tmp_path / "log.sock"),
+                cache_dir=str(tmp_path / "cache"),
+                topology_dir=str(tmp_path / "topo"),
+            ),
+            recorder=JsonlRecorder(log),
+        )
+        server.start()
+        try:
+            client = ServeClient(str(tmp_path / "log.sock"), timeout=60.0)
+            assert client.wait_ready(10.0)
+            for sizes in ([10, 14], [12]):
+                final, _ = client.run_job(sweep_spec(sizes=sizes))
+                assert final["job"]["state"] == "done"
+        finally:
+            server.stop()
+            server.log.close()
+        errors, summary = CHECKER.check_stream(log.read_text().splitlines())
+        assert errors == []
+        assert summary["census"]["metrics_snapshot"] == 2
+
+
 # ----------------------------------------------------------------------
 # Fault isolation: structured failures, daemon survives
 # ----------------------------------------------------------------------
@@ -344,6 +408,112 @@ class TestFaultIsolation:
             assert [c["status"] for c in failed] == ["crashed"]
             assert "worker process died" in failed[0]["error"]
             # daemon alive and able to run real work afterwards
+            after, _ = client.run_job(sweep_spec(sizes=[12]))
+            assert after["job"]["state"] == "done"
+        finally:
+            server.stop()
+
+    def test_job_budget_ends_every_process_of_the_job(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "pids.log"
+        monkeypatch.setattr(PidHangAlgo, "log", str(log))
+        server, client = start_server(
+            tmp_path, workers=2, job_timeout=1.0, cell_timeout=None
+        )
+        try:
+            start = time.monotonic()
+            final, _ = client.run_job(
+                sweep_spec("test-serve-pid-hang", sizes=[12, 16], trials=2)
+            )
+            assert time.monotonic() - start < 3.0
+            assert final["job"]["state"] == "timeout"
+            lines = log.read_text().splitlines()
+            workers = {int(line.split()[0]) for line in lines}
+            job_process = {int(line.split()[1]) for line in lines}
+            assert len(workers) == 2 and len(job_process) == 1
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                if not any(map(_alive, workers | job_process)):
+                    break
+                time.sleep(0.02)
+            assert [p for p in workers | job_process if _alive(p)] == []
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "owner, method",
+        [
+            (ParallelSweepExecutor, "_maybe_cache"),
+            (MetricsRegistry, "merge_snapshot"),
+        ],
+        ids=["cache-write", "metrics-merge"],
+    )
+    def test_job_killed_mid_write_leaves_daemon_consistent(
+        self, tmp_path, monkeypatch, owner, method
+    ):
+        server, client = start_server(tmp_path, cell_timeout=None)
+        try:
+            warm, _ = client.run_job(sweep_spec(sizes=[12]))
+            assert warm["job"]["state"] == "done"
+            daemon = os.getpid()
+            original = getattr(owner, method)
+
+            def stall(self, *args, **kwargs):
+                out = original(self, *args, **kwargs)
+                if os.getpid() != daemon:  # inside the job process only
+                    time.sleep(30.0)
+                return out
+
+            monkeypatch.setattr(owner, method, stall)
+            server.config.job_timeout = 1.0
+            spec = sweep_spec(sizes=[14, 18], seed=5)
+            before = server.metrics.snapshot()
+            final, _ = client.run_job(spec)
+            assert final["job"]["state"] == "timeout"
+            after = server.metrics.snapshot()
+
+            grew = {
+                key: value - before["counters"].get(key, 0)
+                for key, value in after["counters"].items()
+                if value != before["counters"].get(key)
+            }
+            assert grew == {'repro_serve_jobs_total{status="timeout"}': 1}
+            assert after["gauges"] == before["gauges"]
+            assert set(after["histograms"]) == set(before["histograms"])
+            for key, hist in after["histograms"].items():
+                if key == "repro_serve_job_seconds":
+                    old = before["histograms"][key]["count"]
+                    assert hist["count"] == old + 1
+                else:
+                    assert hist == before["histograms"][key]
+
+            for path in (tmp_path / "sv-cache").rglob("*.json"):
+                json.loads(path.read_text())
+
+            monkeypatch.undo()
+            server.config.job_timeout = 60.0
+            again, _ = client.run_job(spec)
+            assert again["job"]["state"] == "done"
+            clean = execute_job(
+                canonical_spec(spec),
+                ParallelSweepExecutor(workers=0, use_cache=False),
+            )
+            assert again["job"]["result"]["rows"] == clean["rows"]
+        finally:
+            server.stop()
+
+    def test_cell_that_kills_the_job_process_fails_the_job(self, tmp_path):
+        # workers=0 and no cell cap: the cell runs in the job process
+        # itself, so its SIGKILL takes the job process down.
+        server, client = start_server(tmp_path, workers=0, cell_timeout=None)
+        try:
+            final, _ = client.run_job(
+                sweep_spec("test-serve-kill", sizes=[12])
+            )
+            job = final["job"]
+            assert job["state"] == "failed"
+            assert "job process died" in job["error"]
             after, _ = client.run_job(sweep_spec(sizes=[12]))
             assert after["job"]["state"] == "done"
         finally:
