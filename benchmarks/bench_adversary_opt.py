@@ -69,9 +69,7 @@ def run_case(
 ) -> dict:
     base_spec = check_world_spec(algorithm, n, graph="star", seed=0)
     space = DelayVectorSpace(length=min(64, n))
-    executor = ParallelSweepExecutor(
-        workers=0, use_cache=False, use_topology_store=False
-    )
+    executor = ParallelSweepExecutor(workers=0, use_cache=False)
     best_wall = float("inf")
     evaluations = 0
     for _ in range(repeats):

@@ -14,9 +14,10 @@ import pytest
 from repro.analysis.fitting import fit_power_law
 from repro.analysis.report import print_table
 from repro.core.fip06 import Fip06TreeAdvice
-from repro.experiments.sweeps import er_single_wake, parallel_sweep
+from repro.experiments.sweeps import parallel_sweep
 from repro.graphs.generators import grid_graph, star_graph
 from repro.graphs.traversal import diameter
+from repro.graphs.workloads import er_single_wake
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 from repro.sim.runner import run_wakeup

@@ -14,7 +14,8 @@ from repro.analysis.fitting import fit_power_law_deloged
 from repro.analysis.report import print_table
 from repro.core.spanner_advice import LogSpannerAdvice
 from repro.experiments.parallel import ParallelSweepExecutor
-from repro.experiments.sweeps import er_single_wake, parallel_sweep
+from repro.experiments.sweeps import parallel_sweep
+from repro.graphs.workloads import er_single_wake
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 from repro.sim.runner import run_wakeup

@@ -20,8 +20,9 @@ from repro.analysis.report import print_table
 from repro.core.dfs_wakeup import DfsWakeUp
 from repro.core.flooding import Flooding
 from repro.experiments.parallel import ParallelSweepExecutor
-from repro.experiments.sweeps import er_fraction_wake, parallel_sweep
+from repro.experiments.sweeps import parallel_sweep
 from repro.graphs.generators import complete_graph
+from repro.graphs.workloads import er_fraction_wake
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UniformRandomDelay, WakeSchedule
 from repro.sim.runner import run_wakeup

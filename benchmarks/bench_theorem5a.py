@@ -13,8 +13,9 @@ import pytest
 
 from repro.analysis.report import print_table
 from repro.core.sqrt_advice import SqrtThresholdAdvice
-from repro.experiments.sweeps import er_single_wake, parallel_sweep
+from repro.experiments.sweeps import parallel_sweep
 from repro.graphs.generators import caterpillar_graph
+from repro.graphs.workloads import er_single_wake
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 from repro.sim.runner import run_wakeup

@@ -15,8 +15,9 @@ import pytest
 from repro.analysis.fitting import fit_power_law
 from repro.analysis.report import print_table
 from repro.core.child_encoding import ChildEncodingAdvice
-from repro.experiments.sweeps import er_single_wake, parallel_sweep
+from repro.experiments.sweeps import parallel_sweep
 from repro.graphs.generators import star_graph
+from repro.graphs.workloads import er_single_wake
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 from repro.sim.runner import run_wakeup

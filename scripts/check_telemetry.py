@@ -35,10 +35,12 @@ Checks, in order:
 Exit status 0 and a one-line summary on success; 1 with one line per
 violation otherwise.  ``--min-cells N`` additionally requires at least
 N ``cell_start`` events (CI smoke runs use it to prove the stream is
-not trivially empty).  ``--expect-topology-builds N`` requires the
-summed ``topology_stats`` counters to report exactly N topology builds
-— the warm-store smoke invariant: builds equal the number of distinct
-(workload, n) cells, everything else is a cache hit.
+not trivially empty).  ``--expect-topology-builds N`` requires the last
+``metrics_snapshot``'s ``repro_topology_fetch_total{tier="build"}`` to
+read exactly N (a stream without a snapshot fails) — the warm-store
+smoke invariant: builds equal the number of distinct (workload, n)
+cells, everything else is a cache hit.  Older streams, which also
+carry ``topology_stats`` events, are judged by their snapshot too.
 
 Usage: python scripts/check_telemetry.py PATH [--min-cells N]
        [--expect-topology-builds N]
@@ -55,6 +57,10 @@ from typing import Dict, List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analysis.telemetry import (  # noqa: E402
+    last_snapshot,
+    topology_fetches,
+)
 from repro.obs.events import (  # noqa: E402
     TERMINAL_CELL_KINDS,
     parse_line,
@@ -204,16 +210,13 @@ def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
             f"only {len(started)} cell_start events (require >= {min_cells})"
         )
     errors.extend(check_metrics_snapshots(events))
-    topo = {"build": 0, "hit_mem": 0, "hit_disk": 0}
-    for e in events:
-        if e.get("kind") == "topology_stats":
-            for field in topo:
-                topo[field] += int(e.get(field, 0))
     if expect_topology_builds is not None:
-        if not census.get("topology_stats"):
+        snap = last_snapshot(events)
+        topo = topology_fetches(snap) if snap is not None else None
+        if topo is None:
             errors.append(
-                "no topology_stats event "
-                f"(expected {expect_topology_builds} builds)"
+                f"no metrics_snapshot (expected {expect_topology_builds} "
+                "topology builds)"
             )
         elif topo["build"] != expect_topology_builds:
             errors.append(
@@ -227,7 +230,6 @@ def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
         "cells": len(started),
         "terminal": sum(terminal.values()),
         "census": dict(sorted(census.items())),
-        "topology": topo,
         "skipped_tail": skipped_tail,
     }
     return errors, summary
@@ -283,8 +285,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="N",
         help=(
-            "require the topology_stats counters to report exactly N "
-            "builds (warm-store smoke invariant)"
+            "require the last metrics_snapshot to count exactly N "
+            "topology builds (warm-store smoke invariant)"
         ),
     )
     args = parser.parse_args(argv)

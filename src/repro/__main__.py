@@ -982,7 +982,6 @@ def _make_executor(args) -> ParallelSweepExecutor:
         recorder=_make_recorder(args),
         progress=_make_progress(args),
         topology_dir=args.topology_dir,
-        use_topology_store=(False if args.no_topology_store else None),
     )
 
 
@@ -1038,11 +1037,15 @@ def _cmd_sweep(args) -> int:
         f"failed {s['failed']:.0f}) in {s['wall_time']:.2f}s "
         f"[workers={executor.workers}]"
     )
-    print(
-        f"topologies: built {s.get('topology.build', 0):.0f}, "
-        f"reused {s.get('topology.hit_mem', 0):.0f} in-process + "
-        f"{s.get('topology.hit_disk', 0):.0f} from store"
-    )
+    registry = get_registry()
+    if registry.enabled:  # installed by --metrics / --telemetry
+        from repro.analysis.telemetry import topology_fetches
+
+        t = topology_fetches(registry.snapshot())
+        print(
+            f"topologies: built {t['build']}, reused {t['hit_mem']} "
+            f"in-process + {t['hit_disk']} from store"
+        )
     if args.out:
         merge_records(
             args.out,
@@ -1744,15 +1747,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         default=str(DEFAULT_TOPOLOGY_DIR),
         help=(
             "compiled-topology artifact store location "
-            "(default: results/.topologies)"
-        ),
-    )
-    parser.add_argument(
-        "--no-topology-store",
-        action="store_true",
-        help=(
-            "skip the on-disk topology store (the in-process "
-            "compiled-topology cache stays active)"
+            "(default: results/.topologies; unused under --no-cache)"
         ),
     )
     parser.add_argument(

@@ -10,6 +10,8 @@ such a file into the profile tables behind ``repro report --telemetry``:
   ``metrics_snapshot`` event;
 * a per-n cell summary (executed/cached/failed counts, duration
   quantiles) from terminal cell events;
+* compiled-topology cache effectiveness, from the
+  ``repro_topology_fetch_total`` series of the same snapshot;
 * a runtime outlier list — executed cells whose duration exceeds
   ``outlier_factor`` x the median for their size;
 * an instrument summary from the last ``metrics_snapshot`` event
@@ -153,36 +155,44 @@ def phase_profile_table(
     return rows
 
 
-def topology_cache_table(
-    events: Sequence[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """Compiled-topology cache effectiveness, from ``topology_stats``.
+def topology_fetches(snapshot: Dict[str, object]) -> Dict[str, int]:
+    """Topology fetches per tier in a metrics snapshot.
 
-    One row summing every sweep's counters: graph builds vs in-process
-    and on-disk reuses, plus the hit rate.  Empty when the stream
-    predates the topology layer (older telemetry files stay readable).
+    ``build`` / ``hit_mem`` / ``hit_disk`` totals of its
+    ``repro_topology_fetch_total`` series (zeros for tiers it lacks)."""
+    from repro.obs.metrics import series_key
+
+    counters = dict(snapshot.get("counters") or {})
+    return {
+        tier: int(counters.get(
+            series_key("repro_topology_fetch_total", {"tier": tier}), 0
+        ))
+        for tier in ("build", "hit_mem", "hit_disk")
+    }
+
+
+def topology_cache_table(
+    snapshot: Dict[str, object],
+) -> List[Dict[str, object]]:
+    """Compiled-topology cache effectiveness, from a metrics snapshot.
+
+    ``snapshot`` is a registry snapshot or a ``metrics_snapshot``
+    event; its ``repro_topology_fetch_total`` series count every fetch
+    the registry saw, in-process or in a pooled worker.  One row: graph
+    builds vs in-process and on-disk reuses, plus the hit rate.  Empty
+    when the snapshot records no fetch.
     """
-    build = hit_mem = hit_disk = 0
-    seen = False
-    for e in events:
-        if e.get("kind") != "topology_stats":
-            continue
-        seen = True
-        build += int(e.get("build", 0))
-        hit_mem += int(e.get("hit_mem", 0))
-        hit_disk += int(e.get("hit_disk", 0))
-    if not seen:
+    fetches = topology_fetches(snapshot)
+    total = sum(fetches.values())
+    if not total:
         return []
-    total = build + hit_mem + hit_disk
     return [
         {
-            "builds": build,
-            "hits_mem": hit_mem,
-            "hits_disk": hit_disk,
+            "builds": fetches["build"],
+            "hits_mem": fetches["hit_mem"],
+            "hits_disk": fetches["hit_disk"],
             "fetches": total,
-            "hit_rate": round((hit_mem + hit_disk) / total, 3)
-            if total
-            else 0.0,
+            "hit_rate": round((total - fetches["build"]) / total, 3),
         }
     ]
 
@@ -415,7 +425,7 @@ def render_telemetry_report(
     if cell_rows:
         parts.append("")
         parts.append(render_table(cell_rows, title="Cells by size"))
-    topo_rows = topology_cache_table(events)
+    topo_rows = topology_cache_table(snap) if snap is not None else []
     if topo_rows:
         parts.append("")
         parts.append(

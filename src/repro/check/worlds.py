@@ -13,10 +13,8 @@ specs arrive as plain dicts over a socket) and the ``repro check`` /
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, Tuple
 
-from repro.errors import ReproError
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 
@@ -39,32 +37,13 @@ def build_check_world(
 
     Returns ``(world, times)`` where ``times`` is the resolved wake
     schedule (vertex -> wake time) — callers embed it in replay
-    artifacts.
+    artifacts.  The graph and the ordered woken sample come from the
+    ``check_world`` workload (:mod:`repro.graphs.workloads`), which
+    executor cells over checker worlds build too.
     """
-    from repro.graphs.generators import (
-        complete_graph,
-        connected_erdos_renyi,
-        cycle_graph,
-        path_graph,
-        star_graph,
-    )
+    from repro.graphs.workloads import check_world
 
-    if graph == "er":
-        g = connected_erdos_renyi(n, degree / max(1, n - 1), seed=seed)
-    elif graph in CHECK_GRAPHS:
-        g = {
-            "complete": complete_graph,
-            "path": path_graph,
-            "cycle": cycle_graph,
-            "star": star_graph,
-        }[graph](n)
-    else:
-        raise ReproError(
-            f"unknown check graph {graph!r}; known: {CHECK_GRAPHS}"
-        )
-    rng = random.Random(seed + 1)
-    woken = rng.sample(sorted(g.vertices(), key=repr),
-                       max(1, min(awake, n)))
+    g, woken = check_world(graph, awake, degree, seed)(n)
     times = {v: i * stagger for i, v in enumerate(woken)}
     knowledge = Knowledge.KT1 if algo.requires_kt1 else Knowledge.KT0
     bandwidth = "CONGEST" if algo.congest_safe else "LOCAL"

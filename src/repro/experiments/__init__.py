@@ -22,17 +22,9 @@ from repro.experiments.storage import (
 )
 from repro.experiments.sweeps import (
     SweepRow,
-    build_workload,
-    dense_er_all_awake,
-    er_fraction_wake,
-    er_shared_wake,
-    er_single_wake,
-    grid_corner_wake,
     parallel_sweep,
-    register_workload,
     rows_from_outcomes,
     sweep_cells,
-    tree_random_wake,
 )
 from repro.experiments.table1 import (
     Table1Row,
@@ -40,6 +32,15 @@ from repro.experiments.table1 import (
     render_table1,
     table1_cells,
     workload_context,
+)
+from repro.graphs.workloads import (
+    build_workload,
+    dense_er_all_awake,
+    er_fraction_wake,
+    er_shared_wake,
+    er_single_wake,
+    grid_corner_wake,
+    tree_random_wake,
 )
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
     "er_single_wake",
     "grid_corner_wake",
     "parallel_sweep",
-    "register_workload",
     "rows_from_outcomes",
     "sweep_cells",
     "tree_random_wake",

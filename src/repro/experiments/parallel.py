@@ -20,9 +20,9 @@ Design constraints, in order:
    down mid-task becomes a structured failed-cell record in the sweep
    output; it never aborts the sweep.  A budgeted cell always runs in a
    worker process, and the pool kills the worker when the budget runs
-   out.  A crashed worker is retried once (in an isolated one-worker
-   pool so a deterministic crasher cannot poison its neighbours' retry
-   budget).
+   out.  A crashed worker is retried :data:`CRASH_RETRIES` time(s) (in
+   an isolated one-worker pool so a deterministic crasher cannot poison
+   its neighbours' retry budget).
 3. **Cache safety.**  Cache entries are keyed by a content hash of the
    full cell spec plus the *derived* per-subsystem code salts
    (:mod:`repro.versioning`): the engine salt, the graphs salt, and
@@ -78,6 +78,9 @@ CACHE_SCHEMA = 2
 
 DEFAULT_CACHE_DIR = Path("results") / ".cache"
 
+#: Retries of a cell whose worker process died, each alone in a pool.
+CRASH_RETRIES = 1
+
 
 # ----------------------------------------------------------------------
 # Cell specification
@@ -88,7 +91,7 @@ class CellSpec:
 
     ``workload`` / ``delay`` / ``schedule`` are small dicts with a
     ``"kind"`` discriminator resolved by registries (workloads live in
-    :mod:`repro.experiments.sweeps`; delays and schedules below), so a
+    :mod:`repro.graphs.workloads`; delays and schedules below), so a
     spec pickles across processes and hashes canonically for the cache.
 
     ``algorithm`` is a registry name (``"flooding"``) or a dotted path
@@ -282,30 +285,27 @@ def _build_controller(spec: Dict[str, Any]):
 
 def _execute_cell(
     spec: CellSpec,
-    scratch: Optional[Dict[str, Any]] = None,
+    scratch: Dict[str, Any],
     topology_store: Optional[TopologyStore] = None,
 ) -> Dict[str, Any]:
     """Run one cell; returns the JSON-able success payload.
 
-    ``scratch`` (when given) receives the live flight-recorder trace
-    *before* the execution starts, so :func:`run_cell` can dump its
-    tail even when the run raises mid-flight.
+    ``scratch`` receives the live flight-recorder ``"trace"`` and
+    schedule ``"controller"`` *before* the execution starts, so
+    :func:`run_cell` can dump the trace's tail even when the run raises
+    mid-flight, and the atlas can read the controller's log.
 
     The topology is fetched through the compiled-topology layer
     (:func:`repro.graphs.compile.compiled_topology`) — in-process LRU,
     then the on-disk ``topology_store`` when given — so a multi-trial
     cell batch builds each (workload, n) graph and runs its
-    ``awake_distance`` traversal exactly once.  The payload's
-    ``"topology"`` stats record whether this cell built or reused it.
+    ``awake_distance`` traversal exactly once.
     """
     from repro.models.knowledge import Knowledge, make_setup
     from repro.sim.adversary import Adversary
     from repro.sim.runner import run_wakeup
 
-    topo_stats: Dict[str, int] = {}
-    topo = compiled_topology(
-        spec.workload, spec.n, store=topology_store, stats=topo_stats
-    )
+    topo = compiled_topology(spec.workload, spec.n, store=topology_store)
     graph = topo.graph()
     awake = topo.awake_vertices()
     setup_seed = (
@@ -327,14 +327,12 @@ def _execute_cell(
     )
     trace = None
     if spec.flight_recorder:
-        trace = Trace(maxlen=spec.flight_recorder)
-        if scratch is not None:
-            scratch["trace"] = trace
-    controller = (
-        _build_controller(spec.controller)
-        if spec.controller is not None
-        else None
-    )
+        trace = scratch["trace"] = Trace(maxlen=spec.flight_recorder)
+    controller = None
+    if spec.controller is not None:
+        controller = scratch["controller"] = _build_controller(
+            spec.controller
+        )
     result = run_wakeup(
         setup,
         _build_algorithm(spec.algorithm, spec.algo_params),
@@ -346,11 +344,7 @@ def _execute_cell(
         trace=trace,
         controller=controller,
     )
-    return {
-        "rho_awk": topo.rho_awk,
-        "result": result.to_lean_dict(),
-        "topology": topo_stats,
-    }
+    return {"rho_awk": topo.rho_awk, "result": result.to_lean_dict()}
 
 
 def run_cell(
@@ -510,27 +504,20 @@ class ParallelSweepExecutor:
     cache_dir / use_cache:
         On-disk memoization of successful cells, keyed by
         :func:`cell_key`.  Failures are never cached.
-    topology_dir / use_topology_store:
+    topology_dir:
         The compiled-topology artifact store
         (:class:`repro.graphs.compile.TopologyStore`) workers fetch
-        graphs through instead of rebuilding them per trial.
-        ``use_topology_store=None`` (the default) follows ``use_cache``,
-        so ``--no-cache`` runs are hermetic on disk; the in-process
-        compiled-topology LRU is always active either way (rows are
-        bit-identical with the store on or off — conformance-tested).
-        Worker stats flow back inside cell payloads and aggregate into
-        ``stats["topology.build" | "topology.hit_mem" |
-        "topology.hit_disk"]`` plus one ``topology_stats`` telemetry
-        event per sweep.
+        graphs through instead of rebuilding them per trial.  The store
+        follows ``use_cache``, so ``--no-cache`` runs are hermetic on
+        disk; the in-process compiled-topology LRU is always active
+        either way (rows are bit-identical with the store on or off —
+        conformance-tested).
     cell_timeout:
         Per-cell wall-clock budget in seconds.  A budgeted cell always
         runs in a pool worker (a one-worker pool when ``workers`` is 0
         or 1), which the pool kills when the budget runs out; the
         overrun becomes a ``"timeout"`` outcome with no
         ``metrics_delta`` and no ``trace_tail``, like a crashed cell.
-    retries:
-        How often a cell whose *worker process died* is retried (in an
-        isolated one-worker pool).  Default 1.
     recorder:
         Telemetry sink (:mod:`repro.obs`).  The executor frames the
         sweep with ``sweep_start``/``sweep_end`` and publishes a
@@ -539,23 +526,19 @@ class ParallelSweepExecutor:
         (ok/failed/crashed) or ``cell_timeout``.  ``cell_retry`` marks
         isolated re-attempts after a worker death.  With a metrics
         registry the sweep also ends with a ``metrics_snapshot``
-        event, which carries the executed cells' phase profiles.
+        event, which carries the executed cells' phase profiles and
+        topology fetches.
     progress:
         Live-progress object (duck-typed like
         :class:`repro.obs.progress.SweepProgress`): ``start(total,
         workers)`` before the first cell, ``cell(outcome)`` per
         completion (cache hits included), ``finish(stats)`` at the
         end.
-    metrics:
-        A :class:`~repro.obs.metrics.MetricsRegistry` to aggregate
-        into; ``None`` (the default) resolves the process-global
-        registry at each :meth:`run` — still the zero-overhead
-        :data:`~repro.obs.metrics.NULL_REGISTRY` unless the caller
-        opted in (``repro ... --metrics``).  When enabled, cells
-        execute with ``collect_metrics=True`` and their per-cell
-        registry deltas merge here exactly once each; executor-level
-        instruments (cells, retries, cache fetches, durations) are
-        recorded parent-side against this same registry.
+
+    Counts and timings go to the global metrics registry as of each
+    :meth:`run` (a no-op until ``--metrics``, ``--telemetry`` or a serve
+    job installs one): executed cells' registry deltas merge into it
+    once each, and the executor's own instruments count there too.
     """
 
     def __init__(
@@ -564,36 +547,25 @@ class ParallelSweepExecutor:
         cache_dir: Union[str, Path] = DEFAULT_CACHE_DIR,
         use_cache: bool = True,
         cell_timeout: Optional[float] = None,
-        retries: int = 1,
         recorder: Optional[Recorder] = None,
         progress: Optional[Any] = None,
         topology_dir: Union[str, Path] = DEFAULT_TOPOLOGY_DIR,
-        use_topology_store: Optional[bool] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.workers = os.cpu_count() or 1 if workers is None else workers
         self.cache_dir = Path(cache_dir)
         self.use_cache = use_cache
         self.cell_timeout = cell_timeout
-        self.retries = retries
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.progress = progress
-        self.metrics = metrics
         # Resolved per run(); parent-side instruments go through this
         # direct reference, so the worker-side global-registry swap in
         # run_cell (inline mode) can never double-count into it.
         self._mreg: MetricsRegistry = get_registry()
         self.topology_dir = Path(topology_dir)
-        if use_topology_store is None:
-            use_topology_store = use_cache
-        self.use_topology_store = use_topology_store
         self._topology_store = (
-            TopologyStore(self.topology_dir) if use_topology_store else None
+            TopologyStore(self.topology_dir) if use_cache else None
         )
         self.stats: Dict[str, float] = {}
-        self.topo_stats: Dict[str, int] = {
-            "build": 0, "hit_mem": 0, "hit_disk": 0
-        }
 
     # -- public API ------------------------------------------------------
     def run(self, cells: Sequence[CellSpec]) -> List[CellOutcome]:
@@ -601,10 +573,7 @@ class ParallelSweepExecutor:
         input order.  Never raises for per-cell failures."""
         cells = list(cells)
         start = time.perf_counter()
-        self.topo_stats = {"build": 0, "hit_mem": 0, "hit_disk": 0}
-        mreg = self._mreg = (
-            self.metrics if self.metrics is not None else get_registry()
-        )
+        mreg = self._mreg = get_registry()
         collect = mreg.enabled
         if self.recorder.enabled:
             self.recorder.emit(
@@ -658,14 +627,11 @@ class ParallelSweepExecutor:
             "failed": sum(1 for o in ordered if not o.ok),
             "wall_time": time.perf_counter() - start,
         }
-        for k, v in self.topo_stats.items():
-            self.stats[f"topology.{k}"] = v
         if collect:
             mreg.gauge("repro_executor_wall_seconds").set(
                 self.stats["wall_time"]
             )
         if self.recorder.enabled:
-            self.recorder.emit("topology_stats", **self.topo_stats)
             if collect:
                 emit_snapshot(self.recorder, mreg)
             self.recorder.emit("sweep_end", **self.stats)
@@ -674,21 +640,11 @@ class ParallelSweepExecutor:
         return ordered
 
     # -- telemetry -------------------------------------------------------
-    def _absorb_topology(self, payload: Dict[str, Any]) -> None:
-        """Fold a worker's topology-cache stats into the sweep totals
-        and strip them from the payload — they describe *this* run's
-        cache behavior, so a payload replayed from the cell cache must
-        contribute zero."""
-        tstats = payload.pop("topology", None)
-        if tstats:
-            for k, v in tstats.items():
-                self.topo_stats[k] = self.topo_stats.get(k, 0) + v
-
     def _absorb_metrics(self, payload: Dict[str, Any]) -> None:
         """Fold a worker's per-cell registry delta into the sweep
-        registry and strip it from the payload.  Same contract as
-        :meth:`_absorb_topology`: the delta describes *this* run's
-        execution, so a payload replayed from the cell cache must
+        registry and strip it from the payload.  The delta describes
+        *this* run's execution (engine counts, phases, topology
+        fetches), so a payload replayed from the cell cache must
         contribute zero — popping before :meth:`_maybe_cache` writes
         guarantees that."""
         delta = payload.pop("metrics_delta", None)
@@ -757,8 +713,7 @@ class ParallelSweepExecutor:
         attempts: int = 1,
     ) -> None:
         """Turn one executed cell's payload into its outcome: absorb
-        its worker stats, cache it, publish it."""
-        self._absorb_topology(payload)
+        its registry delta, cache it, publish it."""
         self._absorb_metrics(payload)
         outcomes[idx] = _outcome_from_payload(
             spec, key, payload, cached=False
@@ -808,11 +763,11 @@ class ParallelSweepExecutor:
     ) -> None:
         """Post-crash path: each cell alone in a fresh one-worker pool,
         so a deterministically crashing cell cannot consume its
-        neighbours' retry budget.  Each cell gets ``retries`` extra
-        attempts."""
+        neighbours' retry budget.  Each cell gets
+        :data:`CRASH_RETRIES` extra attempts."""
         pool = self._pool(1, collect)
         for idx, spec, key in cells:
-            for attempts in range(1, self.retries + 2):
+            for attempts in range(1, CRASH_RETRIES + 2):
                 if attempts > 1:
                     if self.recorder.enabled:
                         self.recorder.emit(

@@ -12,23 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.report import render_table
-from repro.core.base import WakeUpAlgorithm
 from repro.errors import ReproError
-from repro.core.child_encoding import ChildEncodingAdvice
-from repro.core.dfs_wakeup import DfsWakeUp
-from repro.core.fast_wakeup import FastWakeUp
-from repro.core.fip06 import Fip06TreeAdvice
-from repro.core.flooding import Flooding
-from repro.core.spanner_advice import LogSpannerAdvice, SpannerAdvice
-from repro.core.sqrt_advice import SqrtThresholdAdvice
-from repro.graphs.generators import connected_erdos_renyi
+from repro.experiments.parallel import CellSpec, ParallelSweepExecutor
 from repro.graphs.traversal import awake_distance, diameter
-from repro.models.knowledge import Knowledge, make_setup
-from repro.sim.adversary import Adversary, UniformRandomDelay, UnitDelay, WakeSchedule
-from repro.sim.runner import run_wakeup
+from repro.graphs.workloads import er_shared_wake
 
 
 @dataclass
@@ -60,86 +50,77 @@ class Table1Row:
 
 
 _ROWS = [
-    # (label, factory, registry name, algo params, engine, knowledge,
-    #  bandwidth, paper bounds) — factory for the in-process path,
-    # name+params for the executor cells; both build the same object.
+    # (label, registry name, algo params, engine, knowledge, bandwidth,
+    #  paper bounds) — one executor cell per row.
     (
         "Thm 3",
-        DfsWakeUp,
         "dfs-rank",
         {},
         "async",
-        Knowledge.KT1,
+        "KT1",
         "LOCAL",
         ("O(n log n)", "O(n log n)", "-"),
     ),
     (
         "Thm 4",
-        FastWakeUp,
         "fast-wakeup",
         {},
         "sync",
-        Knowledge.KT1,
+        "KT1",
         "LOCAL",
         ("O(rho)", "O(n^1.5 sqrt(log n))", "-"),
     ),
     (
         "Cor 1",
-        Fip06TreeAdvice,
         "fip06-tree-advice",
         {},
         "async",
-        Knowledge.KT0,
+        "KT0",
         "CONGEST",
         ("O(D)", "O(n)", "O(n) max / O(log n) avg"),
     ),
     (
         "Thm 5A",
-        SqrtThresholdAdvice,
         "sqrt-threshold-advice",
         {},
         "async",
-        Knowledge.KT0,
+        "KT0",
         "CONGEST",
         ("O(D)", "O(n^1.5)", "O(sqrt(n) log n)"),
     ),
     (
         "Thm 5B",
-        ChildEncodingAdvice,
         "child-encoding",
         {},
         "async",
-        Knowledge.KT0,
+        "KT0",
         "CONGEST",
         ("O(D log n)", "O(n)", "O(log n)"),
     ),
     (
         "Thm 6",
-        lambda: SpannerAdvice(k=3),
         "spanner-advice",
         {"k": 3},
         "async",
-        Knowledge.KT0,
+        "KT0",
         "CONGEST",
         ("O(k rho log n)", "O(k n^{1+1/k})", "O(n^{1/k} log^2 n)"),
     ),
     (
         "Cor 2",
-        LogSpannerAdvice,
         "log-spanner-advice",
         {},
         "async",
-        Knowledge.KT0,
+        "KT0",
         "CONGEST",
         ("O(rho log^2 n)", "O(n log^2 n)", "O(log^2 n)"),
     ),
     (
         "baseline",
-        Flooding,
         "flooding",
         {},
         "async",
-        Knowledge.KT0,
+        "KT0",
         "CONGEST",
         ("rho", "Theta(m)", "-"),
     ),
@@ -153,10 +134,9 @@ def table1_cells(
     seed: int = 0,
 ):
     """One :class:`~repro.experiments.parallel.CellSpec` per Table-1
-    row, on the shared workload, seeded exactly like the in-process
-    :func:`measure_table1` loop."""
-    from repro.experiments.parallel import CellSpec
-
+    row, on the shared ``er_shared_wake`` workload: the rows share one
+    graph and awake set, setup seed ``seed + 2``, execution seed
+    ``seed + 3``, and (async rows) uniform delays seeded by ``seed``."""
     workload = {
         "kind": "er_shared_wake",
         "avg_degree": avg_degree,
@@ -164,7 +144,7 @@ def table1_cells(
         "seed": seed,
     }
     cells = []
-    for _, _, name, params, engine, knowledge, bandwidth, _ in _ROWS:
+    for _, name, params, engine, knowledge, bandwidth, _ in _ROWS:
         delay = (
             {"kind": "unit"}
             if engine == "sync"
@@ -176,7 +156,7 @@ def table1_cells(
                 n=n,
                 seed=seed,
                 engine=engine,
-                knowledge=knowledge.value,
+                knowledge=knowledge,
                 bandwidth=bandwidth,
                 workload=dict(workload),
                 delay=delay,
@@ -197,72 +177,39 @@ def measure_table1(
 ) -> List[Table1Row]:
     """Run every Table-1 algorithm on a shared ER workload.
 
-    With an ``executor``
-    (:class:`~repro.experiments.parallel.ParallelSweepExecutor`) the
-    rows run as independent cells — in parallel, cached on disk — and
-    produce the same measurements as the in-process loop.
+    The rows run as independent cells of ``executor``
+    (:class:`~repro.experiments.parallel.ParallelSweepExecutor`) — in
+    parallel and cached on disk when it is configured so.  With no
+    executor they run inline and uncached, as :func:`parallel_sweep`'s
+    cells do.
     """
-    import random as _random
-
-    if executor is not None:
-        cells = table1_cells(
-            n=n,
-            avg_degree=avg_degree,
-            awake_fraction=awake_fraction,
-            seed=seed,
-        )
-        outcomes = executor.run(cells)
-        rows = []
-        for (label, _, _, _, engine, knowledge, bandwidth, bounds), o in zip(
-            _ROWS, outcomes
-        ):
-            if not o.ok or o.result is None:
-                raise ReproError(
-                    f"Table-1 row {label!r} failed: {o.status} ({o.error})"
-                )
-            rows.append(
-                Table1Row(
-                    row=label,
-                    algorithm=o.result.algorithm,
-                    model=f"{engine}/{knowledge.value}/{bandwidth}",
-                    paper_time=bounds[0],
-                    paper_messages=bounds[1],
-                    paper_advice=bounds[2],
-                    time=o.result.time,
-                    messages=o.result.messages,
-                    advice_max_bits=o.result.advice_max_bits,
-                )
+    if executor is None:
+        executor = ParallelSweepExecutor(workers=0, use_cache=False)
+    cells = table1_cells(
+        n=n,
+        avg_degree=avg_degree,
+        awake_fraction=awake_fraction,
+        seed=seed,
+    )
+    rows = []
+    for (label, _, _, engine, knowledge, bandwidth, bounds), o in zip(
+        _ROWS, executor.run(cells)
+    ):
+        if not o.ok or o.result is None:
+            raise ReproError(
+                f"Table-1 row {label!r} failed: {o.status} ({o.error})"
             )
-        return rows
-
-    graph = connected_erdos_renyi(
-        n, avg_degree / max(1, n - 1), seed=seed
-    )
-    rng = _random.Random(seed + 1)
-    awake = rng.sample(
-        list(graph.vertices()), max(1, int(awake_fraction * n))
-    )
-    rows: List[Table1Row] = []
-    for label, factory, _, _, engine, knowledge, bandwidth, bounds in _ROWS:
-        setup = make_setup(
-            graph, knowledge=knowledge, bandwidth=bandwidth, seed=seed + 2
-        )
-        delays = UnitDelay() if engine == "sync" else UniformRandomDelay(seed)
-        adversary = Adversary(WakeSchedule.all_at_once(awake), delays)
-        result = run_wakeup(
-            setup, factory(), adversary, engine=engine, seed=seed + 3
-        )
         rows.append(
             Table1Row(
                 row=label,
-                algorithm=result.algorithm,
-                model=f"{engine}/{knowledge.value}/{bandwidth}",
+                algorithm=o.result.algorithm,
+                model=f"{engine}/{knowledge}/{bandwidth}",
                 paper_time=bounds[0],
                 paper_messages=bounds[1],
                 paper_advice=bounds[2],
-                time=result.time,
-                messages=result.messages,
-                advice_max_bits=result.advice_max_bits,
+                time=o.result.time,
+                messages=o.result.messages,
+                advice_max_bits=o.result.advice_max_bits,
             )
         )
     return rows
@@ -280,13 +227,7 @@ def workload_context(
     seed: int = 0,
 ) -> Dict[str, float]:
     """The D / rho / m context values for a measured table."""
-    import random as _random
-
-    graph = connected_erdos_renyi(n, avg_degree / max(1, n - 1), seed=seed)
-    rng = _random.Random(seed + 1)
-    awake = rng.sample(
-        list(graph.vertices()), max(1, int(awake_fraction * n))
-    )
+    graph, awake = er_shared_wake(avg_degree, awake_fraction, seed)(n)
     return {
         "n": float(n),
         "m": float(graph.num_edges),

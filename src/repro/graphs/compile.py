@@ -28,11 +28,11 @@ This module is the "compile once, execute many" separation:
   lock so concurrent workers build each topology exactly once and
   never observe a partially written artifact.
 
-Cache effectiveness is observable: every fetch records one of
-``build`` / ``hit_mem`` / ``hit_disk`` into a stats dict, which the
-parallel executor aggregates into ``topology.*`` recorder counters and
-a ``topology_stats`` telemetry event (rendered by
-``repro report --telemetry``).
+Cache effectiveness is observable: every fetch counts one of
+``build`` / ``hit_mem`` / ``hit_disk`` in the metrics registry's
+``repro_topology_fetch_total{tier=...}`` (pooled workers ship theirs
+back in their registry delta), which ``repro report --telemetry``
+renders as its "Topology cache" table.
 
 The cache is a pure speedup, never a semantics change: sweep rows must
 stay bit-identical to the rebuild path (enforced by the conformance
@@ -53,6 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.traversal import awake_distance
+from repro.graphs.workloads import build_workload
 from repro.obs.metrics import get_registry as _get_registry
 
 #: On-disk artifact layout version; bump when the pickle body changes.
@@ -67,8 +68,6 @@ DEFAULT_TOPOLOGY_DIR = Path("results") / ".topologies"
 #: are O(n + m) ints plus the materialized graph, so a few dozen is
 #: cheap; sweeps touch sizes mostly in order, so even small values hit.
 MEMORY_CACHE_SIZE = 32
-
-_STAT_KEYS = ("build", "hit_mem", "hit_disk")
 
 
 def _default_salt() -> str:
@@ -285,9 +284,6 @@ def build_topology(
     workload: Dict[str, Any], n: int, key: str = ""
 ) -> CompiledTopology:
     """Resolve a workload spec and compile its topology at size n."""
-    # Imported lazily: sweeps -> parallel -> this module at import time.
-    from repro.experiments.sweeps import build_workload
-
     graph, awake = build_workload(dict(workload))(n)
     return CompiledTopology.compile(graph, awake, key=key)
 
@@ -354,8 +350,9 @@ def compiled_topology(
 
     Order: in-process LRU, then the on-disk ``store`` (when given),
     then a fresh build (written back to the store under its file
-    lock).  ``stats`` (when given) receives ``build`` / ``hit_mem`` /
-    ``hit_disk`` increments for telemetry.
+    lock).  Every fetch counts its tier in the metrics registry;
+    ``stats`` (when given) also receives ``build`` / ``hit_mem`` /
+    ``hit_disk`` increments.
     """
     if store is not None:
         return store.fetch_or_build(workload, n, stats=stats)
@@ -372,10 +369,10 @@ def compiled_topology(
 
 def _bump(stats: Optional[Dict[str, int]], what: str) -> None:
     """Single choke point for topology-fetch accounting: every build /
-    hit_mem / hit_disk resolution passes through here, so the per-dict
-    telemetry stats and the metrics counter agree exactly by
-    construction (no registry cost when metrics are disabled — the
-    null registry's counter() is a no-op)."""
+    hit_mem / hit_disk resolution passes through here, so the metrics
+    counter and a caller's ``stats`` dict agree exactly by construction
+    (no registry cost when metrics are disabled — the null registry's
+    counter() is a no-op)."""
     _get_registry().counter("repro_topology_fetch_total", tier=what).inc()
     if stats is not None:
         stats[what] = stats.get(what, 0) + 1
@@ -456,7 +453,6 @@ class TopologyStore:
     ):
         self.root = Path(root)
         self.salt = salt if salt is not None else _default_salt()
-        self.stats: Dict[str, int] = {k: 0 for k in _STAT_KEYS}
 
     # -- layout ----------------------------------------------------------
     def path(self, key: str) -> Path:
@@ -491,7 +487,7 @@ class TopologyStore:
         key = topology_key(workload, n, self.salt)
         topo = _mem_get(key)
         if topo is not None:
-            self._count("hit_mem", stats)
+            _bump(stats, "hit_mem")
             return topo
         topo = self._load(key)
         if topo is None:
@@ -501,18 +497,14 @@ class TopologyStore:
                 if topo is None:
                     topo = build_topology(workload, n, key=key)
                     self._write(topo)
-                    self._count("build", stats)
+                    _bump(stats, "build")
                 else:
-                    self._count("hit_disk", stats)
+                    _bump(stats, "hit_disk")
         else:
-            self._count("hit_disk", stats)
+            _bump(stats, "hit_disk")
         topo._store = self
         _mem_put(topo)
         return topo
-
-    def _count(self, what: str, stats: Optional[Dict[str, int]]) -> None:
-        self.stats[what] = self.stats.get(what, 0) + 1
-        _bump(stats, what)
 
     # -- disk I/O --------------------------------------------------------
     def _load(self, key: str) -> Optional[CompiledTopology]:

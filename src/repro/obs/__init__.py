@@ -6,11 +6,10 @@ Three layers, cheap by default:
 * :mod:`repro.obs.events` — the stable, schema-versioned vocabulary of
   run events (``run_start``, ``cell_end``, ``cell_timeout``, ...)
   serialized as JSONL;
-* :mod:`repro.obs.recorder` — the :class:`Recorder` sink protocol with
-  counters, gauges, and monotonic timers.  The default
-  :data:`NULL_RECORDER` is a no-op whose ``enabled`` flag lets hot
-  paths skip event construction entirely, so an un-instrumented run
-  pays nothing;
+* :mod:`repro.obs.recorder` — the :class:`Recorder` event-sink
+  protocol.  The default :data:`NULL_RECORDER` is a no-op whose
+  ``enabled`` flag lets hot paths skip event construction entirely, so
+  an un-instrumented run pays nothing;
 * :mod:`repro.obs.phases` — the :class:`PhaseTracker` an engine
   attaches when the metrics registry is enabled: algorithm code opens
   ``ctx.phase("dfs-token")`` spans and the tracker adds each run's
@@ -21,11 +20,12 @@ Three layers, cheap by default:
 cached counts, throughput, ETA, slowest-cell watchlist) from the
 per-cell callbacks of the parallel executor.
 
-:mod:`repro.obs.metrics` is the aggregation layer on top: a
+:mod:`repro.obs.metrics` is the one store for counts and timings: a
 process-wide :class:`~repro.obs.metrics.MetricsRegistry` of labeled
 counters/gauges/fixed-bucket histograms with deterministic, mergeable
 snapshots, exported as Prometheus text, JSON (``repro metrics dump``),
-or the live ``repro top`` view (:mod:`repro.obs.top`).
+or the live ``repro top`` view (:mod:`repro.obs.top`).  The event
+stream holds lifecycles; report tables are views of the two.
 
 See ``docs/observability.md`` for the event schema and the phase-hook
 guide for algorithm authors.

@@ -29,9 +29,9 @@ Event kinds
                  (phase profiles live in the metrics registry)
 ``phase_end``    no longer emitted; kept so older streams validate
 ``engine_step``  throttled engine-loop heartbeat
-``topology_stats`` compiled-topology cache totals for one sweep
-                 (builds vs memory/disk hits), emitted just before
-                 ``sweep_end``
+``topology_stats`` no longer emitted; kept so older streams validate
+                 (topology fetches live in the metrics registry's
+                 ``repro_topology_fetch_total``)
 ``check_stats``  one schedule-space exploration finished
                  (:func:`repro.check.explorer.explore` totals)
 ``worstcase_stats`` one worst-case schedule search finished

@@ -1,12 +1,8 @@
 """Telemetry sinks.
 
 A :class:`Recorder` receives structured events (:mod:`repro.obs.events`)
-and scalar instruments:
-
-* ``counter(name, inc)`` — monotonically accumulating counts;
-* ``gauge(name, value)`` — last-value-wins measurements;
-* ``timer(name)`` — a context manager accumulating monotonic
-  wall-time into the counter ``name``.
+and does nothing else: counts and timings belong to the metrics
+registry (:mod:`repro.obs.metrics`), lifecycles to the event stream.
 
 The contract hot paths rely on: check ``recorder.enabled`` before
 building an event dict.  :class:`NullRecorder` reports ``enabled =
@@ -20,7 +16,6 @@ from __future__ import annotations
 
 import io
 import threading
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Union
 
@@ -33,10 +28,6 @@ class Recorder:
     #: Hot paths skip event construction when this is False.
     enabled: bool = True
 
-    def __init__(self) -> None:
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-
     # -- events ----------------------------------------------------------
     def emit(self, kind: str, **fields: Any) -> None:
         """Build, validate, and sink one event."""
@@ -44,22 +35,6 @@ class Recorder:
 
     def write(self, event: Dict[str, Any]) -> None:
         raise NotImplementedError
-
-    # -- instruments -----------------------------------------------------
-    def counter(self, name: str, inc: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + inc
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def timer(self, name: str) -> "_Timer":
-        """``with rec.timer("oracle"): ...`` accumulates elapsed
-        monotonic seconds into counter ``name``."""
-        return _Timer(self, name)
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Current instrument values (counters + gauges)."""
-        return {"counters": dict(self.counters), "gauges": dict(self.gauges)}
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
@@ -72,43 +47,15 @@ class Recorder:
         self.close()
 
 
-class _Timer:
-    __slots__ = ("_recorder", "_name", "_start")
-
-    def __init__(self, recorder: Recorder, name: str):
-        self._recorder = recorder
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._recorder.counter(
-            self._name, time.perf_counter() - self._start
-        )
-
-
 class NullRecorder(Recorder):
     """The zero-overhead default: every operation is a no-op."""
 
     enabled = False
 
-    def __init__(self) -> None:  # skip instrument dict allocation
-        self.counters = {}
-        self.gauges = {}
-
     def emit(self, kind: str, **fields: Any) -> None:
         pass
 
     def write(self, event: Dict[str, Any]) -> None:
-        pass
-
-    def counter(self, name: str, inc: float = 1.0) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
         pass
 
 
@@ -120,7 +67,6 @@ class MemoryRecorder(Recorder):
     """Collects events in a list — the test/bench sink."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.events: List[Dict[str, Any]] = []
 
     def write(self, event: Dict[str, Any]) -> None:
@@ -143,7 +89,6 @@ class JsonlRecorder(Recorder):
     """
 
     def __init__(self, target: Union[str, Path, TextIO]):
-        super().__init__()
         if isinstance(target, (str, Path)):
             path = Path(target)
             if path.parent != Path(""):

@@ -5,10 +5,9 @@ Each generation's population maps onto
 genome — duplicates within a generation are evaluated once and fan
 back out) and runs through a
 :class:`~repro.experiments.parallel.ParallelSweepExecutor`.  That buys
-candidate evaluation everything cells already have: any execution
-backend (``serial``/``steal``), on-disk result caching (a
-re-run of a converged search is all cache hits), crash isolation and
-retry, telemetry, and metrics.
+candidate evaluation everything cells already have: inline or pooled
+execution, on-disk result caching (a re-run of a converged search is
+all cache hits), crash isolation and retry, telemetry, and metrics.
 
 The base spec fixes everything the genome does not: workload, schedule,
 knowledge, bandwidth, and — critically — the ``(setup_seed,
@@ -242,51 +241,19 @@ def controlled_log_for(spec: CellSpec) -> Tuple[Any, Any]:
     Executor cells ship back lean scalars only; the atlas needs the
     controlled run's :class:`~repro.check.controller.ScheduleLog` (its
     per-seq delay map is what replays through the plain engine), so
-    the incumbent is re-executed here with a live controller.  Builds
-    the world through the same spec resolvers as
-    :func:`repro.experiments.parallel._execute_cell`, so the run is
-    the cell, bit for bit.
+    the incumbent is re-executed here through the executor's own cell
+    body, :func:`repro.experiments.parallel._execute_cell`, which hands
+    back the live controller — the run is the cell, bit for bit.  The
+    result is the cell's lean result.
     """
-    from repro.experiments.parallel import (
-        _build_algorithm,
-        _build_controller,
-        _build_delay,
-        _build_schedule,
-    )
-    from repro.graphs.compile import compiled_topology
-    from repro.models.knowledge import Knowledge, make_setup
-    from repro.sim.adversary import Adversary
-    from repro.sim.runner import run_wakeup
+    from repro.experiments.parallel import _execute_cell
+    from repro.sim.runner import WakeUpResult
 
     if spec.controller is None:
         raise ReproError("controlled_log_for needs a controlled spec")
-    topo = compiled_topology(spec.workload, spec.n)
-    graph = topo.graph()
-    awake = topo.awake_vertices()
-    setup = make_setup(
-        graph,
-        knowledge=Knowledge[spec.knowledge],
-        bandwidth=spec.bandwidth,
-        seed=spec.setup_seed if spec.setup_seed is not None else spec.run_seed,
-        compiled=topo,
+    scratch: Dict[str, Any] = {}
+    payload = _execute_cell(spec, scratch)
+    return (
+        WakeUpResult.from_lean_dict(payload["result"]),
+        scratch["controller"].log,
     )
-    adversary = Adversary(
-        _build_schedule(spec.schedule, graph, awake),
-        _build_delay(spec.delay),
-    )
-    controller = _build_controller(spec.controller)
-    result = run_wakeup(
-        setup,
-        _build_algorithm(spec.algorithm, spec.algo_params),
-        adversary,
-        engine=spec.engine,
-        seed=(
-            spec.exec_seed
-            if spec.exec_seed is not None
-            else spec.run_seed + 1
-        ),
-        require_all_awake=spec.require_all_awake,
-        max_events=spec.max_events,
-        controller=controller,
-    )
-    return result, controller.log

@@ -214,7 +214,6 @@ class _JobRecorder(Recorder):
     tees it into the daemon-wide log (``repro serve --telemetry``)."""
 
     def __init__(self, job: Job, tee: Recorder):
-        super().__init__()
         self._job = job
         self._tee = tee
 
@@ -231,7 +230,6 @@ class _PipeRecorder(Recorder):
     which publishes it through the job's :class:`_JobRecorder`."""
 
     def __init__(self, conn):
-        super().__init__()
         self._conn = conn
 
     def write(self, event: Dict[str, Any]) -> None:

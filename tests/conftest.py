@@ -15,6 +15,7 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.models.knowledge import Knowledge, make_setup
+from repro.obs.metrics import MetricsRegistry, set_global_registry
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 
 
@@ -32,6 +33,19 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "bulk" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def live_registry():
+    """Install a fresh global metrics registry — the one the executor
+    counts into — and restore the previous one on exit (also when the
+    test installs further registries itself)."""
+    registry = MetricsRegistry()
+    previous = set_global_registry(registry)
+    try:
+        yield registry
+    finally:
+        set_global_registry(previous)
 
 
 @pytest.fixture

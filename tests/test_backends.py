@@ -234,9 +234,7 @@ class TestStealFaults:
             _fault_cell(GOOD, trial=1),
             _fault_cell(GOOD, trial=2),
         ]
-        out = ParallelSweepExecutor(
-            workers=2, use_cache=False, retries=1
-        ).run(cells)
+        out = ParallelSweepExecutor(workers=2, use_cache=False).run(cells)
         by_algo = {o.spec.algorithm: o for o in out}
         crashed = by_algo[f"{HERE}:KillerAlgo"]
         assert crashed.status == "crashed"

@@ -3,19 +3,18 @@
 import pytest
 
 from repro.core.registry import get_algorithm
-from repro.experiments.sweeps import (
-    algorithm_model,
-    dense_er_all_awake,
-    er_fraction_wake,
-    er_single_wake,
-    grid_corner_wake,
-    parallel_sweep,
-    tree_random_wake,
-)
+from repro.experiments.sweeps import algorithm_model, parallel_sweep
 from repro.experiments.table1 import (
     measure_table1,
     render_table1,
     workload_context,
+)
+from repro.graphs.workloads import (
+    dense_er_all_awake,
+    er_fraction_wake,
+    er_single_wake,
+    grid_corner_wake,
+    tree_random_wake,
 )
 
 

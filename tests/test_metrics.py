@@ -53,17 +53,6 @@ from repro.sim.runner import run_wakeup
 FAULT_ALGOS = "tests.test_parallel_executor"
 
 
-@pytest.fixture
-def live_registry():
-    """Install a fresh global registry; restore the previous on exit."""
-    registry = MetricsRegistry()
-    previous = set_global_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_global_registry(previous)
-
-
 def _small_run(engine="async", algorithm="flooding", n=24):
     algo = get_algorithm(algorithm)
     graph = connected_erdos_renyi(n, 4.0 / (n - 1), seed=3)
@@ -287,15 +276,16 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 class TestExecutorAggregation:
     def _run(self, cells, registry, **kw):
+        """Run ``cells`` uncached, counting into ``registry`` (installed
+        as the global registry; the ``live_registry`` fixture restores
+        the previous one)."""
         clear_memory_cache()
-        ex = ParallelSweepExecutor(
-            use_cache=False, metrics=registry, **kw
-        )
-        return ex.run(cells)
+        set_global_registry(registry)
+        return ParallelSweepExecutor(use_cache=False, **kw).run(cells)
 
-    def test_fork_deltas_match_inline_exactly(self):
+    def test_fork_deltas_match_inline_exactly(self, live_registry):
         cells = _cells(4)
-        inline, forked = MetricsRegistry(), MetricsRegistry()
+        inline, forked = live_registry, MetricsRegistry()
         self._run(cells, inline, workers=0)
         self._run(cells, forked, workers=2)
 
@@ -312,13 +302,13 @@ class TestExecutorAggregation:
         assert engine_series(forked) == engine_series(inline)
         assert engine_series(inline)  # non-empty
 
-    def test_crash_and_timeout_cells_are_counted(self):
+    def test_crash_and_timeout_cells_are_counted(self, live_registry):
         cells = (
             _cells(2)
             + [_fault_cell(f"{FAULT_ALGOS}:KillerAlgo")]
             + [_fault_cell(f"{FAULT_ALGOS}:SleeperAlgo", trial=1)]
         )
-        registry = MetricsRegistry()
+        registry = live_registry
         out = self._run(
             cells, registry, workers=2, cell_timeout=1.0
         )
@@ -346,15 +336,18 @@ class TestExecutorAggregation:
         # worker shipped no delta and the timed-out cell never finished
         assert total("repro_engine_runs_total") == 2
 
-    def test_cached_cells_contribute_no_engine_counters(self, tmp_path):
+    def test_cached_cells_contribute_no_engine_counters(
+        self, tmp_path, live_registry
+    ):
         cells = _cells(4)
-        cold, warm = MetricsRegistry(), MetricsRegistry()
         kw = dict(workers=0, cache_dir=tmp_path / "cache",
                   use_cache=True)
         clear_memory_cache()
-        ParallelSweepExecutor(metrics=cold, **kw).run(cells)
+        ParallelSweepExecutor(**kw).run(cells)
         clear_memory_cache()
-        ex = ParallelSweepExecutor(metrics=warm, **kw)
+        warm = MetricsRegistry()
+        set_global_registry(warm)
+        ex = ParallelSweepExecutor(**kw)
         out = ex.run(cells)
         assert all(o.cached for o in out)
         counters = warm.snapshot()["counters"]
@@ -371,16 +364,12 @@ class TestExecutorAggregation:
         )
         assert counters[cached_key] == len(cells)
 
-    def test_results_identical_with_metrics_on_and_off(self):
+    def test_results_identical_with_metrics_on_and_off(
+        self, live_registry
+    ):
         cells = _cells(4)
-        clear_memory_cache()
-        plain = ParallelSweepExecutor(workers=2, use_cache=False).run(
-            cells
-        )
-        clear_memory_cache()
-        metered = ParallelSweepExecutor(
-            workers=2, use_cache=False, metrics=MetricsRegistry()
-        ).run(cells)
+        plain = self._run(cells, NULL_REGISTRY, workers=2)
+        metered = self._run(cells, live_registry, workers=2)
         assert [o.status for o in plain] == [o.status for o in metered]
         # Deterministic result scalars are bit-identical; only the
         # wall-clock phase profile may differ between any two runs.
@@ -476,34 +465,35 @@ class TestExporters:
 # Dashboard
 # ----------------------------------------------------------------------
 class TestTop:
-    def _sweep_snapshot(self, tmp_path):
-        registry = MetricsRegistry()
+    def _sweep_snapshot(self, tmp_path, registry):
         clear_memory_cache()
         ParallelSweepExecutor(
             workers=0, cache_dir=tmp_path / "cache", use_cache=True,
-            metrics=registry,
         ).run(_cells(2))
         return registry.snapshot()
 
-    def test_render_top_summarizes_sweep(self, tmp_path):
-        frame = render_top(self._sweep_snapshot(tmp_path))
+    def test_render_top_summarizes_sweep(self, tmp_path, live_registry):
+        frame = render_top(self._sweep_snapshot(tmp_path, live_registry))
         assert "executor   cells 2 (ok 2" in frame
         assert "caches" in frame
         assert "engines    runs 2" in frame
 
-    def test_render_top_rates_against_previous_frame(self, tmp_path):
-        snap = self._sweep_snapshot(tmp_path)
+    def test_render_top_rates_against_previous_frame(
+        self, tmp_path, live_registry
+    ):
+        snap = self._sweep_snapshot(tmp_path, live_registry)
         empty = {"counters": {}, "gauges": {}, "histograms": {}}
         frame = render_top(snap, prev=empty, dt=2.0)
         assert "rate 1.0/s" in frame
 
-    def test_topview_speaks_progress_protocol(self, tmp_path):
+    def test_topview_speaks_progress_protocol(self, live_registry):
         buf = io.StringIO()
-        registry = MetricsRegistry()
-        view = TopView(stream=buf, registry=registry, min_interval=0.0)
+        view = TopView(
+            stream=buf, registry=live_registry, min_interval=0.0
+        )
         clear_memory_cache()
         ParallelSweepExecutor(
-            workers=0, use_cache=False, metrics=registry, progress=view,
+            workers=0, use_cache=False, progress=view,
         ).run(_cells(2))
         out = buf.getvalue()
         assert "executor   cells 2" in out

@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro.analysis.telemetry import topology_fetches
 from repro.core.base import WakeUpAlgorithm
 from repro.core.registry import get_algorithm
 from repro.errors import ReproError
@@ -35,6 +36,7 @@ from repro.experiments.parallel import (
     classify_cell_envelope,
     run_cell,
 )
+from repro.experiments.backends import WorkStealingBackend
 from repro.experiments.storage import load_records, merge_records
 from repro.graphs.compile import clear_memory_cache
 from repro.experiments.sweeps import (
@@ -44,6 +46,7 @@ from repro.experiments.sweeps import (
     sweep_cells,
 )
 from repro.experiments.table1 import table1_cells
+from repro.obs.metrics import MetricsRegistry, set_global_registry
 from repro.sim.node import NodeAlgorithm
 
 # The conformance grid: algorithms spanning engines (async/sync),
@@ -559,17 +562,23 @@ class TestFaultInjection:
 # speedup — rows are bit-identical with the store on, off, or warm.
 # ----------------------------------------------------------------------
 class TestTopologyStoreConformance:
-    def _run(self, cells, tmp_path=None, workers=0, store=False):
+    def _run(self, cells, cache_dir=None, workers=0):
+        """Run ``cells`` uncached and store-off, or — given a fresh
+        ``cache_dir`` — as CI's warm-store smoke does: that cell cache
+        over the topology store beside it.  Returns the registry the
+        run counted into and the outcomes."""
         clear_memory_cache()
-        ex = ParallelSweepExecutor(
-            workers=workers,
-            use_cache=False,
-            use_topology_store=store,
-            topology_dir=(tmp_path or "unused") / "topo"
-            if tmp_path
-            else "unused/topo",
-        )
-        return ex, ex.run(cells)
+        registry = MetricsRegistry()
+        set_global_registry(registry)
+        if cache_dir is None:
+            ex = ParallelSweepExecutor(workers=workers, use_cache=False)
+        else:
+            ex = ParallelSweepExecutor(
+                workers=workers,
+                cache_dir=cache_dir,
+                topology_dir=cache_dir.parent / "topo",
+            )
+        return registry, ex.run(cells)
 
     @staticmethod
     def _assert_identical(a, b):
@@ -580,29 +589,53 @@ class TestTopologyStoreConformance:
             assert y.result.time_all_awake == x.result.time_all_awake
             assert y.rho_awk == x.rho_awk
 
-    def test_store_on_off_and_warm_rows_bit_identical(self, tmp_path):
+    def test_store_on_off_and_warm_rows_bit_identical(
+        self, tmp_path, live_registry
+    ):
         cells = _grid_cells()
         _, off = self._run(cells)
-        on_ex, on = self._run(cells, tmp_path, store=True)
+        on_reg, on = self._run(cells, tmp_path / "cold")
         self._assert_identical(off, on)
         # One build per distinct (workload, n): 2 workload seeds x 2
         # sizes, shared across all algorithms and trials.
         distinct = {(c.workload["seed"], c.n) for c in cells}
-        assert on_ex.stats["topology.build"] == len(distinct)
+        assert topology_fetches(on_reg.snapshot())["build"] == len(distinct)
         # Warm rerun: everything replays from disk, still identical.
-        warm_ex, warm = self._run(cells, tmp_path, store=True)
+        warm_reg, warm = self._run(cells, tmp_path / "warm")
         self._assert_identical(off, warm)
-        assert warm_ex.stats["topology.build"] == 0
-        assert warm_ex.stats["topology.hit_disk"] == len(distinct)
+        fetches = topology_fetches(warm_reg.snapshot())
+        assert fetches["build"] == 0
+        assert fetches["hit_disk"] == len(distinct)
 
-    def test_store_with_worker_pool_matches_serial(self, tmp_path):
+    def test_store_with_worker_pool_matches_serial(
+        self, tmp_path, live_registry
+    ):
         cells = _grid_cells()
         _, serial = self._run(cells)
-        pool_ex, pooled = self._run(
-            cells, tmp_path, workers=2, store=True
-        )
+        pool_reg, pooled = self._run(cells, tmp_path / "pool", workers=2)
         self._assert_identical(serial, pooled)
-        # Fork workers still account one build per distinct topology
-        # at most (racing workers may disk-hit instead).
+        # The store's file lock lets exactly one worker build each
+        # distinct topology; every other fetch is a hit.
         distinct = {(c.workload["seed"], c.n) for c in cells}
-        assert 0 < pool_ex.stats["topology.build"] <= len(distinct)
+        assert topology_fetches(pool_reg.snapshot())["build"] == len(
+            distinct
+        )
+
+    def test_payload_carries_one_worker_delta(self):
+        """Topology fetches travel in the registry delta, not beside
+        it: an executed cell's payload has no ``"topology"`` key,
+        inline or pooled."""
+        cells = [_fault_cell("flooding"), _fault_cell("flooding", trial=1)]
+        inline = run_cell(cells[0], collect_metrics=True)
+        pooled = [
+            p for _, p in WorkStealingBackend(2, collect_metrics=True)
+            .drain(cells)
+        ]
+        for payload in [inline, *pooled]:
+            assert payload["ok"]
+            assert "topology" not in payload
+            fetches = [
+                k for k in payload["metrics_delta"]["counters"]
+                if k.startswith("repro_topology_fetch_total")
+            ]
+            assert len(fetches) == 1

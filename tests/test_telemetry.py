@@ -41,6 +41,7 @@ from repro.analysis.telemetry import (
 )
 from repro.core.registry import get_algorithm
 from repro.experiments.parallel import CellSpec, ParallelSweepExecutor, run_cell
+from repro.graphs.compile import clear_memory_cache
 from repro.graphs.generators import connected_erdos_renyi
 from repro.models.knowledge import Knowledge, make_setup
 from repro.obs import (
@@ -220,25 +221,15 @@ class TestRecorders:
         assert parse_line(buf.getvalue())["phase"] == "x"
         assert not buf.closed  # caller-owned stream stays open
 
-    def test_instruments(self):
-        rec = MemoryRecorder()
-        rec.counter("cells", 2)
-        rec.counter("cells")
-        rec.gauge("workers", 4)
-        with rec.timer("oracle"):
-            pass
-        snap = rec.snapshot()
-        assert snap["counters"]["cells"] == 3
-        assert snap["gauges"]["workers"] == 4
-        assert snap["counters"]["oracle"] >= 0
-
     def test_null_recorder_is_inert(self):
         rec = NullRecorder()
         assert rec.enabled is False
         rec.emit("not-even-a-kind", bogus=1)  # never validates, never raises
-        rec.counter("x")
-        rec.gauge("y", 1)
-        assert rec.snapshot() == {"counters": {}, "gauges": {}}
+        rec.write({"kind": "anything"})
+        rec.close()
+        # An event sink and nothing else: no instrument store.
+        assert not hasattr(rec, "counter")
+        assert not hasattr(rec, "snapshot")
 
 
 # ----------------------------------------------------------------------
@@ -417,11 +408,11 @@ HERE = "tests.test_parallel_executor"
 
 
 class TestExecutorTelemetry:
-    def test_sweep_frames_and_per_cell_lifecycle(self):
+    def test_sweep_frames_and_per_cell_lifecycle(self, live_registry):
         rec = MemoryRecorder()
         cells = _flood_cells()
-        ParallelSweepExecutor(workers=0, use_cache=False, recorder=rec,
-                              metrics=MetricsRegistry()).run(cells)
+        ParallelSweepExecutor(workers=0, use_cache=False,
+                              recorder=rec).run(cells)
         kinds = rec.kinds()
         assert kinds[0] == "sweep_start"
         assert kinds[-1] == "sweep_end"
@@ -439,18 +430,18 @@ class TestExecutorTelemetry:
         for e in rec.of_kind("sweep_end"):
             assert e["executed"] == len(cells)
 
-    def test_phases_count_executed_cells_only(self, tmp_path):
+    def test_phases_count_executed_cells_only(self, tmp_path, live_registry):
         cells = _flood_cells()
         kw = dict(workers=0, cache_dir=tmp_path, use_cache=True)
-        cold = MetricsRegistry()
-        ParallelSweepExecutor(**kw, metrics=cold).run(cells)
-        counters = cold.snapshot()["counters"]
+        ParallelSweepExecutor(**kw).run(cells)
+        counters = live_registry.snapshot()["counters"]
         for n in (16, 24):
             key = f'repro_phase_entries_total{{n="{n}",phase="engine"}}'
             assert counters[key] == 1
         warm = MetricsRegistry()
+        set_global_registry(warm)
         rec = MemoryRecorder()
-        ParallelSweepExecutor(**kw, metrics=warm, recorder=rec).run(cells)
+        ParallelSweepExecutor(**kw, recorder=rec).run(cells)
         assert all(e["cached"] for e in rec.of_kind("cell_start"))
         snap = warm.snapshot()
         series = [*snap["counters"], *snap["histograms"]]
@@ -616,11 +607,14 @@ class TestFlightRecorder:
 # Analysis: report aggregation
 # ----------------------------------------------------------------------
 @pytest.fixture()
-def telemetry_file(tmp_path):
+def telemetry_file(tmp_path, live_registry):
+    """An inline sweep's stream: 2 sizes x 2 trials, so 2 topology
+    builds and 2 in-process reuses."""
     path = tmp_path / "events.jsonl"
+    clear_memory_cache()
     rec = JsonlRecorder(path)
     ParallelSweepExecutor(
-        workers=0, use_cache=False, recorder=rec, metrics=MetricsRegistry()
+        workers=0, use_cache=False, recorder=rec
     ).run(_flood_cells(n_values=(16, 24), trials=(0, 1)))
     rec.close()
     return path
@@ -774,6 +768,46 @@ class TestCheckTelemetryScript:
         path = self._executed_cell_stream(tmp_path / "ok.jsonl", 1)
         proc = self.run_checker(str(path))
         assert proc.returncode == 0, proc.stderr
+
+    def test_expect_topology_builds_reads_the_snapshot(self, telemetry_file):
+        proc = self.run_checker(
+            str(telemetry_file), "--expect-topology-builds", "2"
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = self.run_checker(
+            str(telemetry_file), "--expect-topology-builds", "3"
+        )
+        assert proc.returncode == 1
+        assert "2 topology builds (expected exactly 3" in proc.stderr
+
+    def test_expect_topology_builds_accepts_older_streams(self, tmp_path):
+        """Streams written while topology fetches were also tallied
+        elsewhere carry a ``topology_stats`` event before the snapshot;
+        the snapshot alone decides."""
+        fetch = 'repro_topology_fetch_total{tier="build"}'
+        engine = 'repro_phase_entries_total{n="16",phase="engine"}'
+        events = [
+            make_event("cell_start", **SAMPLE_FIELDS["cell_start"]),
+            make_event("cell_end", **SAMPLE_FIELDS["cell_end"]),
+            make_event("topology_stats", build=1, hit_mem=0, hit_disk=0),
+            make_event(
+                "metrics_snapshot", counters={engine: 1, fetch: 1},
+                gauges={}, histograms={},
+            ),
+        ]
+        path = tmp_path / "older.jsonl"
+        path.write_text("".join(serialize_event(e) + "\n" for e in events))
+        proc = self.run_checker(str(path), "--expect-topology-builds", "1")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_expect_topology_builds_needs_a_snapshot(self, tmp_path):
+        path = tmp_path / "bare.jsonl"
+        path.write_text(serialize_event(make_event(
+            "topology_stats", build=2, hit_mem=0, hit_disk=0
+        )) + "\n")
+        proc = self.run_checker(str(path), "--expect-topology-builds", "2")
+        assert proc.returncode == 1
+        assert "no metrics_snapshot" in proc.stderr
 
     def test_min_cells_enforced(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -973,3 +1007,51 @@ class TestMetricsSnapshotSection:
         from repro.analysis.telemetry import metrics_snapshot_table
 
         assert metrics_snapshot_table([{"kind": "run_start"}]) == []
+
+
+class TestTopologyCacheSection:
+    """The report's "Topology cache" table and the sweep's
+    ``topologies:`` line are views of ``repro_topology_fetch_total``."""
+
+    def test_report_table_equals_the_fetch_counter(self, tmp_path, capsys):
+        from repro.__main__ import main
+        from repro.analysis.telemetry import topology_fetches
+
+        path = tmp_path / "sweep.jsonl"
+        clear_memory_cache()
+        code = main(
+            [
+                "sweep", "flooding", "--sizes", "16", "24",
+                "--trials", "2", "--workers", "2", "--progress", "off",
+                "--cache-dir", str(tmp_path / "cells"),
+                "--topology-dir", str(tmp_path / "topo"),
+                "--telemetry", str(path),
+            ]
+        )
+        assert code == 0
+        fetches = topology_fetches(last_snapshot(load_events(path)))
+        assert fetches["build"] == 2 and sum(fetches.values()) == 4
+        assert (
+            f"topologies: built 2, reused {fetches['hit_mem']} "
+            f"in-process + {fetches['hit_disk']} from store"
+        ) in capsys.readouterr().out
+        assert main(["report", "--telemetry", str(path)]) == 0
+        table = capsys.readouterr().out.split("Topology cache\n", 1)[1]
+        header, _, row = table.splitlines()[:3]
+        assert dict(zip(header.split(), row.split())) == {
+            "builds": "2",
+            "hits_mem": str(fetches["hit_mem"]),
+            "hits_disk": str(fetches["hit_disk"]),
+            "fetches": "4",
+            "hit_rate": "0.50",
+        }
+
+    def test_sweep_without_a_registry_prints_no_topology_line(
+        self, capsys
+    ):
+        from repro.__main__ import main
+
+        argv = ["sweep", "flooding", "--sizes", "16", "--trials", "1",
+                "--no-cache", "--workers", "0", "--progress", "off"]
+        assert main(argv) == 0
+        assert "topologies:" not in capsys.readouterr().out

@@ -29,8 +29,9 @@ import random
 import pytest
 
 import repro.graphs.compile as compile_mod
+from repro.analysis.telemetry import topology_fetches
 from repro.experiments.parallel import CellSpec, ParallelSweepExecutor
-from repro.experiments.sweeps import build_workload, sweep_cells
+from repro.experiments.sweeps import sweep_cells
 from repro.graphs.compile import (
     STORE_VERSION,
     CompiledTopology,
@@ -44,7 +45,9 @@ from repro.graphs.compile import (
 from repro.graphs.graph import Graph
 from repro.graphs.spanner import greedy_spanner
 from repro.graphs.traversal import awake_distance
+from repro.graphs.workloads import build_workload
 from repro.models.ports import PortAssignment
+from repro.obs.metrics import MetricsRegistry, set_global_registry
 
 WORKLOAD = {"kind": "er_single_wake", "avg_degree": 4.0, "seed": 5}
 N = 40
@@ -386,7 +389,7 @@ class TestOneTraversalPerTopology:
         )
 
     def test_multi_trial_batch_compiles_each_topology_once(
-        self, monkeypatch
+        self, monkeypatch, live_registry
     ):
         calls = []
 
@@ -399,30 +402,32 @@ class TestOneTraversalPerTopology:
         )
         cells = self._cells()
         assert len(cells) == len(self.SIZES) * self.TRIALS
-        executor = ParallelSweepExecutor(
-            workers=0, use_cache=False, use_topology_store=False
-        )
+        executor = ParallelSweepExecutor(workers=0, use_cache=False)
         outcomes = executor.run(cells)
         assert all(o.ok for o in outcomes)
         assert len(calls) == len(self.SIZES)
-        assert executor.stats["topology.build"] == len(self.SIZES)
-        assert executor.stats["topology.hit_mem"] == len(cells) - len(
+        assert topology_fetches(live_registry.snapshot()) == {
+            "build": len(self.SIZES),
+            "hit_mem": len(cells) - len(self.SIZES),
+            "hit_disk": 0,
+        }
+
+    def test_warm_store_batch_builds_nothing(self, tmp_path, live_registry):
+        # Fresh cell caches over one topology store, as CI's
+        # warm-store smoke runs it.
+        cells = self._cells()
+        ParallelSweepExecutor(
+            workers=0, cache_dir=tmp_path / "cold", topology_dir=tmp_path,
+        ).run(cells)
+        assert topology_fetches(live_registry.snapshot())["build"] == len(
             self.SIZES
         )
-
-    def test_warm_store_batch_builds_nothing(self, tmp_path):
-        cells = self._cells()
-        cold = ParallelSweepExecutor(
-            workers=0, use_cache=False, topology_dir=tmp_path,
-            use_topology_store=True,
-        )
-        cold.run(cells)
-        assert cold.stats["topology.build"] == len(self.SIZES)
         clear_memory_cache()
-        warm = ParallelSweepExecutor(
-            workers=0, use_cache=False, topology_dir=tmp_path,
-            use_topology_store=True,
-        )
-        warm.run(cells)
-        assert warm.stats["topology.build"] == 0
-        assert warm.stats["topology.hit_disk"] == len(self.SIZES)
+        warm = MetricsRegistry()
+        set_global_registry(warm)
+        ParallelSweepExecutor(
+            workers=0, cache_dir=tmp_path / "warm", topology_dir=tmp_path,
+        ).run(cells)
+        fetches = topology_fetches(warm.snapshot())
+        assert fetches["build"] == 0
+        assert fetches["hit_disk"] == len(self.SIZES)

@@ -135,6 +135,19 @@ class TestSubsystemMap:
         assert V.subsystem_of("repro.versioning") == "harness"
         assert V.subsystem_of("repro") == "harness"
 
+    def test_every_builtin_workload_is_graphs_code(self):
+        """Workload builders decide the graph of every cell and every
+        compiled topology, so they must sit under the graphs salt, which
+        keys both — the harness salt keys nothing."""
+        import repro.graphs.compile as compile_mod
+        from repro.graphs.workloads import WORKLOADS
+
+        assert V.subsystem_of(compile_mod.build_workload.__module__) == (
+            "graphs"
+        )
+        for kind, factory in WORKLOADS.items():
+            assert V.subsystem_of(factory.__module__) == "graphs", kind
+
     def test_unknown_module_raises(self):
         with pytest.raises(KeyError):
             V.subsystem_of("repro.brand_new_toplevel")
@@ -365,6 +378,22 @@ class TestEditSensitivity:
         # cell_salt_vector, but the *algorithm* salts hold.
         assert edited["flooding"] == base["flooding"]
         assert edited["spanner"] == base["spanner"]
+
+    def test_workload_edit_moves_graphs_only(self, tmp_path):
+        """A workload-builder edit (say, a changed graph seed) moves the
+        graphs salt, so every cell key and topology key moves with it
+        and a warm cache cannot serve rows built on the old graphs."""
+        base = self._salts_for_tree(tmp_path)
+        edited = self._salts_for_tree(
+            tmp_path / "edited",
+            edit=(
+                "graphs/workloads.py",
+                lambda s: s.replace("seed=seed + n)", "seed=seed + n + 1)"),
+            ),
+        )
+        assert edited["vector"]["graphs"] != base["vector"]["graphs"]
+        for sub in ("engine", "algorithms", "check", "opt", "harness"):
+            assert edited["vector"][sub] == base["vector"][sub]
 
     def test_opt_edit_moves_opt_only(self, tmp_path):
         """An optimizer-strategy edit moves the opt salt and nothing
