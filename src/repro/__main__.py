@@ -250,7 +250,7 @@ def _cmd_report(args) -> int:
 
 def _replay_staleness(replay_dir) -> Dict[str, int]:
     """Live/stale split of the replay directory against the current
-    engine+check salts."""
+    code salts (:func:`repro.check.controller.replay_is_stale`)."""
     from repro.check.controller import replay_is_stale
 
     counts = {"live": 0, "stale": 0}

@@ -66,7 +66,7 @@ from repro.obs.metrics import (
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.runner import WakeUpResult
 from repro.sim.trace import DEFAULT_FLIGHT_RECORDER, Trace
-from repro.versioning import cell_salt_vector
+from repro.versioning import atlas_salt_vector
 
 #: Cell-cache envelope layout version.  v1 envelopes carried the
 #: hand-bumped global ``CODE_SALT`` string ("repro-cell-v3" was the
@@ -154,6 +154,10 @@ class CellSpec:
 
 _SPEC_FIELDS = tuple(f.name for f in fields(CellSpec))
 
+#: The one encoder every cell key goes through (``json.dumps`` builds
+#: a new one per call for these options).
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _cell_salts(spec: CellSpec) -> Dict[str, str]:
     """The salt vector one cell's key and cache envelope carry.
@@ -163,19 +167,19 @@ def _cell_salts(spec: CellSpec) -> Dict[str, str]:
     subsystem's scheduling loop (:mod:`repro.check.controller`), so
     the check salt joins the key — a controller edit re-executes
     controlled cells and leaves ordinary sweep cells warm."""
-    salts = cell_salt_vector(spec.algorithm)
-    if spec.controller is not None or spec.delay.get("kind") == "replay":
-        from repro.versioning import subsystem_salt
-
-        salts["check"] = subsystem_salt("check")
-    return salts
+    return atlas_salt_vector(
+        spec.algorithm,
+        controlled=(
+            spec.controller is not None or spec.delay.get("kind") == "replay"
+        ),
+    )
 
 
 def cell_key(spec: CellSpec) -> str:
     """Content hash identifying a cell: the full spec plus the salts
     its execution depends on (engine + graphs + the algorithm's
-    import-closure salt — :func:`repro.versioning.cell_salt_vector` —
-    plus the check salt for controlled cells), canonically
+    import-closure salt, plus the check salt for controlled cells —
+    :func:`repro.versioning.atlas_salt_vector`), canonically
     serialized.  Any differing input — seed, size, algorithm
     parameter, adversary knob — yields a different key, and so does
     any code edit that can reach this cell's execution; code edits
@@ -186,11 +190,7 @@ def cell_key(spec: CellSpec) -> str:
     naming it, since no stable key exists for it."""
     values = {name: getattr(spec, name) for name in _SPEC_FIELDS}
     try:
-        blob = json.dumps(
-            {"salts": _cell_salts(spec), "spec": values},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        blob = _KEY_ENCODER.encode({"salts": _cell_salts(spec), "spec": values})
     except TypeError:
         for name, value in values.items():
             try:
@@ -798,8 +798,8 @@ class ParallelSweepExecutor:
 
     def _cache_load(self, key: str) -> Optional[Dict[str, Any]]:
         try:
-            with open(self._cache_path(key), encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(self._cache_path(key), "rb") as fh:
+                data = json.loads(fh.read())
         except (OSError, ValueError):  # also bytes that are not UTF-8
             return None
         # The key already encodes the full salt vector, so a key match
@@ -881,12 +881,8 @@ def classify_cell_envelope(path: Union[str, Path]) -> Tuple[str, str]:
         return "stale", "legacy"
     if not isinstance(data.get("payload"), dict):
         return "stale", "unreadable"
-    current = cell_salt_vector(algorithm)
-    if "check" in salts:
-        # Controlled-cell envelope: the key folded the check salt too.
-        from repro.versioning import subsystem_salt
-
-        current["check"] = subsystem_salt("check")
+    # A controlled-cell envelope's key folded the check salt too.
+    current = atlas_salt_vector(algorithm, controlled="check" in salts)
     mismatched = sorted(
         name for name, salt in current.items() if salts.get(name) != salt
     )

@@ -4,11 +4,17 @@ Benches print tables; long-lived reproductions also want the raw
 numbers on disk so EXPERIMENTS.md can be regenerated and diffs between
 runs inspected.  This module serializes sweep rows, Table-1 rows, and
 generic record dicts to a stable JSON layout with run metadata.
+
+Writes are idempotent and atomic: an artifact whose bytes would not
+change is left alone (a warm regeneration rewrites nothing), and a
+changed one is written to a temp file renamed over it, so a killed
+writer never leaves a torn file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 from dataclasses import fields, is_dataclass
@@ -21,9 +27,13 @@ PathLike = Union[str, Path]
 
 FORMAT_VERSION = 1
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
 
 def _jsonable(value: Any) -> Any:
     """Best-effort conversion of result objects to JSON-safe values."""
+    if type(value) in _SCALARS:  # every record field, so checked first
+        return value
     if is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: _jsonable(getattr(value, f.name)) for f in fields(value)
@@ -45,7 +55,12 @@ def save_records(
     experiment: str,
     params: Dict[str, Any] | None = None,
 ) -> None:
-    """Write records (dataclasses or dicts) plus run metadata as JSON."""
+    """Write records (dataclasses or dicts) plus run metadata as JSON.
+
+    The text is ``json.dumps(payload, indent=2, sort_keys=True)``.
+    When the file already holds exactly those bytes nothing is
+    written; otherwise they go to ``<stem>.tmp.<pid>``, which is then
+    renamed over ``path``."""
     payload = {
         "format_version": FORMAT_VERSION,
         "experiment": experiment,
@@ -56,7 +71,17 @@ def save_records(
         },
         "records": [_jsonable(r) for r in records],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    data = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+    path = Path(path)
+    try:
+        with open(path, "rb") as fh:
+            if fh.read() == data:
+                return
+    except OSError:  # no artifact yet
+        pass
+    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    tmp.write_bytes(data)
+    tmp.replace(path)
 
 
 def load_records(path: PathLike) -> Dict[str, Any]:
@@ -86,7 +111,8 @@ def merge_records(
 
     This is how cached and fresh executor cells land in one JSON file:
     a warm-cache re-run merges its (identical) records over the stored
-    ones, a partial re-run replaces exactly the cells that changed.
+    ones and so writes nothing, a partial re-run replaces exactly the
+    cells that changed.
 
     Existing records keep their position; a new record with a matching
     ``key`` replaces the old one in place, unmatched new records are

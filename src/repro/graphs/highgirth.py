@@ -182,10 +182,6 @@ class DkqGraph:
         return g
 
     @property
-    def vertices_per_side(self) -> int:
-        return self.q**self.k
-
-    @property
     def guaranteed_girth(self) -> int:
         """The [LUW95] girth guarantee: k + 5 for odd k, k + 4 for even."""
         return self.k + 5 if self.k % 2 == 1 else self.k + 4

@@ -227,7 +227,3 @@ def verify_spanner(graph: Graph, spanner: Graph, stretch: float) -> bool:
             if dist.get(v, float("inf")) > stretch:
                 return False
     return True
-
-
-def spanner_max_degree(spanner: Graph) -> int:
-    return spanner.max_degree()

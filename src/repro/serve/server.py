@@ -19,13 +19,16 @@ at a time):
   deduplication free: overlapping jobs admitted together run one after
   another against the same cell cache, so each distinct cell executes
   exactly once (the later job replays it as a cache hit).
-* **job process** — the runner forks one per job.  It leads its own
-  process group (its pool workers join it), installs a fresh metrics
-  registry as the global one, relays its telemetry to the runner over
-  a pipe, and ends by sending its result (or error) plus the registry
-  snapshot.  The runner publishes the relayed events to the job's
-  watchers and merges the snapshot into the daemon registry under the
-  metrics lock, which guards every access to that registry.
+* **job process** — the runner forks one per job, after deriving in
+  the daemon what later jobs reuse (the graphs salt and, for a sweep,
+  the algorithm's cell salts), so every job process inherits it.  It
+  leads its own process group (its pool workers join it), installs a
+  fresh metrics registry as the global one, relays its telemetry to
+  the runner over a pipe, and ends by sending its result (or error)
+  plus the registry snapshot.  The runner publishes the relayed
+  events to the job's watchers and merges the snapshot into the
+  daemon registry under the metrics lock, which guards every access
+  to that registry.
 
 Admission control — every path produces a *structured* rejection line,
 never a dropped connection:
@@ -91,6 +94,7 @@ from repro.serve.protocol import (
     dump_line,
     parse_request,
 )
+from repro.versioning import cell_salt_vector
 
 
 #: States a job can be observed in; the last three are terminal.
@@ -580,6 +584,12 @@ class SweepServer:
         # Built here, so what it derives once (the graphs salt) stays
         # in the daemon for every later job.
         executor = self._make_executor(job, _PipeRecorder(send))
+        if job.spec["kind"] == "sweep":
+            # Likewise the algorithm's cell salts, which every cell key
+            # of the job needs.  Whatever goes wrong here goes wrong
+            # again, and fails the job, in the job process.
+            with contextlib.suppress(Exception):
+                cell_salt_vector(job.spec["algorithm"])
         # Not daemonic: a daemonic process may not fork the pool.
         proc = ctx.Process(target=_job_main, args=(job.spec, executor, send))
         proc.start()

@@ -11,8 +11,8 @@ network*.  This module advances that unit directly:
   adjacency that :class:`~repro.graphs.compile.CompiledTopology`
   already stores (``recv = A @ sent``);
 * message counts come from degree sums over the frontier
-  (``indptr`` differences), and bit totals from the cached payload
-  sizes (:func:`~repro.sim.messages.bit_size_cached`) — the same
+  (``indptr`` differences), and bit totals from the payload size
+  (:func:`~repro.sim.messages.bit_size`, measured once) — the same
   measurement the per-message engines charge.
 
 **Metric-equivalence contract.**  For every supported algorithm the
@@ -54,7 +54,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.adversary import Adversary
 from repro.sim.engine import publish_run
 from repro.sim.faults import NoDrops
-from repro.sim.messages import bit_size_cached
+from repro.sim.messages import bit_size
 from repro.sim.metrics import Metrics
 
 try:  # pragma: no cover - exercised via HAS_BULK on both outcomes
@@ -101,7 +101,7 @@ class BulkKernel:
     A kernel declares three things:
 
     * :attr:`payload` — the (constant) message payload, measured once
-      with the same :func:`~repro.sim.messages.bit_size_cached` the
+      with the same :func:`~repro.sim.messages.bit_size` the
       per-message engines use.  Kernels with non-constant payloads are
       unsupported by construction (their algorithms simply do not
       override :meth:`~repro.core.base.WakeUpAlgorithm.bulk_kernel`).
@@ -364,9 +364,9 @@ class BulkSyncEngine:
         self._wake_cause_msg = _np.zeros(self.n, dtype=bool)
         self._rngs: Dict[int, random.Random] = {}
 
-        # Payload accounting: one measurement, same cache as the
-        # per-message engines.
-        self._payload_bits = bit_size_cached(kernel.payload)
+        # Payload accounting: one measurement, by the same function as
+        # the per-message engines.
+        self._payload_bits = bit_size(kernel.payload)
         cap = setup.bandwidth.cap_bits
         if cap is not None and self._payload_bits > cap:
             setup.bandwidth.check(self._payload_bits)

@@ -31,7 +31,7 @@ from repro.obs.phases import NULL_TRACKER, track_phases
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.adversary import Adversary
 from repro.sim.faults import NoDrops
-from repro.sim.messages import Message, bit_size_cached
+from repro.sim.messages import Message, bit_size
 from repro.sim.metrics import Metrics
 from repro.sim.node import NodeAlgorithm, NodeContext
 from repro.sim.trace import Trace
@@ -122,7 +122,7 @@ class Engine:
         self._bw_cap = setup.bandwidth.cap_bits
         # Broadcasts reuse one payload object across ports (and
         # constant payloads across calls), so one identity check
-        # usually replaces the whole bit_size_cached lookup.  Holding
+        # usually replaces the whole bit_size measurement.  Holding
         # the reference keeps the id() stable.
         self._memo_payload: Any = _UNSET
         self._memo_bits = 0
@@ -196,7 +196,7 @@ class Engine:
                 if payload is last_payload:
                     bits = last_bits
                 else:
-                    bits = bit_size_cached(payload)
+                    bits = bit_size(payload)
                     last_payload = payload
                     last_bits = bits
                 if cap is not None and bits > cap:

@@ -31,14 +31,9 @@ upper bounds on message/bit complexity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, NamedTuple
+from typing import Any, Hashable, NamedTuple
 
 from repro.errors import SimulationError
-
-#: Int sequences at least this long (fast-wakeup's ID vectors, say)
-#: take the vectorized measurement path in :func:`bit_size` (below the
-#: threshold the type scan costs more than the plain recursion saves).
-_INT_RUN_MIN = 8
 
 
 def bit_size(payload: Any) -> int:
@@ -46,10 +41,10 @@ def bit_size(payload: Any) -> int:
 
     Dispatches on the exact type first (the overwhelmingly common
     case), falling back to the ``isinstance`` ladder for subclasses
-    and the rarer container types.  Long homogeneous int sequences,
-    such as neighbour-ID vectors, are measured with C-level
-    ``sum(map(int.bit_length, ...))`` instead of per-element recursion;
-    the result is identical, element by element.
+    and the rarer container types.  A tuple or list is measured in one
+    loop that charges its ``int`` and ``str`` elements inline and
+    recurses only for the rest (``bool``, ``None``, floats, nested
+    containers); the result is the per-element sum.
     """
     t = type(payload)
     if t is int:
@@ -59,12 +54,16 @@ def bit_size(payload: Any) -> int:
     if t is str:
         return 8
     if t is tuple or t is list:
-        n = len(payload)
-        if n >= _INT_RUN_MIN and all(type(x) is int for x in payload):
-            # Per int element: 2 framing + 1 sign + max(1, bit_length);
-            # a zero has bit_length 0 but is charged the 1-bit minimum.
-            return 3 * n + sum(map(int.bit_length, payload)) + payload.count(0)
-        return sum(bit_size(x) + 2 for x in payload)
+        bits = 2 * len(payload)  # framing
+        for x in payload:
+            tx = type(x)
+            if tx is int:
+                bits += 1 + (x.bit_length() or 1)
+            elif tx is str:
+                bits += 8
+            else:
+                bits += bit_size(x)
+        return bits
     return _bit_size_general(payload)
 
 
@@ -95,69 +94,6 @@ def _bit_size_general(payload: Any) -> int:
     raise SimulationError(
         f"cannot measure payload of type {type(payload).__name__}"
     )
-
-
-# ----------------------------------------------------------------------
-# Memoized measurement (engine hot path)
-# ----------------------------------------------------------------------
-# Protocols send the same few payload *shapes* over and over (flooding's
-# ("wake",) tag, gossip's small tuples), so the engines measure through
-# a cache keyed on a structural type signature.  The signature carries
-# the exact type at every position alongside the value — (int, 1),
-# (bool, True), and (float, 1.0) are distinct keys even though the
-# values compare equal and would collide in a plain value-keyed dict.
-_BIT_SIZE_CACHE: Dict[Any, int] = {}
-_BIT_SIZE_CACHE_MAX = 4096
-#: Containers longer than this are never memoized: building their key
-#: costs as much as measuring them, and each giant key would pin the
-#: payload in the cache.
-_MEMO_MAX_LEN = 8
-
-
-def _structural_key(payload: Any):
-    """Hashable (type, value) signature of a payload, or None when the
-    payload is not worth (or not safe to) memoize."""
-    t = type(payload)
-    if t is tuple or t is list:
-        if len(payload) > _MEMO_MAX_LEN:
-            return None
-        parts = []
-        for x in payload:
-            k = _structural_key(x)
-            if k is None:
-                return None
-            parts.append(k)
-        return (t, tuple(parts))
-    if t is int or t is bool or t is str or t is float or payload is None:
-        return (t, payload)
-    return None
-
-
-def bit_size_cached(payload: Any) -> int:
-    """:func:`bit_size` through the structural-signature memo.
-
-    Exact by construction: a cache hit returns the stored
-    :func:`bit_size` of a structurally identical payload, and anything
-    without a (small, hashable) signature falls back to the exact
-    computation.  Scalars skip the cache entirely — measuring them is
-    cheaper than keying them.
-    """
-    t = type(payload)
-    if t is int:
-        return 1 + max(1, payload.bit_length())
-    if t is bool or payload is None:
-        return 1
-    if t is str:
-        return 8
-    key = _structural_key(payload)
-    if key is None:
-        return bit_size(payload)
-    bits = _BIT_SIZE_CACHE.get(key)
-    if bits is None:
-        bits = bit_size(payload)
-        if len(_BIT_SIZE_CACHE) < _BIT_SIZE_CACHE_MAX:
-            _BIT_SIZE_CACHE[key] = bits
-    return bits
 
 
 class Message(NamedTuple):

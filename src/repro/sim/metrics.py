@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Hashable, List, Optional
 
 from repro.errors import SimulationError
@@ -151,17 +152,55 @@ class Metrics:
         )
 
 
-@dataclass
+#: The read-only empties every lean copy shares in place of the
+#: per-node, per-edge and per-vertex collections.  Reading one behaves
+#: as reading a live run's empty one (a counter's missing key reads 0);
+#: writing to one raises.
+_NO_COUNTS = MappingProxyType(Counter())
+_NO_MAP = MappingProxyType({})
+
+
+@dataclass(init=False)
 class LeanMetrics(Metrics):
     """Metrics without the per-vertex maps, as :meth:`Metrics.compact`
     and the lean-dict deserializer build them.  :meth:`awake_count`,
     :attr:`time_all_awake` and :meth:`wake_cause_counts` stay exact,
     read from plain values; :meth:`total_awake_time` needs the
-    per-vertex wake times, so it raises."""
+    per-vertex wake times, so it raises.
 
-    awake: int = 0
-    wake_span: float = 0.0
-    causes: Dict[str, int] = field(default_factory=dict)
+    The constructor sets scalars only: the collections are the shared
+    class-level empties below (unannotated, so they are no dataclass
+    defaults), and a copy pickles as its scalars."""
+
+    awake: int
+    wake_span: float
+    causes: Dict[str, int]
+
+    sent_by = received_by = edge_messages = _NO_COUNTS
+    wake_time = wake_cause = _NO_MAP
+    round_messages = ()
+
+    def __init__(
+        self,
+        messages_total: int = 0,
+        bits_total: int = 0,
+        max_message_bits: int = 0,
+        first_wake: Optional[float] = None,
+        last_activity: float = 0.0,
+        events_processed: int = 0,
+        awake: int = 0,
+        wake_span: float = 0.0,
+        causes: Optional[Dict[str, int]] = None,
+    ) -> None:
+        self.messages_total = messages_total
+        self.bits_total = bits_total
+        self.max_message_bits = max_message_bits
+        self.first_wake = first_wake
+        self.last_activity = last_activity
+        self.events_processed = events_processed
+        self.awake = awake
+        self.wake_span = wake_span
+        self.causes = {} if causes is None else causes
 
     @property
     def time_all_awake(self) -> float:

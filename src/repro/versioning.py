@@ -31,8 +31,9 @@ Consumers pick the salts they actually depend on:
 cache                  salts in the key
 =====================  =============================================
 sweep cells            ``engine`` + ``graphs`` + per-algorithm
+                       (+ ``check`` when controlled)
 compiled topologies    ``graphs``
-check replays          ``engine`` + ``check``
+check replays          cell salts + ``check``
 atlas entries          cell salts (+ ``check`` when controlled)
 =====================  =============================================
 
@@ -548,27 +549,29 @@ def cell_salt_vector(algorithm: str) -> Dict[str, str]:
     }
 
 
-def replay_salt_vector() -> Dict[str, str]:
-    """The salts a check replay artifact depends on."""
-    return {
-        "engine": subsystem_salt("engine"),
-        "check": subsystem_salt("check"),
-    }
-
-
 def atlas_salt_vector(algorithm: str, *, controlled: bool = False) -> Dict[str, str]:
-    """The salts a frontier-atlas entry depends on.
+    """The salts one run of ``algorithm`` depends on.
 
-    An atlas incumbent is a cell result: engine + graphs + the
-    algorithm's import closure decide its score.  Choice-prefix
-    incumbents additionally execute the controlled loop in
-    ``repro.check``, so ``controlled=True`` folds the check salt in.
-    The ``opt`` salt is deliberately absent: optimizers choose which
-    schedules to *try*, but an entry records only what a schedule
-    *scored* — re-tuning the search must never stale a frontier the
-    executor can still reproduce bit-identically.
+    Sweep cells, frontier-atlas entries and check replays are stamped
+    with them.  A run is a cell result: engine + graphs + the
+    algorithm's import closure decide it.  Controlled runs
+    (choice-prefix incumbents, controller cells, replays) additionally
+    execute the controlled loop in ``repro.check``, so
+    ``controlled=True`` folds the check salt in.  The ``opt`` salt is
+    deliberately absent: optimizers choose which schedules to *try*,
+    but an entry records only what a schedule *scored* — re-tuning the
+    search must never stale a frontier the executor can still
+    reproduce bit-identically.
     """
     salts = cell_salt_vector(algorithm)
     if controlled:
         salts["check"] = subsystem_salt("check")
     return salts
+
+
+def replay_salt_vector(algorithm: str) -> Dict[str, str]:
+    """The salts a check replay artifact of ``algorithm`` depends on.
+
+    Its world is built by graphs code and it runs the algorithm under
+    the controlled loop, so it is a controlled run's vector."""
+    return atlas_salt_vector(algorithm, controlled=True)

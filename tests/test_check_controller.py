@@ -18,6 +18,7 @@ from repro.check.controller import (
     RandomController,
     ReplayController,
     ReplayDelay,
+    ScheduleLog,
     load_replay,
     make_replay,
     replay_is_stale,
@@ -394,6 +395,23 @@ class TestReplayArtifacts:
         assert loaded["algorithm"] == "flooding"
         assert not replay_is_stale(path)
         path.write_text('{"salts": {"engine": "0"}}')
+        assert replay_is_stale(path)
+
+    @pytest.mark.parametrize(
+        "algorithm", [None, "no-such-algorithm"], ids=["missing", "unknown"]
+    )
+    def test_replay_without_a_known_algorithm_is_stale(
+        self, tmp_path, algorithm
+    ):
+        replay = make_replay(
+            algorithm="flooding", n=4, log=ScheduleLog(),
+            schedule_times={0: 0.0},
+        )
+        if algorithm is None:
+            del replay["algorithm"]
+        else:
+            replay["algorithm"] = algorithm
+        path = save_replay(replay, tmp_path / "r.json")
         assert replay_is_stale(path)
 
     def test_load_rejects_foreign_json(self, tmp_path):

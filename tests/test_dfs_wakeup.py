@@ -24,7 +24,7 @@ from repro.sim.adversary import (
     UnitDelay,
     WakeSchedule,
 )
-from repro.sim.messages import _INT_RUN_MIN, bit_size
+from repro.sim.messages import bit_size
 from repro.sim.runner import run_wakeup
 
 
@@ -226,9 +226,9 @@ class TestVisitedIds:
         ids=st.lists(
             st.one_of(st.just(0), st.integers(0, 2**70)),
             min_size=1,
-            max_size=2 * _INT_RUN_MIN + 2,
+            max_size=18,
         ),
-        branch_at=st.integers(0, 2 * _INT_RUN_MIN + 2),
+        branch_at=st.integers(0, 18),
         extra=st.integers(0, 2**20),
         rank=st.integers(0, 2**40),
     )

@@ -517,6 +517,23 @@ class TestLeanMetrics:
         assert back.time_all_awake == 0.2
         assert back.to_lean_dict() == self._lean_dict()
 
+    def test_from_lean_dict_constructs_no_counter(self, monkeypatch):
+        import collections
+
+        from repro.sim.runner import WakeUpResult
+
+        made = []
+        original = collections.Counter.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(collections.Counter, "__init__", counting_init)
+        back = WakeUpResult.from_lean_dict(self._lean_dict())
+        assert made == []
+        self._assert_exact(back.metrics)
+
     def test_pickled_lean_copy_keeps_scalars(self):
         import pickle
 

@@ -1,9 +1,46 @@
 """Tests for message payload size accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.messages import Message, bit_size
+
+
+def _reference(payload):
+    """The module's size convention written out element by element,
+    with no fast path: what :func:`bit_size` must charge."""
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return 1 + max(1, payload.bit_length())
+    if isinstance(payload, float):
+        return 64
+    if isinstance(payload, str):
+        return 8
+    if isinstance(payload, bytes):
+        return 8 * len(payload)
+    if isinstance(payload, (tuple, list)):
+        return sum(_reference(x) + 2 for x in payload)
+    raise TypeError(type(payload).__name__)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.sampled_from(["wake", "token", "x"]),
+    st.binary(max_size=4),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=12), st.lists(inner, max_size=12).map(tuple)
+    ),
+    max_leaves=40,
+)
 
 
 class TestBitSize:
@@ -69,34 +106,18 @@ class TestBitSize:
 
         assert bit_size(Sized()) == 17
 
-
-class TestBitSizeCached:
-    def test_agrees_with_bit_size(self):
-        from repro.sim.messages import bit_size_cached
-
-        payloads = [
-            ("wake",),
-            ("token", 3, 17, (1, 2, 3)),
-            (True, 0, -5),
-            tuple(range(100)),          # vectorized int-run path
-            [1, 2, 3],                  # list: measured, memo-eligible
-            ("deep", ("nested", (1,))),
-            (1.5, "x"),
-        ]
-        for p in payloads:
-            # Twice: cold (computes + populates) and warm (cache hit).
-            assert bit_size_cached(p) == bit_size(p)
-            assert bit_size_cached(p) == bit_size(p)
+    @given(payload=_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_element_reference(self, payload):
+        assert bit_size(payload) == _reference(payload)
 
     def test_distinguishes_equal_but_differently_typed_values(self):
-        from repro.sim.messages import bit_size_cached
-
-        # 1 == True == 1.0 but their charges differ; the structural
-        # key must keep them apart.
-        assert bit_size_cached((1,)) == bit_size((1,))
-        assert bit_size_cached((True,)) == bit_size((True,))
-        assert bit_size_cached((1.0,)) == bit_size((1.0,))
-        assert bit_size_cached((True,)) != bit_size_cached((1.0,))
+        # 1 == True == 1.0, but each is charged by its own type, also
+        # inside a container.
+        assert bit_size((1,)) == 2 + 2
+        assert bit_size((True,)) == 2 + 1
+        assert bit_size((1.0,)) == 2 + 64
+        assert bit_size(("sp-next", 3, 5)) == 3 * 2 + 8 + 3 + 4
 
 
 class TestMessage:

@@ -350,6 +350,63 @@ class TestDaemonLog:
         assert summary["census"]["metrics_snapshot"] == 2
 
 
+class TestJobSalts:
+    """A sweep job's cell salts are derived in the daemon before the
+    job process forks, so every later job process inherits them."""
+
+    def test_daemon_holds_the_algorithms_salts_after_a_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import versioning
+
+        monkeypatch.delitem(
+            versioning._ALGORITHM_SALTS, "dfs-rank", raising=False
+        )
+        server, client = start_server(tmp_path)
+        try:
+            final, _ = client.run_job(sweep_spec("dfs-rank", sizes=[12]))
+            assert final["job"]["state"] == "done"
+        finally:
+            server.stop()
+        assert "dfs-rank" in versioning._ALGORITHM_SALTS
+
+    def test_salt_failure_in_the_daemon_is_left_to_the_job(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        def broken(algorithm):
+            raise RuntimeError("no salts here")
+
+        monkeypatch.setattr(server_module, "cell_salt_vector", broken)
+        server, client = start_server(tmp_path)
+        try:
+            final, _ = client.run_job(sweep_spec(sizes=[12]))
+            assert final["job"]["state"] == "done"
+        finally:
+            server.stop()
+
+    def test_unresolvable_algorithm_fails_in_the_job_process(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core import registry
+
+        def factory():
+            raise RuntimeError("cannot build this algorithm")
+
+        monkeypatch.setitem(registry._REGISTRY, "test-serve-broken", factory)
+        server, client = start_server(tmp_path)
+        try:
+            final, _ = client.run_job(sweep_spec("test-serve-broken"))
+            job = final["job"]
+            assert job["state"] == "failed"
+            assert "cannot build this algorithm" in job["error"]
+            after, _ = client.run_job(sweep_spec(sizes=[12]))
+            assert after["job"]["state"] == "done"
+        finally:
+            server.stop()
+
+
 # ----------------------------------------------------------------------
 # Fault isolation: structured failures, daemon survives
 # ----------------------------------------------------------------------

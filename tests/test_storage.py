@@ -1,7 +1,11 @@
 """Tests for experiment result persistence."""
 
 import json
+import os
+import platform
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from repro.experiments.storage import (
     FORMAT_VERSION,
     compare_records,
     load_records,
+    merge_records,
     save_records,
 )
 
@@ -64,6 +69,106 @@ class TestSaveLoad:
         p.write_text(json.dumps({"format_version": 99, "records": []}))
         with pytest.raises(ReproError):
             load_records(p)
+
+
+def _expected_bytes(records, experiment, params):
+    """The artifact ``save_records`` must leave: the payload rendered
+    by ``json.dumps(payload, indent=2, sort_keys=True)``."""
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "experiment": experiment,
+        "params": params,
+        "environment": {
+            "python": sys.version.split()[0],
+            "platform": platform.platform(),
+        },
+        "records": records,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+
+
+#: An mtime no write made in this test run can carry.
+_OLD_MTIME_NS = 1_000_000_000
+
+
+@pytest.fixture
+def renames(monkeypatch):
+    """Every ``Path.replace`` call, as (source, target) pairs."""
+    calls = []
+    original = Path.replace
+
+    def spy(self, target):
+        calls.append((Path(self), Path(target)))
+        return original(self, target)
+
+    monkeypatch.setattr(Path, "replace", spy)
+    return calls
+
+
+class TestIdempotentAtomicWrites:
+    RECORDS = [{"n": 10, "messages": 20.0}, {"n": 20, "messages": 41.0}]
+
+    def _save(self, path, records=None):
+        save_records(
+            path, records or self.RECORDS, experiment="x",
+            params={"sizes": [10, 20]},
+        )
+
+    def test_identical_resave_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "out.json"
+        self._save(path)
+        os.utime(path, ns=(_OLD_MTIME_NS, _OLD_MTIME_NS))
+        before = path.stat()
+        self._save(path)
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert after.st_mtime_ns == before.st_mtime_ns == _OLD_MTIME_NS
+
+    def test_changed_payload_is_renamed_into_place(self, tmp_path, renames):
+        path = tmp_path / "out.json"
+        self._save(path)
+        changed = [{"n": 10, "messages": 21.0}]
+        self._save(path, changed)
+        assert [dst for _, dst in renames] == [path, path]
+        for src, _ in renames:
+            assert src.parent == path.parent
+            assert src.name == f"out.tmp.{os.getpid()}"
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        assert path.read_bytes() == _expected_bytes(
+            changed, "x", {"sizes": [10, 20]}
+        )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda good: b"", id="empty"),
+            pytest.param(lambda good: good[: len(good) // 2], id="truncated"),
+            pytest.param(lambda good: b"\xff\xfe" + good[2:], id="not-utf8"),
+        ],
+    )
+    def test_damaged_artifact_is_replaced(self, tmp_path, damage, renames):
+        path = tmp_path / "out.json"
+        good = _expected_bytes(self.RECORDS, "x", {"sizes": [10, 20]})
+        path.write_bytes(damage(good))
+        self._save(path)
+        assert path.read_bytes() == good
+        assert [dst for _, dst in renames] == [path]
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
+    def test_merge_over_identical_records_writes_nothing(
+        self, tmp_path, renames
+    ):
+        path = tmp_path / "cells.json"
+        records = [{"key": "a", "messages": 3}, {"key": "b", "messages": 5}]
+        merge_records(path, records, experiment="sweep/x")
+        os.utime(path, ns=(_OLD_MTIME_NS, _OLD_MTIME_NS))
+        before = path.stat()
+        merged = merge_records(path, records, experiment="sweep/x")
+        after = path.stat()
+        assert merged == records
+        assert len(renames) == 1  # the first merge's write only
+        assert after.st_ino == before.st_ino
+        assert after.st_mtime_ns == _OLD_MTIME_NS
 
 
 class TestCompare:

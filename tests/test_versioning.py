@@ -275,8 +275,11 @@ class TestAlgorithmSalts:
         assert vec["algorithms"] == V.algorithm_salt("flooding")
 
     def test_replay_salt_vector_shape(self):
-        vec = V.replay_salt_vector()
-        assert set(vec) == {"engine", "check"}
+        # A replay is a controlled run: its world comes from graphs
+        # code and it runs the algorithm's code under the check loop.
+        vec = V.replay_salt_vector("flooding")
+        assert set(vec) == {"engine", "graphs", "algorithms", "check"}
+        assert vec == V.atlas_salt_vector("flooding", controlled=True)
 
     def test_atlas_salt_vector_shape(self):
         plain = V.atlas_salt_vector("flooding")
@@ -394,6 +397,42 @@ class TestEditSensitivity:
         assert edited["vector"]["graphs"] != base["vector"]["graphs"]
         for sub in ("engine", "algorithms", "check", "opt", "harness"):
             assert edited["vector"][sub] == base["vector"][sub]
+
+    def test_graphs_edit_stales_saved_replays(self, tmp_path):
+        """A replay saved before a graphs edit reads stale after it:
+        the checker's worlds are built by graphs code."""
+        replay = tmp_path / "replay.json"
+        save = (
+            "import sys\n"
+            "from repro.check.controller import ScheduleLog, make_replay, "
+            "save_replay\n"
+            "save_replay(make_replay(algorithm='flooding', n=4, "
+            "log=ScheduleLog(), schedule_times={0: 0.0}), sys.argv[1])\n"
+        )
+        check = (
+            "import sys\n"
+            "from repro.check.controller import replay_is_stale\n"
+            "print(replay_is_stale(sys.argv[1]))\n"
+        )
+        base = _copy_package(tmp_path)
+        edited = _copy_package(
+            tmp_path / "edited",
+            edit=(
+                "graphs/workloads.py",
+                lambda s: s.replace("seed=seed + n)", "seed=seed + n + 1)"),
+            ),
+        )
+
+        def run(root, script):
+            env = dict(os.environ, PYTHONPATH=str(root))
+            return subprocess.run(
+                [sys.executable, "-c", script, str(replay)],
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout.strip()
+
+        run(base, save)
+        assert run(base, check) == "False"
+        assert run(edited, check) == "True"
 
     def test_opt_edit_moves_opt_only(self, tmp_path):
         """An optimizer-strategy edit moves the opt salt and nothing
