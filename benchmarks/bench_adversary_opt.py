@@ -22,20 +22,17 @@ the output schema without touching the committed baseline.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
+from repro.analysis.perf import bench_envelope, check_bench, emit_bench
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.opt.evaluate import CellEvaluator, check_world_spec, optimize
 from repro.opt.genomes import DelayVectorSpace
 from repro.opt.optimizers import make_optimizer
 
-# Envelope v2: the unified BENCH_*.json schema (schema, created,
-# python, profile, cases); the profile names which PROFILES entry
-# in repro.analysis.perf guards it.
-SCHEMA = 2
+#: The repro.analysis.perf PROFILES entry that validates this
+#: bench's envelope and cases.
 PROFILE = "opt"
 
 #: (optimizer, algorithm, n) — the benchmark matrix.
@@ -44,17 +41,6 @@ CASES = (
     ("sa", "flooding", 64),
     ("pop", "flooding", 64),
     ("cem", "echo-flooding", 64),
-)
-
-#: Every per-case record carries exactly these fields; the perf gate
-#: (repro.analysis.perf PROFILES["opt"]) refuses files without them.
-CASE_FIELDS = (
-    "optimizer",
-    "algorithm",
-    "n",
-    "evaluations",
-    "wall_s",
-    "evals_per_sec",
 )
 
 
@@ -118,29 +104,7 @@ def run_bench(
                 f"{rec['wall_s']*1e3:8.1f} ms  "
                 f"{rec['evals_per_sec']:8.1f} evals/s"
             )
-    return {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "profile": PROFILE,
-        "repeats": repeats,
-        "cases": recs,
-    }
-
-
-def validate(payload: dict) -> list:
-    """Schema problems in a bench payload (empty list = valid)."""
-    problems = []
-    for key in ("schema", "created", "python", "profile", "cases"):
-        if key not in payload:
-            problems.append(f"missing top-level field {key!r}")
-    for i, case in enumerate(payload.get("cases", [])):
-        for f in CASE_FIELDS:
-            if f not in case:
-                problems.append(f"case #{i} missing field {f!r}")
-    if not payload.get("cases"):
-        problems.append("no cases recorded")
-    return problems
+    return bench_envelope(PROFILE, repeats=repeats, cases=recs)
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +118,7 @@ def test_adversary_opt_bench_smoke():
         repeats=1,
         quiet=True,
     )
-    assert validate(payload) == []
+    check_bench(payload)
     for case in payload["cases"]:
         assert case["evaluations"] > 0
         assert case["evals_per_sec"] > 0
@@ -185,26 +149,15 @@ def main(argv=None) -> int:
             population=4,
             repeats=1,
         )
-        problems = validate(payload)
-        if problems:
-            for p in problems:
-                print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
+        # --check writes only to an --out given explicitly
+        out = None if args.out == parser.get_default("out") else args.out
+        if emit_bench(payload, out):
             return 1
-        if args.out != parser.get_default("out"):
-            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {args.out}")
         print("bench check ok")
         return 0
 
     payload = run_bench(repeats=args.repeats)
-    problems = validate(payload)
-    if problems:
-        for p in problems:
-            print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
-        return 1
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {args.out}")
-    return 0
+    return emit_bench(payload, args.out)
 
 
 if __name__ == "__main__":

@@ -27,13 +27,12 @@ regressions.  Run as a script:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
+from repro.analysis.perf import bench_envelope, check_bench, emit_bench
 from repro.core.registry import get_algorithm
 from repro.graphs.compile import clear_memory_cache, compiled_topology
 from repro.models.knowledge import Knowledge, make_setup
@@ -41,28 +40,13 @@ from repro.sim.adversary import Adversary, WakeSchedule
 from repro.sim.bulk import HAS_BULK
 from repro.sim.runner import run_wakeup
 
-# Envelope v2: the unified BENCH_*.json schema (schema, created,
-# python, profile, cases); the profile names which PROFILES entry
-# in repro.analysis.perf guards it.
-SCHEMA = 2
+#: The repro.analysis.perf PROFILES entry that validates this
+#: bench's envelope and cases.
 PROFILE = "bulk"
 
 DEFAULT_SIZES = (16384, 65536)
 AVG_DEGREE = 8.0
 ENGINES = ("sync", "bulk")
-
-#: Per-case schema shared with BENCH_engine.json (the baseline checker
-#: refuses files without these fields); bulk cases additionally carry
-#: ``speedup_vs_sync``.
-CASE_FIELDS = (
-    "algorithm",
-    "engine",
-    "n",
-    "events",
-    "messages",
-    "wall_s",
-    "events_per_sec",
-)
 
 
 def _build_world(n: int, seed: int = 7):
@@ -132,30 +116,9 @@ def run_bench(sizes=DEFAULT_SIZES, repeats: int = 3, quiet: bool = False) -> dic
                     f"{rec['wall_s']*1e3:8.1f} ms  "
                     f"{rec['events_per_sec']:12.0f} events/s{extra}"
                 )
-    return {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "profile": PROFILE,
-        "repeats": repeats,
-        "avg_degree": AVG_DEGREE,
-        "cases": cases,
-    }
-
-
-def validate(payload: dict) -> list:
-    """Schema problems in a bench payload (empty list = valid)."""
-    problems = []
-    for key in ("schema", "created", "python", "profile", "cases"):
-        if key not in payload:
-            problems.append(f"missing top-level field {key!r}")
-    for i, case in enumerate(payload.get("cases", [])):
-        for f in CASE_FIELDS:
-            if f not in case:
-                problems.append(f"case #{i} missing field {f!r}")
-    if not payload.get("cases"):
-        problems.append("no cases recorded")
-    return problems
+    return bench_envelope(
+        PROFILE, repeats=repeats, avg_degree=AVG_DEGREE, cases=cases
+    )
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +128,7 @@ def validate(payload: dict) -> list:
 def test_bulk_bench_smoke():
     clear_memory_cache()
     payload = run_bench(sizes=(256,), repeats=1, quiet=True)
-    assert validate(payload) == []
+    check_bench(payload)
     by_engine = {c["engine"]: c for c in payload["cases"]}
     assert set(by_engine) == set(ENGINES)
     # Identical metrics across lanes (the conformance contract, visible
@@ -207,26 +170,15 @@ def main(argv=None) -> int:
 
     if args.check:
         payload = run_bench(sizes=(512,), repeats=1)
-        problems = validate(payload)
-        if problems:
-            for p in problems:
-                print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
+        # --check writes only to an --out given explicitly
+        out = None if args.out == parser.get_default("out") else args.out
+        if emit_bench(payload, out):
             return 1
-        if args.out != parser.get_default("out"):
-            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {args.out}")
         print("bench check ok")
         return 0
 
     payload = run_bench(sizes=tuple(args.sizes), repeats=args.repeats)
-    problems = validate(payload)
-    if problems:
-        for p in problems:
-            print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
-        return 1
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+    return emit_bench(payload, args.out)
 
 
 if __name__ == "__main__":

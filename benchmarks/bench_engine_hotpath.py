@@ -36,21 +36,17 @@ output schema without touching the committed baseline.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 import time
-from pathlib import Path
 
+from repro.analysis.perf import bench_envelope, check_bench, emit_bench
 from repro.core.registry import get_algorithm
 from repro.graphs.generators import connected_erdos_renyi
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UniformRandomDelay, WakeSchedule
 from repro.sim.runner import run_wakeup
 
-# Envelope v2: the unified BENCH_*.json schema — every bench carries
-# the same top level (schema, created, python, profile, cases); the
-# profile names which PROFILES entry in repro.analysis.perf guards it.
-SCHEMA = 2
+#: The repro.analysis.perf PROFILES entry that validates this
+#: bench's envelope and cases.
 PROFILE = "engine"
 
 #: (algorithm, engine, knowledge) cases; sizes come from the CLI.
@@ -62,18 +58,6 @@ CASES = (
 
 DEFAULT_SIZES = (512, 2048, 8192)
 AVG_DEGREE = 8.0
-
-#: Every per-case record carries exactly these fields; the ledger gate
-#: (``python -m repro perf check``) refuses files without them.
-CASE_FIELDS = (
-    "algorithm",
-    "engine",
-    "n",
-    "events",
-    "messages",
-    "wall_s",
-    "events_per_sec",
-)
 
 
 def _build_world(n: int, knowledge: Knowledge, seed: int = 7):
@@ -128,30 +112,9 @@ def run_bench(sizes=DEFAULT_SIZES, repeats: int = 3, quiet: bool = False) -> dic
                     f"{rec['events']:8d} events  {rec['wall_s']*1e3:8.1f} ms  "
                     f"{rec['events_per_sec']:12.0f} events/s"
                 )
-    return {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "profile": PROFILE,
-        "repeats": repeats,
-        "avg_degree": AVG_DEGREE,
-        "cases": cases,
-    }
-
-
-def validate(payload: dict) -> list:
-    """Schema problems in a bench payload (empty list = valid)."""
-    problems = []
-    for key in ("schema", "created", "python", "profile", "cases"):
-        if key not in payload:
-            problems.append(f"missing top-level field {key!r}")
-    for i, case in enumerate(payload.get("cases", [])):
-        for f in CASE_FIELDS:
-            if f not in case:
-                problems.append(f"case #{i} missing field {f!r}")
-    if not payload.get("cases"):
-        problems.append("no cases recorded")
-    return problems
+    return bench_envelope(
+        PROFILE, repeats=repeats, avg_degree=AVG_DEGREE, cases=cases
+    )
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +122,7 @@ def validate(payload: dict) -> list:
 # ----------------------------------------------------------------------
 def test_hotpath_bench_smoke():
     payload = run_bench(sizes=(48,), repeats=1, quiet=True)
-    assert validate(payload) == []
+    check_bench(payload)
     for case in payload["cases"]:
         assert case["events"] > 0
         assert case["events_per_sec"] > 0
@@ -189,26 +152,15 @@ def main(argv=None) -> int:
 
     if args.check:
         payload = run_bench(sizes=(64,), repeats=1)
-        problems = validate(payload)
-        if problems:
-            for p in problems:
-                print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
+        # --check writes only to an --out given explicitly
+        out = None if args.out == parser.get_default("out") else args.out
+        if emit_bench(payload, out):
             return 1
-        if args.out != parser.get_default("out"):
-            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {args.out}")
         print("bench check ok")
         return 0
 
     payload = run_bench(sizes=tuple(args.sizes), repeats=args.repeats)
-    problems = validate(payload)
-    if problems:
-        for p in problems:
-            print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
-        return 1
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+    return emit_bench(payload, args.out)
 
 
 if __name__ == "__main__":

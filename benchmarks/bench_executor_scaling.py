@@ -37,31 +37,16 @@ script:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
+from repro.analysis.perf import bench_envelope, check_bench, emit_bench
 from repro.core.flooding import Flooding
 from repro.experiments.parallel import CellSpec, ParallelSweepExecutor
 
-# Envelope v2: the unified BENCH_*.json schema (schema, created,
-# python, profile, cases); the profile names which PROFILES entry
-# in repro.analysis.perf guards it.
-SCHEMA = 2
+#: The repro.analysis.perf PROFILES entry that validates this
+#: bench's envelope and cases.
 PROFILE = "executor"
-
-#: Every per-case record carries exactly these fields; the perf ledger
-#: (repro.analysis.perf.PROFILES["executor"]) refuses files without
-#: them.
-CASE_FIELDS = (
-    "mix",
-    "workers",
-    "cells",
-    "serial_s",
-    "pool_s",
-    "pool_speedup",
-)
 
 #: Sleep budget of one small cell / the skewed mix's straggler.
 SMALL_SLEEP_S = 0.08
@@ -199,29 +184,7 @@ def run_bench(
             f"pool {tiny['pool_s']:6.2f}s  "
             f"({tiny['speedup']:5.2f}x)"
         )
-    return {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "profile": PROFILE,
-        "cases": cases,
-        "tiny": tiny,
-    }
-
-
-def validate(payload: dict) -> list:
-    """Schema problems in a bench payload (empty list = valid)."""
-    problems = []
-    for key in ("schema", "created", "python", "profile", "cases"):
-        if key not in payload:
-            problems.append(f"missing top-level field {key!r}")
-    for i, case in enumerate(payload.get("cases", [])):
-        for f in CASE_FIELDS:
-            if f not in case:
-                problems.append(f"case #{i} missing field {f!r}")
-    if not payload.get("cases"):
-        problems.append("no cases recorded")
-    return problems
+    return bench_envelope(PROFILE, cases=cases, tiny=tiny)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +192,7 @@ def validate(payload: dict) -> list:
 # ----------------------------------------------------------------------
 def test_executor_bench_smoke():
     payload = run_bench(workers=2, scale=0.25, quiet=True)
-    assert validate(payload) == []
+    check_bench(payload)
     for case in payload["cases"]:
         assert case["serial_s"] > 0
         assert case["pool_s"] > 0
@@ -261,10 +224,7 @@ def main(argv=None) -> int:
     payload = run_bench(
         workers=args.workers, scale=0.25 if args.check else args.scale
     )
-    problems = validate(payload)
-    if problems:
-        for p in problems:
-            print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
+    if emit_bench(payload):
         return 1
     skewed = next(
         c for c in payload["cases"] if c["mix"] == "skewed"
@@ -277,8 +237,7 @@ def main(argv=None) -> int:
         )
         return 1
     if not args.check or args.out != parser.get_default("out"):
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        emit_bench(payload, args.out)
     if args.check:
         print("bench check ok")
     return 0

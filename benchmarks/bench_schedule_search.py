@@ -26,11 +26,10 @@ the output schema without touching the committed baseline.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 
+from repro.analysis.perf import bench_envelope, check_bench, emit_bench
 from repro.check.explorer import explore
 from repro.check.worstcase import worstcase_search
 from repro.core.registry import get_algorithm
@@ -39,10 +38,8 @@ from repro.lowerbounds.graph_g import build_class_g
 from repro.models.knowledge import Knowledge, make_setup
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 
-# Envelope v2: the unified BENCH_*.json schema (schema, created,
-# python, profile, cases); the profile names which PROFILES entry
-# in repro.analysis.perf guards it.
-SCHEMA = 2
+#: The repro.analysis.perf PROFILES entry that validates this
+#: bench's envelope and cases.
 PROFILE = "check"
 
 #: (mode, algorithm, graph, n) — the benchmark matrix.
@@ -51,17 +48,6 @@ CASES = (
     ("explore", "flooding", "star", 5),
     ("explore", "echo-flooding", "cycle", 4),
     ("worstcase", "flooding", "class-g", 8),
-)
-
-#: Every per-case record carries exactly these fields; the ledger gate
-#: (``python -m repro perf check``) refuses files without them.
-CASE_FIELDS = (
-    "mode",
-    "algorithm",
-    "n",
-    "schedules",
-    "wall_s",
-    "schedules_per_sec",
 )
 
 
@@ -131,29 +117,7 @@ def run_bench(cases=CASES, repeats: int = 3, quiet: bool = False) -> dict:
                 f"{rec['wall_s']*1e3:8.1f} ms  "
                 f"{rec['schedules_per_sec']:10.1f} schedules/s"
             )
-    return {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "profile": PROFILE,
-        "repeats": repeats,
-        "cases": recs,
-    }
-
-
-def validate(payload: dict) -> list:
-    """Schema problems in a bench payload (empty list = valid)."""
-    problems = []
-    for key in ("schema", "created", "python", "profile", "cases"):
-        if key not in payload:
-            problems.append(f"missing top-level field {key!r}")
-    for i, case in enumerate(payload.get("cases", [])):
-        for f in CASE_FIELDS:
-            if f not in case:
-                problems.append(f"case #{i} missing field {f!r}")
-    if not payload.get("cases"):
-        problems.append("no cases recorded")
-    return problems
+    return bench_envelope(PROFILE, repeats=repeats, cases=recs)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +130,7 @@ def test_schedule_search_bench_smoke():
         repeats=1,
         quiet=True,
     )
-    assert validate(payload) == []
+    check_bench(payload)
     for case in payload["cases"]:
         assert case["schedules"] > 0
         assert case["schedules_per_sec"] > 0
@@ -196,26 +160,15 @@ def main(argv=None) -> int:
                    ("worstcase", "flooding", "class-g", 4)),
             repeats=1,
         )
-        problems = validate(payload)
-        if problems:
-            for p in problems:
-                print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
+        # --check writes only to an --out given explicitly
+        out = None if args.out == parser.get_default("out") else args.out
+        if emit_bench(payload, out):
             return 1
-        if args.out != parser.get_default("out"):
-            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {args.out}")
         print("bench check ok")
         return 0
 
     payload = run_bench(repeats=args.repeats)
-    problems = validate(payload)
-    if problems:
-        for p in problems:
-            print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
-        return 1
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {args.out}")
-    return 0
+    return emit_bench(payload, args.out)
 
 
 if __name__ == "__main__":

@@ -40,13 +40,12 @@ against >30% ``warm_speedup`` regressions.  Run as a script:
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
-import sys
 import tempfile
 import time
 from pathlib import Path
 
+from repro.analysis.perf import bench_envelope, check_bench, emit_bench
 from repro.graphs.compile import (
     TopologyStore,
     cached_spanner,
@@ -57,10 +56,8 @@ from repro.graphs.spanner import greedy_spanner
 from repro.graphs.traversal import awake_distance
 from repro.graphs.workloads import build_workload
 
-# Envelope v2: the unified BENCH_*.json schema (schema, created,
-# python, profile, cases); the profile names which PROFILES entry
-# in repro.analysis.perf guards it.
-SCHEMA = 2
+#: The repro.analysis.perf PROFILES entry that validates this
+#: bench's envelope and cases.
 PROFILE = "topology"
 
 SPANNER_K = 3
@@ -73,18 +70,6 @@ CASES = (
 
 DEFAULT_SIZES = (512,)
 DEFAULT_TRIALS = 6
-
-#: Every per-case record carries exactly these fields; the ledger gate
-#: (``python -m repro perf check``) refuses files without them.
-CASE_FIELDS = (
-    "workload",
-    "n",
-    "trials",
-    "legacy_s",
-    "cold_s",
-    "warm_s",
-    "warm_speedup",
-)
 
 
 def _with_spanner(name: str) -> bool:
@@ -182,29 +167,7 @@ def run_bench(
     finally:
         clear_memory_cache()
         shutil.rmtree(store_root, ignore_errors=True)
-    return {
-        "schema": SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "profile": PROFILE,
-        "trials": trials,
-        "cases": cases,
-    }
-
-
-def validate(payload: dict) -> list:
-    """Schema problems in a bench payload (empty list = valid)."""
-    problems = []
-    for key in ("schema", "created", "python", "profile", "cases"):
-        if key not in payload:
-            problems.append(f"missing top-level field {key!r}")
-    for i, case in enumerate(payload.get("cases", [])):
-        for f in CASE_FIELDS:
-            if f not in case:
-                problems.append(f"case #{i} missing field {f!r}")
-    if not payload.get("cases"):
-        problems.append("no cases recorded")
-    return problems
+    return bench_envelope(PROFILE, trials=trials, cases=cases)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +175,7 @@ def validate(payload: dict) -> list:
 # ----------------------------------------------------------------------
 def test_topology_bench_smoke():
     payload = run_bench(sizes=(64,), trials=2, quiet=True)
-    assert validate(payload) == []
+    check_bench(payload)
     for case in payload["cases"]:
         assert case["legacy_s"] > 0
         assert case["warm_s"] > 0
@@ -242,26 +205,15 @@ def main(argv=None) -> int:
 
     if args.check:
         payload = run_bench(sizes=(64,), trials=2)
-        problems = validate(payload)
-        if problems:
-            for p in problems:
-                print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
+        # --check writes only to an --out given explicitly
+        out = None if args.out == parser.get_default("out") else args.out
+        if emit_bench(payload, out):
             return 1
-        if args.out != parser.get_default("out"):
-            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-            print(f"wrote {args.out}")
         print("bench check ok")
         return 0
 
     payload = run_bench(sizes=tuple(args.sizes), trials=args.trials)
-    problems = validate(payload)
-    if problems:
-        for p in problems:
-            print(f"BENCH SCHEMA ERROR: {p}", file=sys.stderr)
-        return 1
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+    return emit_bench(payload, args.out)
 
 
 if __name__ == "__main__":

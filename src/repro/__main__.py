@@ -72,13 +72,19 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.fitting import fit_power_law
 from repro.analysis.report import render_table
+from repro.artifacts import (
+    purge_store,
+    runtime_stores,
+    store_report,
+    write_atomic,
+)
 from repro.core import algorithm_names, get_algorithm
 from repro.experiments.parallel import DEFAULT_CACHE_DIR, ParallelSweepExecutor
-from repro.graphs.compile import DEFAULT_TOPOLOGY_DIR, TopologyStore
+from repro.graphs.compile import DEFAULT_TOPOLOGY_DIR
 from repro.experiments.storage import merge_records
 from repro.experiments.sweeps import algorithm_model, parallel_sweep
 from repro.experiments.table1 import (
@@ -248,140 +254,56 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _replay_staleness(replay_dir) -> Dict[str, int]:
-    """Live/stale split of the replay directory against the current
-    code salts (:func:`repro.check.controller.replay_is_stale`)."""
-    from repro.check.controller import replay_is_stale
-
-    counts = {"live": 0, "stale": 0}
-    if replay_dir.is_dir():
-        for p in sorted(replay_dir.rglob("*.json")):
-            counts["stale" if replay_is_stale(p) else "live"] += 1
-    return counts
-
-
 def _cmd_cache(args) -> int:
-    from pathlib import Path
-
-    from repro.experiments.parallel import cell_cache_report
-    from repro.opt import atlas_artifact_report, purge_atlas_artifacts
     from repro.versioning import salt_vector
 
-    cache_dir = Path(args.cache_dir)
-    store = TopologyStore(args.topology_dir)
-    replay_dir = Path(args.replay_dir)
-    atlas_dir = Path(args.atlas_dir)
+    stores = runtime_stores(
+        args.cache_dir, args.topology_dir, args.replay_dir, args.atlas_dir
+    )
     if args.action == "info":
-        cell_bytes = (
-            sum(p.stat().st_size for p in cache_dir.rglob("*.json"))
-            if cache_dir.is_dir()
-            else 0
-        )
-        cell_report = cell_cache_report(cache_dir)
-        topo_report = store.report()
-        replays = (
-            sorted(replay_dir.rglob("*.json"))
-            if replay_dir.is_dir()
-            else []
-        )
-        replay_report = _replay_staleness(replay_dir)
-        atlas_files = (
-            sorted(atlas_dir.glob("*.json"))
-            if atlas_dir.is_dir()
-            else []
-        )
-        atlas_report = atlas_artifact_report(atlas_dir)
+        reports = {s.name: store_report(s) for s in stores}
         print(
             render_table(
                 [
-                    {
-                        "cache": "cells",
-                        "location": str(cache_dir),
-                        "entries": cell_report["live"]
-                        + cell_report["stale"],
-                        "live": cell_report["live"],
-                        "stale": cell_report["stale"],
-                        "bytes": cell_bytes,
-                    },
-                    {
-                        "cache": "topologies",
-                        "location": str(store.root),
-                        "entries": store.artifact_count(),
-                        "live": topo_report["live"],
-                        "stale": topo_report["stale"],
-                        "bytes": store.size_bytes(),
-                    },
-                    {
-                        "cache": "replays",
-                        "location": str(replay_dir),
-                        "entries": len(replays),
-                        "live": replay_report["live"],
-                        "stale": replay_report["stale"],
-                        "bytes": sum(p.stat().st_size for p in replays),
-                    },
-                    {
-                        "cache": "atlas",
-                        "location": str(atlas_dir),
-                        "entries": atlas_report["count"],
-                        "live": atlas_report["count"]
-                        - atlas_report["stale"],
-                        "stale": atlas_report["stale"],
-                        "bytes": sum(
-                            p.stat().st_size for p in atlas_files
-                        ),
-                    },
+                    {"cache": s.name, "location": str(s.root),
+                     **reports[s.name]}
+                    for s in stores
                 ],
+                columns=("cache", "location", "entries", "live", "stale",
+                         "bytes"),
                 title="On-disk runtime caches",
             )
         )
-        salts = salt_vector()
         print(
             render_table(
                 [
                     {"subsystem": name, "salt": salt}
-                    for name, salt in salts.items()
+                    for name, salt in salt_vector().items()
                 ],
                 title="Subsystem code salts (repro.versioning)",
             )
         )
-        if cell_report["stale_by"]:
+        stale_by = reports["cells"]["stale_by"]
+        if stale_by:
             breakdown = ", ".join(
-                f"{reason}: {count}"
-                for reason, count in sorted(
-                    cell_report["stale_by"].items()
-                )
+                f"{reason}: {n}" for reason, n in sorted(stale_by.items())
             )
             print(f"stale cells by cause: {breakdown}")
             print("hint: `repro cache purge --stale` removes only these")
         return 0
     # action == "purge"
     stale_only = bool(getattr(args, "stale", False))
-    removed_cells = removed_topos = removed_replays = 0
-    removed_atlas = 0
-    if args.what in ("cells", "all"):
-        removed_cells = ParallelSweepExecutor(
-            workers=0, cache_dir=cache_dir
-        ).purge_cache(stale_only=stale_only)
-    if args.what in ("topologies", "all"):
-        removed_topos = store.purge(stale_only=stale_only)
-    if args.what in ("replays", "all") and replay_dir.is_dir():
-        from repro.check.controller import replay_is_stale
-
-        for p in sorted(replay_dir.rglob("*.json")):
-            if stale_only and not replay_is_stale(p):
-                continue
-            p.unlink()
-            removed_replays += 1
-    if args.what in ("atlas", "all"):
-        removed_atlas = purge_atlas_artifacts(
-            atlas_dir, stale_only=stale_only
-        )
+    removed = {
+        s.name: purge_store(s, stale_only)
+        if args.what in (s.name, "all") else 0
+        for s in stores
+    }
     what = "stale " if stale_only else ""
     print(
-        f"purged {removed_cells} {what}cached cell(s), "
-        f"{removed_topos} compiled topolog(y/ies), "
-        f"{removed_replays} replay artifact(s), "
-        f"{removed_atlas} atlas replay artifact(s)"
+        f"purged {removed['cells']} {what}cached cell(s), "
+        f"{removed['topologies']} compiled topolog(y/ies), "
+        f"{removed['replays']} replay artifact(s), "
+        f"{removed['atlas']} atlas replay artifact(s)"
     )
     return 0
 
@@ -747,6 +669,19 @@ def _cmd_worstcase(args) -> int:
         recorder.close()
 
 
+def _load_atlas_or_report(path):
+    """The atlas at ``path``, or None after saying on stderr why it
+    cannot be loaded."""
+    from repro.errors import ReproError
+    from repro.opt import load_atlas
+
+    try:
+        return load_atlas(path)
+    except ReproError as exc:
+        print(f"cannot load atlas {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_atlas(args) -> int:
     if args.atlas_command == "run":
         return _cmd_atlas_run(args)
@@ -762,7 +697,6 @@ def _cmd_atlas_run(args) -> int:
         DelayVectorSpace,
         check_world_spec,
         improve_atlas,
-        load_atlas,
         save_atlas,
     )
 
@@ -777,7 +711,9 @@ def _cmd_atlas_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    atlas = load_atlas(args.atlas)
+    atlas = _load_atlas_or_report(args.atlas)
+    if atlas is None:
+        return 1
     executor = _make_executor(args)
     rows = []
     try:
@@ -851,9 +787,11 @@ def _cmd_atlas_run(args) -> int:
 
 
 def _cmd_atlas_show(args) -> int:
-    from repro.opt import entry_is_stale, load_atlas
+    from repro.opt import entry_is_stale
 
-    atlas = load_atlas(args.atlas)
+    atlas = _load_atlas_or_report(args.atlas)
+    if atlas is None:
+        return 1
     entries = atlas.get("entries", {})
     if not entries:
         print(f"atlas {args.atlas} is empty")
@@ -886,18 +824,10 @@ def _cmd_atlas_show(args) -> int:
 
 
 def _cmd_atlas_check(args) -> int:
-    from repro.errors import ReproError
-    from repro.opt import (
-        check_atlas,
-        entry_is_stale,
-        load_atlas,
-        replay_entry,
-    )
+    from repro.opt import check_atlas, entry_is_stale, replay_entry
 
-    try:
-        atlas = load_atlas(args.atlas)
-    except (ReproError, ValueError) as exc:
-        print(f"cannot load atlas {args.atlas}: {exc}", file=sys.stderr)
+    atlas = _load_atlas_or_report(args.atlas)
+    if atlas is None:
         return 1
     errors, stale = check_atlas(atlas)
     for err in errors:
@@ -1828,12 +1758,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_global_registry(previous)
         if metrics_path:
             out = Path(metrics_path)
-            if out.parent != Path(""):
-                out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(
-                json.dumps(registry.snapshot(), indent=2, sort_keys=True)
-                + "\n"
-            )
+            text = json.dumps(registry.snapshot(), indent=2, sort_keys=True)
+            write_atomic(out, (text + "\n").encode("utf-8"))
             print(f"metrics snapshot: {out}", file=sys.stderr)
 
 

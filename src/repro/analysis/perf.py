@@ -19,7 +19,10 @@ exposed as ``python -m repro perf {record,show,check}``:
 
 Bench envelopes carry ``schema`` (2), ``created``, ``python``,
 ``profile`` and ``cases``; the declared profile names the
-:data:`PROFILES` entry that validates the cases.
+:data:`PROFILES` entry that validates the cases.  Benches build the
+envelope with :func:`bench_envelope` and validate and write it with
+:func:`emit_bench`; :func:`load_bench` reads it back through the same
+:func:`check_bench`.
 """
 
 from __future__ import annotations
@@ -31,13 +34,16 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.artifacts import write_atomic
+
 LEDGER_SCHEMA = 1
 
 DEFAULT_LEDGER = Path("PERF_LEDGER.jsonl")
 
-#: Bench profiles.  Field lists must match the benches' CASE_FIELDS;
-#: ``baseline`` names the committed point-in-time file each bench
-#: still writes.
+#: Bench profiles: each one's required case fields, key fields and
+#: guarded metric (:func:`check_bench` enforces them on every bench
+#: run and every ledger read); ``baseline`` names the committed
+#: point-in-time file each bench still writes.
 PROFILES: Dict[str, Dict[str, Any]] = {
     "engine": {
         "baseline": "BENCH_engine.json",
@@ -149,6 +155,87 @@ def case_key(case: Mapping[str, Any], profile: str) -> str:
     return "/".join(str(case[f]) for f in fields)
 
 
+def bench_envelope(profile: str, **fields: Any) -> Dict[str, Any]:
+    """A bench payload: the shared header, then the bench's fields.
+
+    The header every ``BENCH_*.json`` carries is ``schema``,
+    ``created``, ``python`` and ``profile``; ``fields`` follow in the
+    order given (``cases`` among them)."""
+    return {
+        "schema": BENCH_SCHEMA,
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "python": sys.version.split()[0],
+        "profile": profile,
+        **fields,
+    }
+
+
+def check_bench(
+    payload: Any, where: str = "bench payload", profile: Optional[str] = None
+) -> str:
+    """Validate a bench envelope and return the profile it declares.
+
+    The cases must satisfy that :data:`PROFILES` entry, and
+    ``profile``, when given, must match it.  Raises
+    :class:`PerfError` naming ``where``."""
+    if not isinstance(payload, dict):
+        raise PerfError(f"{where}: not a JSON object")
+    schema = payload.get("schema")
+    if schema != BENCH_SCHEMA:
+        raise PerfError(
+            f"{where}: unsupported bench schema {schema!r} "
+            f"(known: {BENCH_SCHEMA})"
+        )
+    declared = payload.get("profile")
+    if declared not in PROFILES:
+        raise PerfError(
+            f"{where}: schema 2 requires a known 'profile' field "
+            f"(got {declared!r})"
+        )
+    if profile is not None and declared != profile:
+        raise PerfError(
+            f"{where}: declares profile {declared!r}, caller said "
+            f"{profile!r}"
+        )
+    missing = [k for k in ("created", "python") if k not in payload]
+    if missing:
+        raise PerfError(f"{where}: missing top-level fields {missing}")
+    prof = PROFILES[declared]
+    cases = payload.get("cases")
+    if not isinstance(cases, list) or not cases:
+        raise PerfError(f"{where}: no 'cases' list")
+    for i, case in enumerate(cases):
+        missing = [f for f in prof["required_fields"] if f not in case]
+        if missing:
+            raise PerfError(
+                f"{where}: case {i} missing fields {missing} "
+                f"(profile {declared})"
+            )
+        if case[prof["metric"]] <= 0:
+            raise PerfError(
+                f"{where}: case {i} has non-positive {prof['metric']}"
+            )
+    return declared
+
+
+def emit_bench(payload: Dict[str, Any], out: Optional[Path] = None) -> int:
+    """Validate a bench payload and write it; returns the exit status.
+
+    A schema error is printed and returns 1.  Otherwise ``out``, when
+    given, receives the payload as indented JSON through
+    :func:`repro.artifacts.write_atomic`."""
+    try:
+        check_bench(payload)
+    except PerfError as exc:
+        print(f"BENCH SCHEMA ERROR: {exc}", file=sys.stderr)
+        return 1
+    if out is not None:
+        text = json.dumps(payload, indent=2) + "\n"
+        write_atomic(out, text.encode("utf-8"))
+        print(f"wrote {out}")
+    return 0
+
+
 def load_bench(
     path: Path, profile: Optional[str] = None
 ) -> Tuple[str, Dict[str, Any]]:
@@ -161,40 +248,7 @@ def load_bench(
         raise PerfError(f"{path}: missing") from None
     except json.JSONDecodeError as exc:
         raise PerfError(f"{path}: not valid JSON ({exc})") from None
-    schema = payload.get("schema")
-    if schema != BENCH_SCHEMA:
-        raise PerfError(
-            f"{path}: unsupported bench schema {schema!r} "
-            f"(known: {BENCH_SCHEMA})"
-        )
-    declared = payload.get("profile")
-    if declared not in PROFILES:
-        raise PerfError(
-            f"{path}: schema 2 requires a known 'profile' field "
-            f"(got {declared!r})"
-        )
-    if profile is not None and declared != profile:
-        raise PerfError(
-            f"{path}: declares profile {declared!r}, caller said "
-            f"{profile!r}"
-        )
-    profile = declared
-    prof = PROFILES[profile]
-    cases = payload.get("cases")
-    if not isinstance(cases, list) or not cases:
-        raise PerfError(f"{path}: no 'cases' list")
-    for i, case in enumerate(cases):
-        missing = [f for f in prof["required_fields"] if f not in case]
-        if missing:
-            raise PerfError(
-                f"{path}: case {i} missing fields {missing} "
-                f"(profile {profile})"
-            )
-        if case[prof["metric"]] <= 0:
-            raise PerfError(
-                f"{path}: case {i} has non-positive {prof['metric']}"
-            )
-    return profile, payload
+    return check_bench(payload, str(path), profile), payload
 
 
 def bench_to_entry(

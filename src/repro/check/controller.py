@@ -63,6 +63,7 @@ from typing import (
     Tuple,
 )
 
+from repro.artifacts import write_atomic
 from repro.core.dfs_wakeup import VisitedIds
 from repro.errors import SimulationError
 from repro.sim.adversary import DelayStrategy
@@ -758,15 +759,14 @@ def make_replay(
 
 
 def save_replay(replay: Dict[str, object], path) -> Path:
-    """Write one replay artifact (pretty, key-sorted JSON)."""
+    """Write one replay artifact (pretty, key-sorted JSON).
+
+    The writer is :func:`repro.artifacts.write_atomic`."""
     from repro.obs.metrics import get_registry
 
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(replay, indent=2, sort_keys=True, default=repr) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(replay, indent=2, sort_keys=True, default=repr) + "\n"
+    write_atomic(path, text.encode("utf-8"))
     get_registry().counter("repro_replay_store_total", op="save").inc()
     return path
 

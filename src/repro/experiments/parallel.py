@@ -49,6 +49,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.artifacts import write_atomic
 from repro.errors import ReproError, WakeUpFailure
 from repro.experiments.backends import WorkStealingBackend
 from repro.graphs.compile import (
@@ -819,46 +820,17 @@ class ParallelSweepExecutor:
     ) -> None:
         if not self.use_cache or not payload.get("ok"):
             return
-        path = Path(self._cache_path(key))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(
-                {
-                    "schema": CACHE_SCHEMA,
-                    "key": key,
-                    "algorithm": spec.algorithm,
-                    "salts": _cell_salts(spec),
-                    "payload": payload,
-                },
-                sort_keys=True,
-            )
+        envelope = {
+            "schema": CACHE_SCHEMA,
+            "key": key,
+            "algorithm": spec.algorithm,
+            "salts": _cell_salts(spec),
+            "payload": payload,
+        }
+        write_atomic(
+            self._cache_path(key),
+            json.dumps(envelope, sort_keys=True).encode("utf-8"),
         )
-        tmp.replace(path)
-
-    def purge_cache(self, stale_only: bool = False) -> int:
-        """Delete cached cells; returns the number removed.
-
-        ``stale_only`` keeps every entry whose salt vector still
-        matches the current code and removes the rest (superseded
-        salts, legacy v1 envelopes, unreadable files) — the surgical
-        successor of the old all-or-nothing purge, surfaced as
-        ``repro cache purge --stale``.  A full purge also deletes the
-        temp files of writers killed between write and rename; a
-        stale-only one keeps them, since a live writer may own them."""
-        removed = 0
-        if self.cache_dir.is_dir():
-            for entry in self.cache_dir.rglob("*.json"):
-                if stale_only:
-                    status, _ = classify_cell_envelope(entry)
-                    if status == "live":
-                        continue
-                entry.unlink()
-                removed += 1
-            if not stale_only:
-                for entry in self.cache_dir.rglob("*.tmp.*"):
-                    entry.unlink()
-        return removed
 
 
 def classify_cell_envelope(path: Union[str, Path]) -> Tuple[str, str]:
@@ -866,7 +838,8 @@ def classify_cell_envelope(path: Union[str, Path]) -> Tuple[str, str]:
     ``("stale", reason)`` where the reason names what invalidated it —
     ``"legacy"`` (v1 envelope), ``"unreadable"``, or the stale salt
     components (``"engine"``, ``"engine+algorithms"``, ...).  Powers
-    the ``repro cache info`` salt report and ``purge --stale``."""
+    the ``repro cache info`` salt report and ``purge --stale`` (the
+    cells row of :func:`repro.artifacts.runtime_stores`)."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError):
@@ -889,23 +862,3 @@ def classify_cell_envelope(path: Union[str, Path]) -> Tuple[str, str]:
     if mismatched:
         return "stale", "+".join(mismatched)
     return "live", ""
-
-
-def cell_cache_report(
-    cache_dir: Union[str, Path] = DEFAULT_CACHE_DIR,
-) -> Dict[str, Any]:
-    """Walk the cell cache and bucket every envelope by liveness:
-    ``{"live": n, "stale": m, "stale_by": {reason: count}}``."""
-    report: Dict[str, Any] = {"live": 0, "stale": 0, "stale_by": {}}
-    cache_dir = Path(cache_dir)
-    if cache_dir.is_dir():
-        for entry in cache_dir.rglob("*.json"):
-            status, reason = classify_cell_envelope(entry)
-            if status == "live":
-                report["live"] += 1
-            else:
-                report["stale"] += 1
-                report["stale_by"][reason] = (
-                    report["stale_by"].get(reason, 0) + 1
-                )
-    return report

@@ -5,22 +5,22 @@ numbers on disk so EXPERIMENTS.md can be regenerated and diffs between
 runs inspected.  This module serializes sweep rows, Table-1 rows, and
 generic record dicts to a stable JSON layout with run metadata.
 
-Writes are idempotent and atomic: an artifact whose bytes would not
-change is left alone (a warm regeneration rewrites nothing), and a
-changed one is written to a temp file renamed over it, so a killed
-writer never leaves a torn file.
+Artifacts are written by :func:`repro.artifacts.write_atomic`: one
+whose bytes would not change is left alone (a warm regeneration
+rewrites nothing), and a changed one is renamed into place, so a
+killed writer never leaves a torn file.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
+from repro.artifacts import write_atomic
 from repro.errors import ReproError
 
 PathLike = Union[str, Path]
@@ -57,10 +57,9 @@ def save_records(
 ) -> None:
     """Write records (dataclasses or dicts) plus run metadata as JSON.
 
-    The text is ``json.dumps(payload, indent=2, sort_keys=True)``.
-    When the file already holds exactly those bytes nothing is
-    written; otherwise they go to ``<stem>.tmp.<pid>``, which is then
-    renamed over ``path``."""
+    The text is ``json.dumps(payload, indent=2, sort_keys=True)``,
+    written through :func:`~repro.artifacts.write_atomic` (so not at
+    all when the file already holds it)."""
     payload = {
         "format_version": FORMAT_VERSION,
         "experiment": experiment,
@@ -72,26 +71,21 @@ def save_records(
         "records": [_jsonable(r) for r in records],
     }
     data = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            if fh.read() == data:
-                return
-    except OSError:  # no artifact yet
-        pass
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_bytes(data)
-    tmp.replace(path)
+    write_atomic(path, data)
 
 
 def load_records(path: PathLike) -> Dict[str, Any]:
-    """Load a result file; validates the format version."""
+    """Load a result file; validates the format version.
+
+    A file that is not a UTF-8 JSON object raises :class:`ReproError`."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ReproError(f"no results file at {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8
         raise ReproError(f"corrupt results file {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ReproError(f"corrupt results file {path}: not a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ReproError(
             f"results file {path} has format version "

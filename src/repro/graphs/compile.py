@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import threading
 from collections import OrderedDict
@@ -51,6 +50,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.artifacts import write_atomic
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.traversal import awake_distance
 from repro.graphs.workloads import build_workload
@@ -434,12 +434,13 @@ def cached_spanner(
 class TopologyStore:
     """Content-addressed on-disk store of compiled topologies.
 
-    Artifacts are pickled with a digest over the body, written to a
-    temp file and atomically renamed, so a concurrent reader sees
-    either nothing or a complete artifact — never a torn write.  Builds
-    take an advisory ``flock`` on a per-key lock file and re-check the
-    store after acquiring it, so N workers racing on one topology
-    perform exactly one build (the rest load the winner's artifact).
+    Artifacts are pickled with a digest over the body and written by
+    :func:`repro.artifacts.write_atomic` (temp file, then rename), so a
+    concurrent reader sees either nothing or a complete artifact —
+    never a torn write.  Builds take an advisory ``flock`` on a per-key
+    lock file and re-check the store after acquiring it, so N workers
+    racing on one topology perform exactly one build (the rest load
+    the winner's artifact).
 
     A mismatched ``salt`` (the graphs-subsystem code salt), a
     mismatched key, or any unpickling/digest failure is treated as a
@@ -545,11 +546,7 @@ class TopologyStore:
             },
             protocol=4,
         )
-        path = self.path(topo.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(envelope)
-        tmp.replace(path)
+        write_atomic(self.path(topo.key), envelope)
 
     def persist_extras(self, topo: CompiledTopology) -> None:
         """Rewrite an artifact after lazily computing extras (e.g. a
@@ -563,72 +560,20 @@ class TopologyStore:
             pass
 
     # -- maintenance -----------------------------------------------------
-    def iter_entries(self):
-        """Yield ``(path, envelope-or-None)`` for every stored
-        artifact; ``None`` marks an unreadable/torn file.  The envelope
-        is the outer dict only (salt, key, digest) — bodies are not
-        unpickled, so walking a large store is cheap."""
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.rglob("*.topo")):
-            try:
-                envelope = pickle.loads(path.read_bytes())
-                if (
-                    not isinstance(envelope, dict)
-                    or envelope.get("magic") != "repro-topology"
-                ):
-                    envelope = None
-            except Exception:
-                envelope = None
-            yield path, envelope
+    def entry_is_live(self, path: Union[str, Path]) -> bool:
+        """Whether the artifact at ``path`` is usable by this store.
 
-    def report(self) -> Dict[str, int]:
-        """Live/stale artifact counts against the current graphs salt
-        (the ``repro cache info`` salt report)."""
-        live = stale = 0
-        for _path, envelope in self.iter_entries():
-            if (
-                envelope is not None
-                and envelope.get("version") == STORE_VERSION
-                and envelope.get("salt") == self.salt
-            ):
-                live += 1
-            else:
-                stale += 1
-        return {"live": live, "stale": stale}
-
-    def purge(self, stale_only: bool = False) -> int:
-        """Delete stored artifacts; returns the number removed.
-
-        ``stale_only`` keeps artifacts whose salt matches the current
-        graphs-subsystem salt and removes the rest (superseded salts,
-        old layout versions, torn files)."""
-        removed = 0
-        if self.root.is_dir():
-            for path, envelope in self.iter_entries():
-                if stale_only and (
-                    envelope is not None
-                    and envelope.get("version") == STORE_VERSION
-                    and envelope.get("salt") == self.salt
-                ):
-                    continue
-                path.unlink()
-                removed += 1
-            if not stale_only:
-                # Lock files, and the temp files of writers killed
-                # between write and rename (a live writer may own one,
-                # so a stale-only purge keeps them).
-                for pattern in ("*.lock", "*.tmp.*"):
-                    for entry in self.root.rglob(pattern):
-                        entry.unlink()
-        return removed
-
-    def artifact_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.topo"))
-
-    def size_bytes(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(p.stat().st_size for p in self.root.rglob("*.topo"))
+        It must carry this store's layout version and graphs salt (the
+        ``repro cache`` liveness rule).  The body is not unpickled, so
+        walking a large store is cheap; a torn or foreign file is not
+        live."""
+        try:
+            envelope = pickle.loads(Path(path).read_bytes())
+        except Exception:
+            return False
+        return (
+            isinstance(envelope, dict)
+            and envelope.get("magic") == "repro-topology"
+            and envelope.get("version") == STORE_VERSION
+            and envelope.get("salt") == self.salt
+        )

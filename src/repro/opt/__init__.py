@@ -14,7 +14,6 @@ from repro.opt.atlas import (
     ATLAS_VERSION,
     DEFAULT_ATLAS_PATH,
     DEFAULT_ATLAS_REPLAY_DIR,
-    atlas_artifact_report,
     check_atlas,
     empty_atlas,
     entry_is_stale,
@@ -23,7 +22,6 @@ from repro.opt.atlas import (
     load_atlas,
     merge_entry,
     plain_replay_spec,
-    purge_atlas_artifacts,
     replay_entry,
     save_atlas,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "ATLAS_VERSION",
     "DEFAULT_ATLAS_PATH",
     "DEFAULT_ATLAS_REPLAY_DIR",
-    "atlas_artifact_report",
     "check_atlas",
     "empty_atlas",
     "entry_is_stale",
@@ -67,7 +64,6 @@ __all__ = [
     "load_atlas",
     "merge_entry",
     "plain_replay_spec",
-    "purge_atlas_artifacts",
     "replay_entry",
     "save_atlas",
     "CellEvaluator",

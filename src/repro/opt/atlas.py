@@ -31,6 +31,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.artifacts import write_atomic
 from repro.errors import ReproError
 from repro.experiments.parallel import CellSpec, run_cell
 from repro.obs.metrics import get_registry
@@ -86,11 +87,16 @@ def empty_atlas() -> Dict[str, Any]:
 def load_atlas(
     path: Union[str, Path] = DEFAULT_ATLAS_PATH,
 ) -> Dict[str, Any]:
-    """Read an atlas; a missing file is an empty atlas."""
+    """Read an atlas; a missing file is an empty atlas.
+
+    A file that is not UTF-8 JSON raises :class:`ReproError` naming it."""
     path = Path(path)
     if not path.exists():
         return empty_atlas()
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # also bytes that are not UTF-8
+        raise ReproError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, dict) or data.get("kind") != ATLAS_KIND:
         raise ReproError(f"{path} is not a {ATLAS_KIND} file")
     if data.get("version") != ATLAS_VERSION:
@@ -104,14 +110,12 @@ def save_atlas(
     atlas: Dict[str, Any],
     path: Union[str, Path] = DEFAULT_ATLAS_PATH,
 ) -> Path:
-    """Write the atlas (pretty, key-sorted — a stable committed file)."""
+    """Write the atlas (pretty, key-sorted — a stable committed file).
+
+    The writer is :func:`repro.artifacts.write_atomic`."""
     path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(atlas, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(atlas, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("utf-8"))
     return path
 
 
@@ -351,7 +355,8 @@ def save_artifact(
     replay_dir: Union[str, Path] = DEFAULT_ATLAS_REPLAY_DIR,
 ) -> Path:
     """Write one entry's runtime replay artifact; the filename is the
-    last part of the entry's key, so re-runs overwrite in place."""
+    last part of the entry's key, so a re-run replaces it (and leaves
+    it untouched when its bytes are unchanged)."""
     key = entry_key(
         entry["algorithm"],
         entry["workload"],
@@ -360,12 +365,8 @@ def save_artifact(
     )
     name = key.rsplit("/", 1)[-1]
     path = Path(replay_dir) / f"{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(artifact_from_entry(entry), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(artifact_from_entry(entry), indent=2, sort_keys=True)
+    write_atomic(path, (text + "\n").encode("utf-8"))
     return path
 
 
@@ -387,24 +388,11 @@ def artifact_is_stale(data: Mapping[str, Any]) -> bool:
     return dict(salts) != current
 
 
-def atlas_artifact_report(
-    replay_dir: Union[str, Path] = DEFAULT_ATLAS_REPLAY_DIR,
-) -> Dict[str, int]:
-    """Count live vs stale artifacts under ``replay_dir``."""
-    report = {"count": 0, "stale": 0}
-    replay_dir = Path(replay_dir)
-    if replay_dir.is_dir():
-        for path in sorted(replay_dir.glob("*.json")):
-            report["count"] += 1
-            if not _artifact_file_is_live(path):
-                report["stale"] += 1
-    return report
-
-
-def _artifact_file_is_live(path: Path) -> bool:
+def artifact_file_is_live(path: Path) -> bool:
     """Whether ``path`` holds a runtime artifact stamped with the
-    current salts.  A file that is not a JSON object (unreadable, not
-    UTF-8, ``null``, a list) is stale."""
+    current salts (the atlas row of
+    :func:`repro.artifacts.runtime_stores`).  A file that is not a JSON
+    object (unreadable, not UTF-8, ``null``, a list) is stale."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):  # also bytes that are not UTF-8
@@ -582,19 +570,3 @@ def improve_atlas(
         "replay_ok": ok,
         "runs": runs,
     }
-
-
-def purge_atlas_artifacts(
-    replay_dir: Union[str, Path] = DEFAULT_ATLAS_REPLAY_DIR,
-    stale_only: bool = False,
-) -> int:
-    """Delete runtime atlas artifacts; returns the number removed."""
-    removed = 0
-    replay_dir = Path(replay_dir)
-    if replay_dir.is_dir():
-        for path in sorted(replay_dir.glob("*.json")):
-            if stale_only and _artifact_file_is_live(path):
-                continue
-            path.unlink()
-            removed += 1
-    return removed

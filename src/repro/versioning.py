@@ -56,10 +56,8 @@ second; with a warm memo the same salts take about ten milliseconds.
 from __future__ import annotations
 
 import ast
-import contextlib
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 from typing import (
@@ -74,6 +72,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+from repro.artifacts import write_atomic
 
 #: Subsystem -> module-name prefixes (longest prefix wins).  Top-level
 #: one-file modules are listed explicitly under ``harness`` so the
@@ -106,6 +106,7 @@ SUBSYSTEMS: Dict[str, Tuple[str, ...]] = {
         "repro.analysis",
         "repro.apps",
         "repro.versioning",
+        "repro.artifacts",
         "repro.errors",
         "repro.__main__",
     ),
@@ -328,9 +329,8 @@ def _memo_entry(entry: Any, raw: str) -> Optional[_Facts]:
 def _write_memo(path: Path, old: Mapping[str, Any]) -> None:
     """Rewrite the memo with this process's facts plus the old entries
     that still match their files, dropping the rest.  The memo is
-    written to a temporary file and renamed into place; any
-    ``OSError`` (a read-only install, say) leaves the memo as it was."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    written by :func:`repro.artifacts.write_atomic`; any ``OSError``
+    (a read-only install, say) leaves the memo as it was."""
     try:
         modules = {}
         for module, source in module_index().items():
@@ -344,12 +344,10 @@ def _write_memo(path: Path, old: Mapping[str, Any]) -> None:
                     "imports": sorted(facts.imports),
                 }
         memo = {"versioning": _memo_stamp(), "modules": modules}
-        path.parent.mkdir(exist_ok=True)
-        tmp.write_text(json.dumps(memo, separators=(",", ":")), encoding="utf-8")
-        os.replace(tmp, path)
+        data = json.dumps(memo, separators=(",", ":")).encode("utf-8")
+        write_atomic(path, data)
     except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        pass
 
 
 def _module_facts(modules: Iterable[str]) -> Dict[str, _Facts]:

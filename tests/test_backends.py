@@ -23,12 +23,12 @@ import time
 
 import pytest
 
+from repro.artifacts import purge_store, runtime_stores, store_report
 from repro.core.flooding import Flooding
 from repro.experiments.backends import BACKENDS, WorkStealingBackend
 from repro.experiments.parallel import (
     CellSpec,
     ParallelSweepExecutor,
-    cell_cache_report,
     classify_cell_envelope,
 )
 from repro.experiments.sweeps import sweep_cells
@@ -316,7 +316,8 @@ class TestEnvelopeMigration:
         assert paths, "cold run cached nothing"
         for path in paths:
             assert classify_cell_envelope(path) == ("stale", "legacy")
-        report = cell_cache_report(cold.cache_dir)
+        cells_store = runtime_stores(cold.cache_dir, *[tmp_path] * 3)[0]
+        report = store_report(cells_store)
         assert report["live"] == 0
         assert report["stale_by"] == {"legacy": len(paths)}
 
@@ -328,7 +329,7 @@ class TestEnvelopeMigration:
         assert rows_again == rows
 
         # ...and the rewrite healed the cache.
-        healed = cell_cache_report(cold.cache_dir)
+        healed = store_report(cells_store)
         assert healed["live"] == len(paths)
         assert healed["stale"] == 0
 
@@ -342,8 +343,9 @@ class TestEnvelopeMigration:
         victim.write_text(
             json.dumps({"key": data["key"], "payload": data["payload"]})
         )
-        assert ex.purge_cache(stale_only=True) == 1
-        report = cell_cache_report(ex.cache_dir)
+        cells_store = runtime_stores(ex.cache_dir, *[tmp_path] * 3)[0]
+        assert purge_store(cells_store, stale_only=True) == 1
+        report = store_report(cells_store)
         assert report["stale"] == 0
         assert report["live"] == len(cells) - 1
 

@@ -157,12 +157,13 @@ class TestCheckCommands:
 
     def test_full_purge_removes_orphaned_temp_files(self, tmp_path):
         # A writer killed between its temp write and the rename leaves
-        # <key>.tmp.<pid> behind in either store.  Only a full purge may
-        # remove it: under --stale a live writer may still own it.
+        # <name>.tmp.<pid>-<random> behind in any of the four stores.
+        # Only a full purge may remove it: under --stale a live writer
+        # may still own it.
         planted = [
-            tmp_path / store / "ab" / "ab12.tmp.4242"
-            for store in ("cells", "topologies")
-        ]
+            tmp_path / store / "ab" / "ab12.json.tmp.4242-0a1b2c3d"
+            for store in ("cells", "topologies", "replay")
+        ] + [tmp_path / "atlas" / "ab12.json.tmp.4242-0a1b2c3d"]
         for path in planted:
             path.parent.mkdir(parents=True)
             path.write_bytes(b"half a write")

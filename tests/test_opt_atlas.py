@@ -8,16 +8,17 @@ through the plain engine from its saved entry.
 """
 
 import json
+import re
 
 import pytest
 
+from repro.artifacts import purge_store, runtime_stores, store_report
 from repro.errors import ReproError
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.opt.atlas import (
     ATLAS_KIND,
     ATLAS_REPLAY_KIND,
     artifact_is_stale,
-    atlas_artifact_report,
     check_atlas,
     empty_atlas,
     entry_is_stale,
@@ -27,7 +28,6 @@ from repro.opt.atlas import (
     make_entry,
     merge_entry,
     plain_replay_spec,
-    purge_atlas_artifacts,
     replay_entry,
     save_artifact,
     save_atlas,
@@ -43,6 +43,15 @@ from repro.opt.genomes import (
     DelayVectorGenome,
     DelayVectorSpace,
 )
+
+
+#: Atlas files that are not an atlas: JSON ``null``, bytes that are
+#: not UTF-8, and a write cut short.
+MALFORMED_ATLASES = {
+    "null": b"null",
+    "not-utf8": b"\xff\xfe{}",
+    "torn": b'{"kind": "repro-opt-at',
+}
 
 
 def serial_executor(tmp_path):
@@ -186,6 +195,16 @@ class TestEntries:
             with pytest.raises(ReproError):
                 load_atlas(tmp_path / "junk.json")
 
+    @pytest.mark.parametrize("content", MALFORMED_ATLASES.values(),
+                             ids=list(MALFORMED_ATLASES))
+    def test_malformed_file_raises_repro_error_naming_it(
+        self, tmp_path, content
+    ):
+        path = tmp_path / "ATLAS.json"
+        path.write_bytes(content)
+        with pytest.raises(ReproError, match=re.escape(str(path))):
+            load_atlas(path)
+
     def test_check_atlas_passes_good_and_flags_bad(self, tmp_path):
         atlas = empty_atlas()
         entry = entry_for(tmp_path, DelayVectorGenome((0.7, 0.8)))
@@ -228,6 +247,11 @@ class TestEntries:
 # ----------------------------------------------------------------------
 # Runtime artifacts
 # ----------------------------------------------------------------------
+def _atlas_store(adir):
+    """The atlas row of the runtime store table, at ``adir``."""
+    return runtime_stores(adir, adir, adir, adir)[3]
+
+
 class TestArtifacts:
     def test_report_and_purge(self, tmp_path):
         entry = entry_for(tmp_path, DelayVectorGenome((0.6, 0.7)))
@@ -236,8 +260,13 @@ class TestArtifacts:
         data = json.loads(path.read_text())
         assert data["kind"] == ATLAS_REPLAY_KIND
         assert not artifact_is_stale(data)
-        report = atlas_artifact_report(adir)
-        assert report == {"count": 1, "stale": 0}
+        store = _atlas_store(adir)
+
+        def counts():
+            report = store_report(store)
+            return report["entries"], report["stale"]
+
+        assert counts() == (1, 0)
         # A stale artifact is counted, purged by --stale, while live
         # ones survive.
         stale = dict(data, salts=dict(data["salts"], engine="0" * 16))
@@ -245,11 +274,11 @@ class TestArtifacts:
         (adir / "no-genome.json").write_text(
             json.dumps(dict(stale, genome=None))
         )
-        assert atlas_artifact_report(adir) == {"count": 3, "stale": 2}
-        assert purge_atlas_artifacts(adir, stale_only=True) == 2
-        assert atlas_artifact_report(adir) == {"count": 1, "stale": 0}
-        assert purge_atlas_artifacts(adir) == 1
-        assert atlas_artifact_report(adir) == {"count": 0, "stale": 0}
+        assert counts() == (3, 2)
+        assert purge_store(store, stale_only=True) == 2
+        assert counts() == (1, 0)
+        assert purge_store(store) == 1
+        assert counts() == (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -382,6 +411,29 @@ class TestAtlasCli:
 
         return main(argv)
 
+    @pytest.mark.parametrize("command", ["show", "run", "check"])
+    @pytest.mark.parametrize("content", MALFORMED_ATLASES.values(),
+                             ids=list(MALFORMED_ATLASES))
+    def test_malformed_atlas_is_reported_not_raised(
+        self, tmp_path, capsys, command, content
+    ):
+        atlas_path = tmp_path / "ATLAS.json"
+        atlas_path.write_bytes(content)
+        argv = {
+            "show": ["atlas", "show"],
+            "check": ["atlas", "check"],
+            "run": ["atlas", "run", "flooding", "--graph", "star",
+                    "--sizes", "12", "--generations", "1",
+                    "--population", "2", "--baseline-trials", "1",
+                    "--workers", "0",
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--topology-dir", str(tmp_path / "topo"),
+                    "--atlas-dir", str(tmp_path / "artifacts")],
+        }[command]
+        assert self._run([*argv, "--atlas", str(atlas_path)]) == 1
+        assert f"cannot load atlas {atlas_path}" in capsys.readouterr().err
+        assert atlas_path.read_bytes() == content
+
     def test_run_show_check_cycle(self, tmp_path, capsys):
         atlas_path = tmp_path / "ATLAS.json"
         common = [
@@ -456,4 +508,4 @@ class TestAtlasCli:
         ) == 0
         out = capsys.readouterr().out
         assert "1 atlas replay artifact(s)" in out
-        assert atlas_artifact_report(adir)["count"] == 0
+        assert store_report(_atlas_store(adir))["entries"] == 0

@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.analysis.telemetry import topology_fetches
+from repro.artifacts import purge_store, runtime_stores
 from repro.core.base import WakeUpAlgorithm
 from repro.core.registry import get_algorithm
 from repro.errors import ReproError
@@ -218,10 +219,11 @@ class TestCache:
         assert merged[1]["v"] == 99
         assert load_records(art)["records"] == merged
 
-    def test_purge_cache_forces_cold_run(self, tmp_path):
+    def test_full_purge_forces_cold_run(self, tmp_path):
         ex = ParallelSweepExecutor(workers=0, cache_dir=tmp_path / "c")
         self._sweep(ex)
-        assert ex.purge_cache() == ex.stats["cells"]
+        cells = runtime_stores(ex.cache_dir, tmp_path, tmp_path, tmp_path)[0]
+        assert purge_store(cells) == ex.stats["cells"]
         again = ParallelSweepExecutor(workers=0, cache_dir=tmp_path / "c")
         self._sweep(again)
         assert again.stats["executed"] == again.stats["cells"]

@@ -33,9 +33,12 @@ import pytest
 from repro.analysis.perf import (
     PROFILES,
     PerfError,
+    bench_envelope,
     bench_to_entry,
     case_key,
     check,
+    check_bench,
+    emit_bench,
     geomean,
     latest_per_profile,
     load_bench,
@@ -130,6 +133,27 @@ class TestEnvelopes:
         path = write(tmp_path, "b.json", engine_payload(rate=0.0))
         with pytest.raises(PerfError, match="non-positive"):
             load_bench(path)
+
+    @pytest.mark.parametrize("field", ["created", "python"])
+    def test_missing_header_field_rejected(self, tmp_path, field):
+        payload = engine_payload()
+        del payload[field]
+        path = write(tmp_path, "b.json", payload)
+        with pytest.raises(PerfError, match="missing top-level fields"):
+            load_bench(path)
+
+    def test_bench_envelope_passes_its_own_check(self):
+        payload = bench_envelope("engine", cases=engine_payload()["cases"])
+        assert list(payload)[:4] == ["schema", "created", "python", "profile"]
+        assert check_bench(payload) == "engine"
+
+    def test_emit_bench_writes_only_a_valid_payload(self, tmp_path, capsys):
+        good = bench_envelope("engine", cases=engine_payload()["cases"])
+        assert emit_bench(good, tmp_path / "good.json") == 0
+        assert json.loads((tmp_path / "good.json").read_text()) == good
+        assert emit_bench(dict(good, cases=[]), tmp_path / "bad.json") == 1
+        assert "BENCH SCHEMA ERROR" in capsys.readouterr().err
+        assert not (tmp_path / "bad.json").exists()
 
     def test_case_key_joins_key_fields(self):
         case = engine_payload()["cases"][0]

@@ -64,6 +64,23 @@ class TestSaveLoad:
         with pytest.raises(ReproError):
             load_records(p)
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"null", b"[1, 2]"],
+        ids=["not-utf8", "null", "list"],
+    )
+    def test_malformed_file_is_corrupt_and_merged_over(
+        self, tmp_path, content
+    ):
+        # A results file that is not a UTF-8 JSON object used to escape
+        # load_records as UnicodeDecodeError/AttributeError, so
+        # merge_records (and `repro sweep --out`) ended in a traceback.
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        with pytest.raises(ReproError, match="corrupt results file"):
+            load_records(p)
+        assert merge_records(p, [{"key": "a"}], "exp") == [{"key": "a"}]
+        assert load_records(p)["records"] == [{"key": "a"}]
+
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "old.json"
         p.write_text(json.dumps({"format_version": 99, "records": []}))
@@ -93,15 +110,16 @@ _OLD_MTIME_NS = 1_000_000_000
 
 @pytest.fixture
 def renames(monkeypatch):
-    """Every ``Path.replace`` call, as (source, target) pairs."""
+    """Every ``os.replace`` call (the artifact writer's rename), as
+    (source, target) pairs."""
     calls = []
-    original = Path.replace
+    original = os.replace
 
-    def spy(self, target):
-        calls.append((Path(self), Path(target)))
-        return original(self, target)
+    def spy(src, dst):
+        calls.append((Path(src), Path(dst)))
+        return original(src, dst)
 
-    monkeypatch.setattr(Path, "replace", spy)
+    monkeypatch.setattr(os, "replace", spy)
     return calls
 
 
@@ -132,7 +150,9 @@ class TestIdempotentAtomicWrites:
         assert [dst for _, dst in renames] == [path, path]
         for src, _ in renames:
             assert src.parent == path.parent
-            assert src.name == f"out.tmp.{os.getpid()}"
+            assert src.name.startswith(f"out.json.tmp.{os.getpid()}-")
+        # Each write gets its own temp name.
+        assert renames[0][0] != renames[1][0]
         assert list(tmp_path.glob("*.tmp.*")) == []
         assert path.read_bytes() == _expected_bytes(
             changed, "x", {"sizes": [10, 20]}

@@ -30,6 +30,7 @@ import pytest
 
 import repro.graphs.compile as compile_mod
 from repro.analysis.telemetry import topology_fetches
+from repro.artifacts import purge_store, runtime_stores, store_report
 from repro.experiments.parallel import CellSpec, ParallelSweepExecutor
 from repro.experiments.sweeps import sweep_cells
 from repro.graphs.compile import (
@@ -143,15 +144,21 @@ class TestArtifactFidelity:
             assert list(fast.ports(v)) == list(validated.ports(v))
 
 
+def _topology_store(root):
+    """The topologies row of the runtime store table, at ``root``."""
+    return runtime_stores(root, root, root, root)[1]
+
+
 class TestStore:
     def test_cold_build_writes_one_artifact(self, tmp_path):
         store = TopologyStore(tmp_path)
         stats = {}
         topo = store.fetch_or_build(WORKLOAD, N, stats=stats)
         assert stats == {"build": 1}
-        assert store.artifact_count() == 1
+        report = store_report(_topology_store(tmp_path))
+        assert report["entries"] == 1
         assert store.path(topo.key).is_file()
-        assert store.size_bytes() > 0
+        assert report["bytes"] > 0
 
     def test_disk_then_memory_hits(self, tmp_path):
         TopologyStore(tmp_path).fetch_or_build(WORKLOAD, N)
@@ -221,7 +228,7 @@ class TestStore:
         stats = {}
         store_b.fetch_or_build(WORKLOAD, N, stats=stats)
         assert stats == {"build": 1}
-        assert store_b.artifact_count() == 2
+        assert store_report(_topology_store(tmp_path))["entries"] == 2
 
     def test_wrong_store_version_is_a_miss(self, tmp_path):
         store = TopologyStore(tmp_path)
@@ -254,8 +261,8 @@ class TestStore:
         store = TopologyStore(tmp_path)
         store.fetch_or_build(WORKLOAD, N)
         store.fetch_or_build({**WORKLOAD, "seed": 6}, N)
-        assert store.purge() == 2
-        assert store.artifact_count() == 0
+        assert purge_store(_topology_store(tmp_path)) == 2
+        assert store_report(_topology_store(tmp_path))["entries"] == 0
         assert list(tmp_path.rglob("*.lock")) == []
 
     def test_concurrent_workers_build_exactly_once(self, tmp_path):
@@ -268,7 +275,7 @@ class TestStore:
         rhos = {rho for _, rho in results}
         assert sum(s.get("build", 0) for s in stats_list) == 1
         assert len(rhos) == 1
-        assert TopologyStore(tmp_path).artifact_count() == 1
+        assert store_report(_topology_store(tmp_path))["entries"] == 1
 
 
 def _concurrent_fetch(args):
