@@ -24,8 +24,8 @@ Subcommands:
   ``run`` / ``show`` / ``check`` (structure + salts + plain-engine
   replayability);
 * ``cache``   — inspect or purge the on-disk runtime caches (the cell
-  result cache, the compiled-topology artifact store, the
-  schedule-replay artifacts, and the atlas replay artifacts);
+  result cache, the compiled-topology artifact store, and the
+  schedule-replay artifacts);
 * ``metrics`` — render a metrics snapshot file (written by
   ``--metrics``) as JSON or Prometheus text exposition format;
 * ``top``     — the metrics dashboard (executor throughput, cache
@@ -257,9 +257,7 @@ def _cmd_report(args) -> int:
 def _cmd_cache(args) -> int:
     from repro.versioning import salt_vector
 
-    stores = runtime_stores(
-        args.cache_dir, args.topology_dir, args.replay_dir, args.atlas_dir
-    )
+    stores = runtime_stores(args.cache_dir, args.topology_dir, args.replay_dir)
     if args.action == "info":
         reports = {s.name: store_report(s) for s in stores}
         print(
@@ -302,8 +300,7 @@ def _cmd_cache(args) -> int:
     print(
         f"purged {removed['cells']} {what}cached cell(s), "
         f"{removed['topologies']} compiled topolog(y/ies), "
-        f"{removed['replays']} replay artifact(s), "
-        f"{removed['atlas']} atlas replay artifact(s)"
+        f"{removed['replays']} replay artifact(s)"
     )
     return 0
 
@@ -682,6 +679,21 @@ def _load_atlas_or_report(path):
         return None
 
 
+def _load_valid_atlas_or_report(path):
+    """The atlas at ``path`` when it loads and :func:`check_atlas`
+    finds no structural error in it, or None after printing why on
+    stderr: ``atlas run`` and ``atlas show`` index every entry."""
+    from repro.opt import check_atlas
+
+    atlas = _load_atlas_or_report(path)
+    if atlas is None:
+        return None
+    errors, _ = check_atlas(atlas)
+    for err in errors:
+        print(f"ERROR: {err}", file=sys.stderr)
+    return None if errors else atlas
+
+
 def _cmd_atlas(args) -> int:
     if args.atlas_command == "run":
         return _cmd_atlas_run(args)
@@ -711,7 +723,7 @@ def _cmd_atlas_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    atlas = _load_atlas_or_report(args.atlas)
+    atlas = _load_valid_atlas_or_report(args.atlas)
     if atlas is None:
         return 1
     executor = _make_executor(args)
@@ -748,7 +760,6 @@ def _cmd_atlas_run(args) -> int:
                 space=space,
                 baseline_trials=args.baseline_trials,
                 recorder=executor.recorder,
-                replay_dir=args.atlas_dir,
             )
             rows.append(summary)
     finally:
@@ -789,7 +800,7 @@ def _cmd_atlas_run(args) -> int:
 def _cmd_atlas_show(args) -> int:
     from repro.opt import entry_is_stale
 
-    atlas = _load_atlas_or_report(args.atlas)
+    atlas = _load_valid_atlas_or_report(args.atlas)
     if atlas is None:
         return 1
     entries = atlas.get("entries", {})
@@ -1191,6 +1202,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="merge per-cell records into this JSON artifact",
     )
+    p_sweep.add_argument(
+        "--flight-recorder",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "keep the last N trace events per cell and dump them into "
+            "failure records (bounded memory)"
+        ),
+    )
     _add_executor_flags(p_sweep)
 
     p_rep = sub.add_parser(
@@ -1388,7 +1409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless every incumbent strictly beats its "
         "random-delay baseline (CI gate)",
     )
-    _add_atlas_dir_flag(p_atlas_run)
     _add_executor_flags(p_atlas_run)
     p_atlas_show = atlas_sub.add_parser(
         "show", help="print the committed frontier"
@@ -1428,7 +1448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument(
         "what",
         nargs="?",
-        choices=("cells", "topologies", "replays", "atlas", "all"),
+        choices=("cells", "topologies", "replays", "all"),
         default="all",
         help="which cache to purge (default: all; ignored by info)",
     )
@@ -1452,7 +1472,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_replay_dir_flag(p_cache)
-    _add_atlas_dir_flag(p_cache)
 
     p_metrics = sub.add_parser(
         "metrics", help="render a metrics snapshot file"
@@ -1637,16 +1656,6 @@ def _add_replay_dir_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_atlas_dir_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.opt.atlas import DEFAULT_ATLAS_REPLAY_DIR
-
-    parser.add_argument(
-        "--atlas-dir",
-        default=str(DEFAULT_ATLAS_REPLAY_DIR),
-        help="atlas replay artifact dir (default: results/.atlas)",
-    )
-
-
 def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     """The ParallelSweepExecutor knobs, shared by cell-based commands."""
     parser.add_argument(
@@ -1678,16 +1687,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "compiled-topology artifact store location "
             "(default: results/.topologies; unused under --no-cache)"
-        ),
-    )
-    parser.add_argument(
-        "--flight-recorder",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "keep the last N trace events per cell and dump them into "
-            "failure records (bounded memory)"
         ),
     )
     _add_telemetry_flags(parser)

@@ -2,10 +2,10 @@
 runtime stores.
 
 :func:`write_atomic` is how result records, cell envelopes, compiled
-topologies, check replays, ``ATLAS.json`` and its replay artifacts,
-bench envelopes, ``--metrics`` snapshots and the salt memo reach disk.
-A :class:`Store` is one of the four stores ``repro cache`` reports
-and purges (:func:`runtime_stores`); :func:`store_report` and
+topologies, check replays, ``ATLAS.json``, bench envelopes,
+``--metrics`` snapshots and the salt memo reach disk.  A
+:class:`Store` is one of the three stores ``repro cache`` reports and
+purges (:func:`runtime_stores`); :func:`store_report` and
 :func:`purge_store` walk any of them.
 """
 
@@ -119,16 +119,12 @@ def purge_store(store: Store, stale_only: bool = False) -> int:
 
 
 def runtime_stores(
-    cache_dir: PathLike,
-    topology_dir: PathLike,
-    replay_dir: PathLike,
-    atlas_dir: PathLike,
+    cache_dir: PathLike, topology_dir: PathLike, replay_dir: PathLike
 ) -> List[Store]:
-    """The four runtime stores, in ``repro cache info``'s row order."""
+    """The three runtime stores, in ``repro cache info``'s row order."""
     from repro.check.controller import replay_is_stale
     from repro.experiments.parallel import classify_cell_envelope
     from repro.graphs.compile import TopologyStore
-    from repro.opt.atlas import artifact_file_is_live
 
     topologies = TopologyStore(topology_dir)
     return [
@@ -139,6 +135,4 @@ def runtime_stores(
               debris=("*.tmp.*", "*.lock")),
         Store("replays", Path(replay_dir), "**/*.json",
               lambda p: "stale" if replay_is_stale(p) else ""),
-        Store("atlas", Path(atlas_dir), "*.json",
-              lambda p: "" if artifact_file_is_live(p) else "stale"),
     ]

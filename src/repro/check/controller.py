@@ -730,18 +730,19 @@ def make_replay(
     violation cannot be expressed as a DelayStrategy).
 
     ``salts`` stamps the artifact with the code salts it was recorded
-    under (:func:`repro.versioning.replay_salt_vector`: ``engine``,
-    ``graphs``, the algorithm's ``algorithms`` salt and ``check``): a
-    replay is only bit-exact against the code that produced it, and
-    the stamp is what lets ``repro cache info`` / ``purge --stale``
-    tell live replays from orphaned ones without re-running anything.
+    under, a controlled run's :func:`repro.versioning.cell_salt_vector`
+    (``engine``, ``graphs``, the algorithm's ``algorithms`` salt and
+    ``check``): a replay is only bit-exact against the code that
+    produced it, and the stamp is what lets ``repro cache info`` /
+    ``purge --stale`` tell live replays from orphaned ones without
+    re-running anything.
     """
-    from repro.versioning import replay_salt_vector
+    from repro.versioning import cell_salt_vector
 
     return {
         "version": REPLAY_VERSION,
         "kind": REPLAY_KIND,
-        "salts": replay_salt_vector(algorithm),
+        "salts": cell_salt_vector(algorithm, controlled=True),
         "algorithm": algorithm,
         "n": int(n),
         "seed": int(seed),
@@ -790,16 +791,12 @@ def load_replay(path) -> Dict[str, object]:
 
 def replay_is_stale(path) -> bool:
     """Whether the replay artifact at ``path`` was recorded under
-    superseded code: engine, graphs, its algorithm's import closure or
-    check.  Loading a stale replay still works (the format is stable)
-    but bit-exactness is no longer guaranteed; ``repro cache info``
-    reports these and ``purge --stale`` removes them.  Artifacts
-    predating the salt stamp count as stale — their provenance is
-    unknowable — and so do files that are not a JSON object
-    (unreadable, not UTF-8, ``null``, a list) and replays whose
-    algorithm is missing or not registered."""
-    from repro.core.registry import algorithm_names
-    from repro.versioning import replay_salt_vector
+    superseded code, by :func:`repro.versioning.stale_salts`.  Loading
+    a stale replay still works (the format is stable) but bit-exactness
+    is no longer guaranteed; ``repro cache info`` reports these and
+    ``purge --stale`` removes them.  Files that are not a JSON object
+    (unreadable, not UTF-8, ``null``, a list) are stale too."""
+    from repro.versioning import stale_salts
 
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -807,7 +804,4 @@ def replay_is_stale(path) -> bool:
         return True
     if not isinstance(data, dict):
         return True
-    salts, algorithm = data.get("salts"), data.get("algorithm")
-    if not isinstance(salts, dict) or algorithm not in algorithm_names():
-        return True
-    return salts != replay_salt_vector(algorithm)
+    return bool(stale_salts(data.get("algorithm"), data.get("salts")))

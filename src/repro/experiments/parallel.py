@@ -67,7 +67,7 @@ from repro.obs.metrics import (
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.runner import WakeUpResult
 from repro.sim.trace import DEFAULT_FLIGHT_RECORDER, Trace
-from repro.versioning import atlas_salt_vector
+from repro.versioning import cell_salt_vector, stale_salts
 
 #: Cell-cache envelope layout version.  v1 envelopes carried the
 #: hand-bumped global ``CODE_SALT`` string ("repro-cell-v3" was the
@@ -168,7 +168,7 @@ def _cell_salts(spec: CellSpec) -> Dict[str, str]:
     subsystem's scheduling loop (:mod:`repro.check.controller`), so
     the check salt joins the key — a controller edit re-executes
     controlled cells and leaves ordinary sweep cells warm."""
-    return atlas_salt_vector(
+    return cell_salt_vector(
         spec.algorithm,
         controlled=(
             spec.controller is not None or spec.delay.get("kind") == "replay"
@@ -180,7 +180,7 @@ def cell_key(spec: CellSpec) -> str:
     """Content hash identifying a cell: the full spec plus the salts
     its execution depends on (engine + graphs + the algorithm's
     import-closure salt, plus the check salt for controlled cells —
-    :func:`repro.versioning.atlas_salt_vector`), canonically
+    :func:`repro.versioning.cell_salt_vector`), canonically
     serialized.  Any differing input — seed, size, algorithm
     parameter, adversary knob — yields a different key, and so does
     any code edit that can reach this cell's execution; code edits
@@ -836,29 +836,17 @@ class ParallelSweepExecutor:
 def classify_cell_envelope(path: Union[str, Path]) -> Tuple[str, str]:
     """Liveness of one on-disk cell envelope: ``("live", "")`` or
     ``("stale", reason)`` where the reason names what invalidated it —
-    ``"legacy"`` (v1 envelope), ``"unreadable"``, or the stale salt
-    components (``"engine"``, ``"engine+algorithms"``, ...).  Powers
-    the ``repro cache info`` salt report and ``purge --stale`` (the
-    cells row of :func:`repro.artifacts.runtime_stores`)."""
+    ``"unreadable"`` (not a JSON envelope object), ``"legacy"`` (v1
+    envelope), or :func:`repro.versioning.stale_salts`' reason.
+    Powers the ``repro cache info`` salt report and ``purge --stale``
+    (the cells row of :func:`repro.artifacts.runtime_stores`)."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError):  # also bytes that are not UTF-8
         return "stale", "unreadable"
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or not isinstance(data.get("payload"), dict):
         return "stale", "unreadable"
     if data.get("schema") != CACHE_SCHEMA:
         return "stale", "legacy"
-    salts = data.get("salts")
-    algorithm = data.get("algorithm")
-    if not isinstance(salts, dict) or not isinstance(algorithm, str):
-        return "stale", "legacy"
-    if not isinstance(data.get("payload"), dict):
-        return "stale", "unreadable"
-    # A controlled-cell envelope's key folded the check salt too.
-    current = atlas_salt_vector(algorithm, controlled="check" in salts)
-    mismatched = sorted(
-        name for name, salt in current.items() if salts.get(name) != salt
-    )
-    if mismatched:
-        return "stale", "+".join(mismatched)
-    return "live", ""
+    reason = stale_salts(data.get("algorithm"), data.get("salts"))
+    return ("stale", reason) if reason else ("live", "")

@@ -13,7 +13,6 @@ from repro.opt.atlas import (
     ATLAS_KIND,
     ATLAS_VERSION,
     DEFAULT_ATLAS_PATH,
-    DEFAULT_ATLAS_REPLAY_DIR,
     check_atlas,
     empty_atlas,
     entry_is_stale,
@@ -55,7 +54,6 @@ __all__ = [
     "ATLAS_KIND",
     "ATLAS_VERSION",
     "DEFAULT_ATLAS_PATH",
-    "DEFAULT_ATLAS_REPLAY_DIR",
     "check_atlas",
     "empty_atlas",
     "entry_is_stale",

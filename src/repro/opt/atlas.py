@@ -13,14 +13,10 @@ genomes) the recorded per-seq delay map.
 Merging is **monotone best-wins**: a re-run can only raise a score,
 never lower one, so the committed file is a high-water mark the same
 way ``PERF_LEDGER.jsonl`` is for throughput.  Staleness is decided by
-the entry's salt vector (:func:`repro.versioning.atlas_salt_vector`)
-exactly like cell-cache envelopes: an engine or algorithm edit marks
-the affected entries stale without invalidating the rest.
-
-Runtime replay artifacts live under ``results/.atlas`` (one JSON per
-entry, same content as the embedded replay data), covered by
-``repro cache info`` / ``purge`` alongside cells, topologies, and
-check replays.
+the entry's salt vector (:func:`repro.versioning.stale_salts`) exactly
+like cell-cache envelopes: an engine or algorithm edit marks the
+affected entries stale without invalidating the rest.  The committed
+entry is the replay data; no other copy is written.
 """
 
 from __future__ import annotations
@@ -36,17 +32,11 @@ from repro.errors import ReproError
 from repro.experiments.parallel import CellSpec, run_cell
 from repro.obs.metrics import get_registry
 from repro.opt.genomes import Genome, genome_from_dict
-from repro.versioning import atlas_salt_vector
+from repro.versioning import cell_salt_vector, stale_salts
 
 ATLAS_VERSION = 1
 ATLAS_KIND = "repro-opt-atlas"
 DEFAULT_ATLAS_PATH = Path("ATLAS.json")
-
-#: Runtime replay artifacts (one per entry); a sibling of the check
-#: replay dir, reported and purged by ``repro cache``.
-DEFAULT_ATLAS_REPLAY_DIR = Path("results") / ".atlas"
-
-ATLAS_REPLAY_KIND = "repro-opt-replay"
 
 #: Absolute time tolerance when comparing replayed makespans; messages
 #: and bits must match exactly.  The controlled loop guarantees replay
@@ -89,7 +79,8 @@ def load_atlas(
 ) -> Dict[str, Any]:
     """Read an atlas; a missing file is an empty atlas.
 
-    A file that is not UTF-8 JSON raises :class:`ReproError` naming it."""
+    A file that is not UTF-8 JSON, or whose ``entries`` is not an
+    object, raises :class:`ReproError` naming it."""
     path = Path(path)
     if not path.exists():
         return empty_atlas()
@@ -103,6 +94,8 @@ def load_atlas(
         raise ReproError(
             f"{path}: unsupported atlas version {data.get('version')!r}"
         )
+    if not isinstance(data.get("entries", {}), dict):
+        raise ReproError(f"{path}: entries is not an object")
     return data
 
 
@@ -130,7 +123,6 @@ def make_entry(
     optimizer: str,
     expect: Mapping[str, float],
     delays: Optional[Mapping[int, float]] = None,
-    replay_path: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Assemble one atlas entry.
 
@@ -162,7 +154,7 @@ def make_entry(
             "bits": float(expect["bits"]),
             "time": float(expect["time"]),
         },
-        "salts": atlas_salt_vector(
+        "salts": cell_salt_vector(
             spec.algorithm, controlled=genome.controlled
         ),
     }
@@ -170,8 +162,6 @@ def make_entry(
         entry["delays"] = {
             str(k): float(v) for k, v in sorted(delays.items())
         }
-    if replay_path is not None:
-        entry["replay"] = str(replay_path)
     return entry
 
 
@@ -204,19 +194,11 @@ def merge_entry(atlas: Dict[str, Any], entry: Dict[str, Any]) -> str:
     return outcome
 
 
-def _current_salts(entry: Mapping[str, Any]) -> Dict[str, str]:
-    """The salt vector an entry would be stamped with today."""
-    controlled = entry.get("genome", {}).get("kind") == "choice_prefix"
-    return atlas_salt_vector(entry["algorithm"], controlled=controlled)
-
-
 def entry_is_stale(entry: Mapping[str, Any]) -> bool:
     """Whether an entry's recorded salts are superseded by the current
-    code (replay bit-exactness no longer guaranteed)."""
-    salts = entry.get("salts")
-    if not isinstance(salts, dict):
-        return True
-    return dict(salts) != _current_salts(entry)
+    code (replay bit-exactness no longer guaranteed), by
+    :func:`repro.versioning.stale_salts`."""
+    return bool(stale_salts(entry.get("algorithm"), entry.get("salts")))
 
 
 # ----------------------------------------------------------------------
@@ -292,8 +274,8 @@ def check_atlas(
     if not isinstance(entries, dict):
         return errors + ["entries is not an object"], stale
     required = (
-        "algorithm", "workload", "objective", "n", "score",
-        "baseline", "genome", "spec", "expect", "salts", "digest",
+        "algorithm", "workload", "objective", "n", "score", "baseline",
+        "optimizer", "genome", "spec", "expect", "salts", "digest",
     )
     for key, entry in sorted(entries.items()):
         missing = [f for f in required if f not in entry]
@@ -328,82 +310,6 @@ def check_atlas(
     return errors, stale
 
 
-# ----------------------------------------------------------------------
-# Runtime replay artifacts (results/.atlas)
-# ----------------------------------------------------------------------
-def artifact_from_entry(entry: Mapping[str, Any]) -> Dict[str, Any]:
-    """The standalone replay artifact mirroring one entry."""
-    out = {
-        "version": ATLAS_VERSION,
-        "kind": ATLAS_REPLAY_KIND,
-        "salts": dict(entry["salts"]),
-        "algorithm": entry["algorithm"],
-        "objective": entry["objective"],
-        "n": entry["n"],
-        "score": entry["score"],
-        "genome": dict(entry["genome"]),
-        "spec": dict(entry["spec"]),
-        "expect": dict(entry["expect"]),
-    }
-    if "delays" in entry:
-        out["delays"] = dict(entry["delays"])
-    return out
-
-
-def save_artifact(
-    entry: Mapping[str, Any],
-    replay_dir: Union[str, Path] = DEFAULT_ATLAS_REPLAY_DIR,
-) -> Path:
-    """Write one entry's runtime replay artifact; the filename is the
-    last part of the entry's key, so a re-run replaces it (and leaves
-    it untouched when its bytes are unchanged)."""
-    key = entry_key(
-        entry["algorithm"],
-        entry["workload"],
-        entry["objective"],
-        entry["n"],
-    )
-    name = key.rsplit("/", 1)[-1]
-    path = Path(replay_dir) / f"{name}.json"
-    text = json.dumps(artifact_from_entry(entry), indent=2, sort_keys=True)
-    write_atomic(path, (text + "\n").encode("utf-8"))
-    return path
-
-
-def artifact_is_stale(data: Mapping[str, Any]) -> bool:
-    """Staleness of one runtime artifact, by its stamped salts."""
-    salts = data.get("salts")
-    if not isinstance(salts, dict) or "algorithm" not in data:
-        return True
-    genome = data.get("genome")
-    controlled = (
-        isinstance(genome, dict) and genome.get("kind") == "choice_prefix"
-    )
-    try:
-        current = atlas_salt_vector(
-            data["algorithm"], controlled=controlled
-        )
-    except Exception:  # noqa: BLE001 — unknown algorithm etc.
-        return True
-    return dict(salts) != current
-
-
-def artifact_file_is_live(path: Path) -> bool:
-    """Whether ``path`` holds a runtime artifact stamped with the
-    current salts (the atlas row of
-    :func:`repro.artifacts.runtime_stores`).  A file that is not a JSON
-    object (unreadable, not UTF-8, ``null``, a list) is stale."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):  # also bytes that are not UTF-8
-        return False
-    return (
-        isinstance(data, dict)
-        and data.get("kind") == ATLAS_REPLAY_KIND
-        and not artifact_is_stale(data)
-    )
-
-
 def improve_atlas(
     atlas: Dict[str, Any],
     *,
@@ -416,19 +322,17 @@ def improve_atlas(
     space=None,
     baseline_trials: int = 32,
     recorder=None,
-    replay_dir: Union[str, Path] = DEFAULT_ATLAS_REPLAY_DIR,
 ) -> Dict[str, Any]:
     """One full atlas improvement pass for one (workload, objective, n).
 
     Runs the random baseline and every named optimizer through the
     executor, verifies the overall incumbent replays bit-identically
-    through the plain engine, writes the runtime replay artifact, and
-    merges the entry monotonically into ``atlas`` (in place).  A stale
-    entry already in the atlas under the same key is replayed first:
-    if the current code still reproduces it, its salts are re-stamped
-    and it competes as before; if not, it is dropped.  Returns
-    a summary row (entry key, scores, merge outcome, per-optimizer
-    history) for CLI/bench reporting.
+    through the plain engine, and merges the entry monotonically into
+    ``atlas`` (in place).  A stale entry already in the atlas under
+    the same key is replayed first: if the current code still
+    reproduces it, its salts are re-stamped and it competes as before;
+    if not, it is dropped.  Returns a summary row (entry key, scores,
+    merge outcome, per-optimizer history) for CLI/bench reporting.
 
     ``space`` defaults to a
     :class:`~repro.opt.genomes.DelayVectorSpace` sized to the spec —
@@ -549,14 +453,13 @@ def improve_atlas(
     incumbent = entries.get(key)
     if incumbent is not None and entry_is_stale(incumbent):
         if replay_entry(incumbent)[0]:
-            incumbent["salts"] = _current_salts(incumbent)
+            incumbent["salts"] = cell_salt_vector(
+                incumbent["algorithm"],
+                controlled=genome_from_dict(incumbent["genome"]).controlled,
+            )
         else:
             del entries[key]
     merged = merge_entry(atlas, entry)
-    # The artifact's filename comes from the key alone, so write the
-    # entry the merge left in the atlas, not the candidate.
-    kept = entries[key]
-    kept["replay"] = str(save_artifact(kept, replay_dir))
     return {
         "key": key,
         "n": base_spec.n,

@@ -28,7 +28,7 @@ Genomes never execute anything themselves: :meth:`Genome
 .cell_overrides` maps a genome onto :class:`~repro.experiments
 .parallel.CellSpec` fields, and the executor does the rest — which is
 why the ``opt`` subsystem salt joins no cache key (see
-:func:`repro.versioning.atlas_salt_vector`).
+:func:`repro.versioning.cell_salt_vector`).
 """
 
 from __future__ import annotations

@@ -100,6 +100,12 @@ from repro.versioning import cell_salt_vector
 #: States a job can be observed in; the last three are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "timeout")
 
+#: Per-job event backlog replayed to late watchers (ring buffer).
+BACKLOG_EVENTS = 10_000
+
+#: Terminal jobs remembered for ``status``/``jobs`` queries.
+HISTORY = 1024
+
 
 @dataclass
 class ServeConfig:
@@ -120,10 +126,6 @@ class ServeConfig:
     cache_dir: str = str(DEFAULT_CACHE_DIR)
     topology_dir: str = str(DEFAULT_TOPOLOGY_DIR)
     use_cache: bool = True
-    #: Per-job event backlog replayed to late watchers (ring buffer).
-    backlog_events: int = 10_000
-    #: Terminal jobs remembered for ``status``/``jobs`` queries.
-    history: int = 1024
 
 
 class Job:
@@ -492,7 +494,7 @@ class SweepServer:
                         "repro_serve_jobs_total", status="deduped"
                     ).inc()
                 return existing, True, None
-            job = Job(jid, canon, self.config.backlog_events)
+            job = Job(jid, canon, BACKLOG_EVENTS)
             try:
                 self._queue.put_nowait(job)
             except queue.Full:
@@ -530,7 +532,7 @@ class SweepServer:
     def _trim_history(self) -> None:
         # Under self._lock.  Evict oldest *terminal* jobs beyond the
         # history bound; live jobs are never evicted.
-        excess = len(self._jobs) - self.config.history
+        excess = len(self._jobs) - HISTORY
         if excess <= 0:
             return
         for jid in [

@@ -28,14 +28,19 @@ This module replaces the hand-bumped constant with *derived* salts:
 Consumers pick the salts they actually depend on:
 
 =====================  =============================================
-cache                  salts in the key
+artifact               salts it is stamped with
 =====================  =============================================
 sweep cells            ``engine`` + ``graphs`` + per-algorithm
                        (+ ``check`` when controlled)
-compiled topologies    ``graphs``
 check replays          cell salts + ``check``
 atlas entries          cell salts (+ ``check`` when controlled)
+compiled topologies    ``graphs``
 =====================  =============================================
+
+The three JSON artifacts are stamped with :func:`cell_salt_vector` and
+judged by one rule, :func:`stale_salts`; their readers only parse
+their own format.  Compiled topologies are pickles with no algorithm
+and check their own graphs salt.
 
 The ``harness`` subsystem (executors, CLI, serve daemon, telemetry) is
 deliberately in *no* cache key: orchestration code moves results
@@ -93,9 +98,9 @@ SUBSYSTEMS: Dict[str, Tuple[str, ...]] = {
     "check": ("repro.check", "repro.lowerbounds"),
     # Stochastic adversary optimizers + the frontier atlas.  Search
     # strategy code *picks* candidates but never executes them, so this
-    # salt joins no cell cache key; atlas entries instead fold the
+    # salt joins no cell cache key; atlas entries instead carry the
     # salts of what the incumbent actually runs (see
-    # :func:`atlas_salt_vector`).
+    # :func:`cell_salt_vector`).
     "opt": ("repro.opt",),
     # Orchestration: executors, CLI, serve daemon, observability,
     # analysis, notebooks.  Never part of a cache key.
@@ -538,19 +543,12 @@ def algorithm_salt(algorithm: str) -> str:
     return salt
 
 
-def cell_salt_vector(algorithm: str) -> Dict[str, str]:
-    """The salts one sweep cell's cache key depends on."""
-    return {
-        "engine": subsystem_salt("engine"),
-        "graphs": subsystem_salt("graphs"),
-        "algorithms": algorithm_salt(algorithm),
-    }
-
-
-def atlas_salt_vector(algorithm: str, *, controlled: bool = False) -> Dict[str, str]:
+def cell_salt_vector(
+    algorithm: str, *, controlled: bool = False
+) -> Dict[str, str]:
     """The salts one run of ``algorithm`` depends on.
 
-    Sweep cells, frontier-atlas entries and check replays are stamped
+    Sweep cells, check replays and frontier-atlas entries are stamped
     with them.  A run is a cell result: engine + graphs + the
     algorithm's import closure decide it.  Controlled runs
     (choice-prefix incumbents, controller cells, replays) additionally
@@ -561,15 +559,35 @@ def atlas_salt_vector(algorithm: str, *, controlled: bool = False) -> Dict[str, 
     search must never stale a frontier the executor can still
     reproduce bit-identically.
     """
-    salts = cell_salt_vector(algorithm)
+    salts = {
+        "engine": subsystem_salt("engine"),
+        "graphs": subsystem_salt("graphs"),
+        "algorithms": algorithm_salt(algorithm),
+    }
     if controlled:
         salts["check"] = subsystem_salt("check")
     return salts
 
 
-def replay_salt_vector(algorithm: str) -> Dict[str, str]:
-    """The salts a check replay artifact of ``algorithm`` depends on.
+def stale_salts(algorithm: Any, salts: Any) -> str:
+    """Why an artifact stamped ``salts`` for ``algorithm`` no longer
+    replays under the current code, or ``""`` while it does.
 
-    Its world is built by graphs code and it runs the algorithm under
-    the controlled loop, so it is a controlled run's vector."""
-    return atlas_salt_vector(algorithm, controlled=True)
+    The reason is ``"legacy"`` when ``salts`` is not an object or
+    ``algorithm`` is not a string, and otherwise the ``+``-joined
+    names of the moved salts (``"engine"``, ``"algorithms+engine"``).
+    A stamp holding ``check`` is a controlled run's.  An algorithm
+    that is neither registered nor a ``module:Attr`` path cannot run,
+    so its ``algorithms`` salt counts as moved."""
+    if not isinstance(salts, dict) or not isinstance(algorithm, str):
+        return "legacy"
+    current = cell_salt_vector(algorithm, controlled="check" in salts)
+    moved = {
+        name for name, salt in current.items() if salts.get(name) != salt
+    }
+    if ":" not in algorithm:
+        from repro.core.registry import algorithm_names
+
+        if algorithm not in algorithm_names():
+            moved.add("algorithms")
+    return "+".join(sorted(moved))

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import errno
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 import repro.artifacts as artifacts
 from repro.artifacts import Store, purge_store, store_report, write_atomic
 from repro.check.controller import save_replay
-from repro.opt.atlas import empty_atlas, save_artifact, save_atlas
+from repro.opt.atlas import empty_atlas, save_atlas
 
 #: An mtime no write made in this test run can carry.
 OLD_MTIME_NS = 1_000_000_000
@@ -127,25 +129,25 @@ class TestWriteAtomic:
         assert _temps(tmp_path) == []
 
 
-#: A minimal entry ``save_artifact`` can render (no run behind it).
-ENTRY = {
-    "algorithm": "flooding",
-    "workload": {"kind": "star"},
-    "objective": "time",
-    "n": 8,
-    "salts": {"engine": "0" * 16},
-    "score": 3.0,
-    "genome": {"kind": "delay_vector", "values": [0.5]},
-    "spec": {"algorithm": "flooding", "n": 8},
-    "expect": {"messages": 7, "bits": 7, "time": 3.0},
-}
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _api_docs(directory: Path) -> Path:
+    """Regenerate the API reference into ``directory``."""
+    out = directory / "docs" / "api.md"
+    subprocess.run(
+        [sys.executable, str(SCRIPTS / "gen_api_docs.py"), "--out", str(out)],
+        check=True, capture_output=True,
+    )
+    return out
+
 
 SAVERS = {
     "replay": lambda d: save_replay(
         {"kind": "repro-check-replay", "choices": [1, 0]}, d / "r.json"
     ),
     "atlas": lambda d: save_atlas(empty_atlas(), d / "ATLAS.json"),
-    "atlas-artifact": lambda d: save_artifact(ENTRY, d),
+    "api-docs": _api_docs,
 }
 
 

@@ -316,7 +316,7 @@ class TestEnvelopeMigration:
         assert paths, "cold run cached nothing"
         for path in paths:
             assert classify_cell_envelope(path) == ("stale", "legacy")
-        cells_store = runtime_stores(cold.cache_dir, *[tmp_path] * 3)[0]
+        cells_store = runtime_stores(cold.cache_dir, tmp_path, tmp_path)[0]
         report = store_report(cells_store)
         assert report["live"] == 0
         assert report["stale_by"] == {"legacy": len(paths)}
@@ -343,7 +343,7 @@ class TestEnvelopeMigration:
         victim.write_text(
             json.dumps({"key": data["key"], "payload": data["payload"]})
         )
-        cells_store = runtime_stores(ex.cache_dir, *[tmp_path] * 3)[0]
+        cells_store = runtime_stores(ex.cache_dir, tmp_path, tmp_path)[0]
         assert purge_store(cells_store, stale_only=True) == 1
         report = store_report(cells_store)
         assert report["stale"] == 0

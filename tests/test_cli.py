@@ -26,6 +26,17 @@ class TestParser:
         )
         assert args.sizes == [10, 20]
 
+    def test_flight_recorder_only_on_sweep(self):
+        # Only sweep passes the recorder on; elsewhere the flag would
+        # be accepted and silently record nothing.
+        args = build_parser().parse_args(
+            ["sweep", "flooding", "--flight-recorder", "50"]
+        )
+        assert args.flight_recorder == 50
+        for argv in (["table1"], ["atlas", "run", "flooding"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, "--flight-recorder", "50"])
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -152,18 +163,19 @@ class TestCheckCommands:
             "--cache-dir", str(tmp_path / "cells"),
             "--topology-dir", str(tmp_path / "topologies"),
             "--replay-dir", str(tmp_path / "replay"),
-            "--atlas-dir", str(tmp_path / "atlas"),
         ]
 
     def test_full_purge_removes_orphaned_temp_files(self, tmp_path):
         # A writer killed between its temp write and the rename leaves
-        # <name>.tmp.<pid>-<random> behind in any of the four stores.
+        # <name>.tmp.<pid>-<random> behind in any of the three stores.
         # Only a full purge may remove it: under --stale a live writer
         # may still own it.
         planted = [
-            tmp_path / store / "ab" / "ab12.json.tmp.4242-0a1b2c3d"
+            tmp_path / store / name
             for store in ("cells", "topologies", "replay")
-        ] + [tmp_path / "atlas" / "ab12.json.tmp.4242-0a1b2c3d"]
+            for name in ("ab12.json.tmp.4242-0a1b2c3d",
+                         "ab/ab12.json.tmp.4242-0a1b2c3d")
+        ]
         for path in planted:
             path.parent.mkdir(parents=True)
             path.write_bytes(b"half a write")
@@ -174,7 +186,7 @@ class TestCheckCommands:
         assert not any(path.exists() for path in planted)
 
     @pytest.mark.parametrize("kind, row", [("replay", "replays"),
-                                           ("atlas", "atlas")])
+                                           ("cells", "cells")])
     @pytest.mark.parametrize(
         "content", [b"null", b"[1, 2]", b"\xff\xfe"],
         ids=["null", "list", "not-utf8"],
@@ -182,7 +194,7 @@ class TestCheckCommands:
     def test_malformed_artifact_is_stale(
         self, capsys, tmp_path, kind, row, content
     ):
-        # A replay or atlas file that is not a JSON object used to
+        # A replay or cell file that is not a JSON object used to
         # escape `cache info` and `cache purge --stale` as a traceback.
         (tmp_path / kind).mkdir()
         bad = tmp_path / kind / "bad.json"
@@ -197,7 +209,8 @@ class TestCheckCommands:
         assert (entries, live, stale) == ("1", "0", "1")
         assert main(["cache", "purge", "all", "--stale", *dirs]) == 0
         out = capsys.readouterr().out
-        assert f"1 {'atlas ' if kind == 'atlas' else ''}replay artifact" in out
+        assert {"replay": "1 replay artifact",
+                "cells": "purged 1 stale cached cell"}[kind] in out
         assert not bad.exists()
 
 

@@ -1,6 +1,6 @@
 """The committed frontier atlas (repro.opt.atlas): entry identity,
-monotone merge, structural checking, plain-engine replay, runtime
-artifacts, the end-to-end improvement pass, and the CLI.
+monotone merge, structural checking, plain-engine replay, the
+end-to-end improvement pass, and the CLI.
 
 The replay property at the heart of the subsystem: *every* optimizer
 incumbent — both genome kinds, any laziness — replays bit-identically
@@ -12,13 +12,10 @@ import re
 
 import pytest
 
-from repro.artifacts import purge_store, runtime_stores, store_report
 from repro.errors import ReproError
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.opt.atlas import (
     ATLAS_KIND,
-    ATLAS_REPLAY_KIND,
-    artifact_is_stale,
     check_atlas,
     empty_atlas,
     entry_is_stale,
@@ -29,7 +26,6 @@ from repro.opt.atlas import (
     merge_entry,
     plain_replay_spec,
     replay_entry,
-    save_artifact,
     save_atlas,
 )
 from repro.opt.evaluate import (
@@ -46,11 +42,13 @@ from repro.opt.genomes import (
 
 
 #: Atlas files that are not an atlas: JSON ``null``, bytes that are
-#: not UTF-8, and a write cut short.
+#: not UTF-8, a write cut short, and entries that are not an object.
 MALFORMED_ATLASES = {
     "null": b"null",
     "not-utf8": b"\xff\xfe{}",
     "torn": b'{"kind": "repro-opt-at',
+    "entries-list": b'{"kind": "repro-opt-atlas", "version": 1, '
+                    b'"entries": []}',
 }
 
 
@@ -245,43 +243,6 @@ class TestEntries:
 
 
 # ----------------------------------------------------------------------
-# Runtime artifacts
-# ----------------------------------------------------------------------
-def _atlas_store(adir):
-    """The atlas row of the runtime store table, at ``adir``."""
-    return runtime_stores(adir, adir, adir, adir)[3]
-
-
-class TestArtifacts:
-    def test_report_and_purge(self, tmp_path):
-        entry = entry_for(tmp_path, DelayVectorGenome((0.6, 0.7)))
-        adir = tmp_path / "atlas-artifacts"
-        path = save_artifact(entry, adir)
-        data = json.loads(path.read_text())
-        assert data["kind"] == ATLAS_REPLAY_KIND
-        assert not artifact_is_stale(data)
-        store = _atlas_store(adir)
-
-        def counts():
-            report = store_report(store)
-            return report["entries"], report["stale"]
-
-        assert counts() == (1, 0)
-        # A stale artifact is counted, purged by --stale, while live
-        # ones survive.
-        stale = dict(data, salts=dict(data["salts"], engine="0" * 16))
-        (adir / "stale.json").write_text(json.dumps(stale))
-        (adir / "no-genome.json").write_text(
-            json.dumps(dict(stale, genome=None))
-        )
-        assert counts() == (3, 2)
-        assert purge_store(store, stale_only=True) == 2
-        assert counts() == (1, 0)
-        assert purge_store(store) == 1
-        assert counts() == (0, 0)
-
-
-# ----------------------------------------------------------------------
 # The end-to-end improvement pass
 # ----------------------------------------------------------------------
 class TestImproveAtlas:
@@ -295,7 +256,6 @@ class TestImproveAtlas:
             generations=4,
             population=8,
             baseline_trials=8,
-            replay_dir=tmp_path / "artifacts",
         )
         assert summary["merge"] == "new"
         assert summary["replay_ok"]
@@ -312,7 +272,6 @@ class TestImproveAtlas:
             generations=4,
             population=8,
             baseline_trials=8,
-            replay_dir=tmp_path / "artifacts",
         )
         assert again["merge"] in ("kept", "improved")
 
@@ -329,7 +288,6 @@ class TestImproveAtlas:
                 horizon=10, branch_cap=3, laziness=1.0
             ),
             baseline_trials=8,
-            replay_dir=tmp_path / "artifacts",
         )
         assert summary["genome_kind"] == "choice_prefix"
         assert summary["replay_ok"]
@@ -347,7 +305,6 @@ class TestImproveAtlas:
             generations=2,
             population=4,
             baseline_trials=4,
-            replay_dir=tmp_path / "artifacts",
         )
 
     def test_stale_incumbent_that_replays_is_restamped(self, tmp_path):
@@ -366,18 +323,15 @@ class TestImproveAtlas:
         assert entry["score"] == before["score"]
         assert entry["genome"] == before["genome"]
 
-    def test_kept_merge_writes_the_incumbents_artifact(self, tmp_path):
+    def test_kept_merge_leaves_the_incumbent_unchanged(self, tmp_path):
         atlas = empty_atlas()
         key = self._pass(atlas, tmp_path)["key"]
         # Out of the re-run's reach, so the merge keeps the incumbent.
         atlas["entries"][key]["score"] = 99.0
+        before = json.loads(json.dumps(atlas))
         assert self._pass(atlas, tmp_path)["merge"] == "kept"
-        entry = atlas["entries"][key]
-        path = tmp_path / "artifacts" / f"{key.rsplit('/', 1)[-1]}.json"
-        assert entry["replay"] == str(path)
-        artifact = json.loads(path.read_text(encoding="utf-8"))
-        assert artifact["score"] == 99.0
-        assert artifact["genome"] == entry["genome"]
+        assert atlas == before
+        assert "replay" not in atlas["entries"][key]
 
     def test_stale_incumbent_that_diverges_is_replaced(self, tmp_path):
         atlas = empty_atlas()
@@ -405,6 +359,21 @@ class TestImproveAtlas:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def _atlas_argv(command, tmp_path):
+    """``repro atlas COMMAND`` (a one-generation search for ``run``),
+    without ``--atlas``."""
+    return {
+        "show": ["atlas", "show"],
+        "check": ["atlas", "check"],
+        "run": ["atlas", "run", "flooding", "--graph", "star",
+                "--sizes", "12", "--generations", "1",
+                "--population", "2", "--baseline-trials", "1",
+                "--workers", "0",
+                "--cache-dir", str(tmp_path / "run-cache"),
+                "--topology-dir", str(tmp_path / "run-topo")],
+    }[command]
+
+
 class TestAtlasCli:
     def _run(self, argv):
         from repro.__main__ import main
@@ -419,27 +388,17 @@ class TestAtlasCli:
     ):
         atlas_path = tmp_path / "ATLAS.json"
         atlas_path.write_bytes(content)
-        argv = {
-            "show": ["atlas", "show"],
-            "check": ["atlas", "check"],
-            "run": ["atlas", "run", "flooding", "--graph", "star",
-                    "--sizes", "12", "--generations", "1",
-                    "--population", "2", "--baseline-trials", "1",
-                    "--workers", "0",
-                    "--cache-dir", str(tmp_path / "cache"),
-                    "--topology-dir", str(tmp_path / "topo"),
-                    "--atlas-dir", str(tmp_path / "artifacts")],
-        }[command]
+        argv = _atlas_argv(command, tmp_path)
         assert self._run([*argv, "--atlas", str(atlas_path)]) == 1
         assert f"cannot load atlas {atlas_path}" in capsys.readouterr().err
         assert atlas_path.read_bytes() == content
+        assert not (tmp_path / "run-cache").exists()  # no search ran
 
-    def test_run_show_check_cycle(self, tmp_path, capsys):
+    def test_run_show_check_cycle(self, tmp_path, capsys, monkeypatch):
+        # From inside tmp_path, so a default-located store would show.
+        monkeypatch.chdir(tmp_path)
         atlas_path = tmp_path / "ATLAS.json"
-        common = [
-            "--atlas", str(atlas_path),
-            "--atlas-dir", str(tmp_path / "artifacts"),
-        ]
+        common = ["--atlas", str(atlas_path)]
         rc = self._run(
             ["atlas", "run", "flooding", "--graph", "star",
              "--sizes", "12", "--generations", "3",
@@ -453,6 +412,10 @@ class TestAtlasCli:
         assert rc == 0
         assert "merge" in out and "new" in out
         assert atlas_path.exists()
+        # The atlas is the only file a run writes outside its caches.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ATLAS.json", "cache", "topo",
+        ]
 
         assert self._run(["atlas", "show", "--atlas",
                           str(atlas_path)]) == 0
@@ -486,26 +449,37 @@ class TestAtlasCli:
         assert self._run(["atlas", "check", "--atlas",
                           str(bad)]) == 1
 
-    def test_cache_info_and_purge_cover_atlas(self, tmp_path, capsys):
-        entry = entry_for(tmp_path, DelayVectorGenome((0.7, 0.6)))
-        adir = tmp_path / "artifacts"
-        save_artifact(entry, adir)
-        assert self._run(
-            ["cache", "info",
-             "--cache-dir", str(tmp_path / "cache"),
-             "--topology-dir", str(tmp_path / "topo"),
-             "--replay-dir", str(tmp_path / "none"),
-             "--atlas-dir", str(adir)]
-        ) == 0
+    @pytest.mark.parametrize("field", ["optimizer", "score"])
+    @pytest.mark.parametrize("command", ["show", "run"])
+    def test_malformed_entry_is_reported_not_raised(
+        self, tmp_path, capsys, command, field
+    ):
+        atlas = empty_atlas()
+        merge_entry(atlas, entry_for(
+            tmp_path, DelayVectorGenome((0.6, 0.7)), n=12,
+        ))
+        (entry,) = atlas["entries"].values()
+        del entry[field]
+        path = save_atlas(atlas, tmp_path / "ATLAS.json")
+        content = path.read_bytes()
+        argv = _atlas_argv(command, tmp_path)
+        assert self._run([*argv, "--atlas", str(path)]) == 1
+        assert f"missing fields ['{field}']" in capsys.readouterr().err
+        assert path.read_bytes() == content
+        assert not (tmp_path / "run-cache").exists()  # no search ran
+
+    def test_cache_walks_three_stores(self, tmp_path, capsys):
+        dirs = [
+            "--cache-dir", str(tmp_path / "cache"),
+            "--topology-dir", str(tmp_path / "topo"),
+            "--replay-dir", str(tmp_path / "replays"),
+        ]
+        assert self._run(["cache", "info", *dirs]) == 0
         out = capsys.readouterr().out
-        assert "atlas" in out
-        assert self._run(
-            ["cache", "purge", "atlas",
-             "--cache-dir", str(tmp_path / "cache"),
-             "--topology-dir", str(tmp_path / "topo"),
-             "--replay-dir", str(tmp_path / "none"),
-             "--atlas-dir", str(adir)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "1 atlas replay artifact(s)" in out
-        assert store_report(_atlas_store(adir))["entries"] == 0
+        rows = [line.split()[0] for line in out.splitlines()
+                if str(tmp_path) in line]
+        assert rows == ["cells", "topologies", "replays"]
+        assert self._run(["cache", "purge", *dirs]) == 0
+        assert "atlas" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            self._run(["cache", "purge", "atlas", *dirs])

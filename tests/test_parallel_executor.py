@@ -222,7 +222,7 @@ class TestCache:
     def test_full_purge_forces_cold_run(self, tmp_path):
         ex = ParallelSweepExecutor(workers=0, cache_dir=tmp_path / "c")
         self._sweep(ex)
-        cells = runtime_stores(ex.cache_dir, tmp_path, tmp_path, tmp_path)[0]
+        cells = runtime_stores(ex.cache_dir, tmp_path, tmp_path)[0]
         assert purge_store(cells) == ex.stats["cells"]
         again = ParallelSweepExecutor(workers=0, cache_dir=tmp_path / "c")
         self._sweep(again)

@@ -146,7 +146,7 @@ class TestArtifactFidelity:
 
 def _topology_store(root):
     """The topologies row of the runtime store table, at ``root``."""
-    return runtime_stores(root, root, root, root)[1]
+    return runtime_stores(root, root, root)[1]
 
 
 class TestStore:

@@ -274,24 +274,62 @@ class TestAlgorithmSalts:
         assert vec["graphs"] == V.subsystem_salt("graphs")
         assert vec["algorithms"] == V.algorithm_salt("flooding")
 
-    def test_replay_salt_vector_shape(self):
+    def test_replays_are_stamped_as_controlled_runs(self):
         # A replay is a controlled run: its world comes from graphs
         # code and it runs the algorithm's code under the check loop.
-        vec = V.replay_salt_vector("flooding")
-        assert set(vec) == {"engine", "graphs", "algorithms", "check"}
-        assert vec == V.atlas_salt_vector("flooding", controlled=True)
+        from repro.check.controller import ScheduleLog, make_replay
 
-    def test_atlas_salt_vector_shape(self):
-        plain = V.atlas_salt_vector("flooding")
-        assert plain == V.cell_salt_vector("flooding")
-        controlled = V.atlas_salt_vector("flooding", controlled=True)
+        replay = make_replay(
+            algorithm="flooding", n=4, log=ScheduleLog(),
+            schedule_times={0: 0.0},
+        )
+        assert replay["salts"] == V.cell_salt_vector(
+            "flooding", controlled=True
+        )
+
+    def test_controlled_salt_vector_shape(self):
+        plain = V.cell_salt_vector("flooding")
+        controlled = V.cell_salt_vector("flooding", controlled=True)
         assert set(controlled) == {
             "engine", "graphs", "algorithms", "check",
         }
         assert controlled["check"] == V.subsystem_salt("check")
+        assert {k: v for k, v in controlled.items() if k != "check"} == plain
         # The opt salt itself joins neither: strategy edits must not
         # invalidate committed frontier entries.
         assert "opt" not in plain and "opt" not in controlled
+
+
+class TestStaleSalts:
+    """:func:`repro.versioning.stale_salts`, the one staleness rule of
+    cell envelopes, check replays and atlas entries."""
+
+    def test_moved_salts_are_named(self):
+        controlled = V.cell_salt_vector("flooding", controlled=True)
+        assert V.stale_salts("flooding", controlled) == ""
+        moved = dict(controlled, engine="0" * 16, check="0" * 16)
+        assert V.stale_salts("flooding", moved) == "check+engine"
+        # A stamp without ``check`` is a plain run's, and salts it does
+        # not depend on are ignored.
+        plain = dict(V.cell_salt_vector("flooding"), opt="0" * 16)
+        assert V.stale_salts("flooding", plain) == ""
+
+    def test_malformed_stamps_are_legacy(self):
+        salts = V.cell_salt_vector("flooding")
+        for algorithm in (None, 7, ["flooding"]):
+            assert V.stale_salts(algorithm, salts) == "legacy"
+        for salts in (None, [1, 2], "salts"):
+            assert V.stale_salts("flooding", salts) == "legacy"
+
+    def test_unregistered_name_moves_the_algorithms_salt(self):
+        # algorithm_salt falls back to the subsystem salt, so the stamp
+        # matches it; the name still cannot run.
+        salts = V.cell_salt_vector("no-such-algorithm")
+        assert V.stale_salts("no-such-algorithm", salts) == "algorithms"
+
+    def test_module_path_outside_the_package_stays_live(self):
+        name = "tests.test_parallel_executor:KillerAlgo"
+        assert V.stale_salts(name, V.cell_salt_vector(name)) == ""
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +368,50 @@ def _salts_in(root):
         env=env,
     ).stdout
     return json.loads(out)
+
+
+#: Per salted artifact kind, a script that saves one at ``argv[1]``
+#: and one that prints whether its reader calls it stale.
+SALTED_ARTIFACTS = {
+    "cell": (
+        "import sys\n"
+        "from repro.experiments.parallel import CellSpec, "
+        "ParallelSweepExecutor\n"
+        "ParallelSweepExecutor(workers=0, cache_dir=sys.argv[1], "
+        "topology_dir=sys.argv[1] + '-topo').run([CellSpec('flooding', 8)])\n",
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from repro.experiments.parallel import classify_cell_envelope\n"
+        "(path,) = Path(sys.argv[1]).rglob('*.json')\n"
+        "print(classify_cell_envelope(path)[0] == 'stale')\n",
+    ),
+    "replay": (
+        "import sys\n"
+        "from repro.check.controller import ScheduleLog, make_replay, "
+        "save_replay\n"
+        "save_replay(make_replay(algorithm='flooding', n=4, "
+        "log=ScheduleLog(), schedule_times={0: 0.0}), sys.argv[1])\n",
+        "import sys\n"
+        "from repro.check.controller import replay_is_stale\n"
+        "print(replay_is_stale(sys.argv[1]))\n",
+    ),
+    "atlas-entry": (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from repro.experiments.parallel import CellSpec\n"
+        "from repro.opt.atlas import make_entry\n"
+        "from repro.opt.genomes import DelayVectorGenome\n"
+        "entry = make_entry(spec=CellSpec('flooding', 8), "
+        "genome=DelayVectorGenome((0.5,)), objective='time', score=1.0, "
+        "baseline=0.5, baseline_trials=1, optimizer='test', "
+        "expect={'messages': 7, 'bits': 7, 'time': 1.0})\n"
+        "Path(sys.argv[1]).write_text(json.dumps(entry))\n",
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from repro.opt.atlas import entry_is_stale\n"
+        "print(entry_is_stale(json.loads(Path(sys.argv[1]).read_text())))\n",
+    ),
+}
 
 
 class TestEditSensitivity:
@@ -399,21 +481,10 @@ class TestEditSensitivity:
             assert edited["vector"][sub] == base["vector"][sub]
 
     def test_graphs_edit_stales_saved_replays(self, tmp_path):
-        """A replay saved before a graphs edit reads stale after it:
-        the checker's worlds are built by graphs code."""
-        replay = tmp_path / "replay.json"
-        save = (
-            "import sys\n"
-            "from repro.check.controller import ScheduleLog, make_replay, "
-            "save_replay\n"
-            "save_replay(make_replay(algorithm='flooding', n=4, "
-            "log=ScheduleLog(), schedule_times={0: 0.0}), sys.argv[1])\n"
-        )
-        check = (
-            "import sys\n"
-            "from repro.check.controller import replay_is_stale\n"
-            "print(replay_is_stale(sys.argv[1]))\n"
-        )
+        """Every salted artifact saved before a graphs edit reads stale
+        after it: cells and the checker's worlds are built by graphs
+        code.  Each kind is written by its own writer and judged by its
+        own reader, over one pair of package copies."""
         base = _copy_package(tmp_path)
         edited = _copy_package(
             tmp_path / "edited",
@@ -423,16 +494,18 @@ class TestEditSensitivity:
             ),
         )
 
-        def run(root, script):
+        def run(root, script, path):
             env = dict(os.environ, PYTHONPATH=str(root))
             return subprocess.run(
-                [sys.executable, "-c", script, str(replay)],
+                [sys.executable, "-c", script, str(path)],
                 capture_output=True, text=True, check=True, env=env,
             ).stdout.strip()
 
-        run(base, save)
-        assert run(base, check) == "False"
-        assert run(edited, check) == "True"
+        for kind, (save, check) in SALTED_ARTIFACTS.items():
+            path = tmp_path / kind
+            run(base, save, path)
+            assert run(base, check, path) == "False", kind
+            assert run(edited, check, path) == "True", kind
 
     def test_opt_edit_moves_opt_only(self, tmp_path):
         """An optimizer-strategy edit moves the opt salt and nothing
