@@ -110,7 +110,8 @@ def test_theorem1_empirical_adversarial_frontier():
     analytic bound: on class 𝒢 the beam-searched schedule must meet or
     beat the best UniformRandomDelay sample at the same n, and the
     schedule is a replayable artifact (see docs/modelcheck.md)."""
-    from repro.check.controller import ReplayDelay
+    from repro.check.controller import ReplayDelay, replay_mismatch
+    from repro.check.worlds import run_schedule
     from repro.check.worstcase import random_baseline, worstcase_search
     from repro.core.flooding import Flooding
 
@@ -138,13 +139,10 @@ def test_theorem1_empirical_adversarial_frontier():
         )
         assert wc.score >= base
         # The frontier point replays bit-identically in the plain engine.
-        setup, _, adv = world()
-        replayed = run_wakeup(
-            setup, algo, Adversary(adv.schedule, ReplayDelay(wc.delays)),
-            engine="async", seed=0, require_all_awake=False,
-        )
-        assert replayed.messages == wc.result.messages
-        assert replayed.time == wc.result.time
+        replayed = run_schedule(
+            world, seed=0, delays=ReplayDelay(wc.delays)
+        )[2]
+        assert not replay_mismatch(replayed.summary(), wc.result.summary())
     print_table(
         rows, title="Theorem 1: empirical adversarial frontier on 𝒢(8)"
     )

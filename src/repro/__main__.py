@@ -431,39 +431,25 @@ def _cmd_perf(args) -> int:
     return 0
 
 
-from repro.check.worlds import CHECK_GRAPHS as _CHECK_GRAPHS
-
-
-def _check_world(args, algo):
-    """Deterministic world factory for ``check``/``worstcase`` —
-    delegates to :func:`repro.check.worlds.build_check_world`, the
-    construction path shared with :mod:`repro.serve` job specs."""
-    from repro.check.worlds import build_check_world
-
-    return build_check_world(
-        algo,
-        n=args.n,
-        graph=args.graph,
-        awake=args.awake,
-        stagger=args.stagger,
-        degree=args.degree,
-        seed=args.seed,
-    )
+from repro.check.worlds import CHECK_GRAPHS, CHECK_WORKLOADS
 
 
 def _cmd_check(args) -> int:
     from pathlib import Path
 
     from repro.check import (
+        ReplayController,
         default_invariants,
         explore,
         make_replay,
         save_replay,
         shrink_violation,
     )
+    from repro.check.worlds import build_world, run_schedule, world_fields
 
     algo = get_algorithm(args.algorithm)
-    world, times = _check_world(args, algo)
+    fields = world_fields(vars(args))
+    world, times = build_world(algo, {"n": args.n, **fields})
     recorder = _make_recorder(args)
     try:
         result = explore(
@@ -520,18 +506,24 @@ def _cmd_check(args) -> int:
             f"{outcome.final_length} choice(s) in {outcome.tests} runs: "
             f"{list(outcome.choices)}"
         )
+        # Re-run the shrunk witness once to capture its full log.
+        witness = ReplayController(
+            list(outcome.choices),
+            strict=False,
+            laziness=args.laziness,
+            mutation=args.mutation,
+        )
+        run_schedule(world, witness, seed=args.seed + 3)
         replay = make_replay(
             algorithm=algo.name,
             n=args.n,
-            log=_witness_log(world, outcome.choices, args),
+            log=witness.log,
             schedule_times=times,
             laziness=args.laziness,
             mutation=args.mutation,
             seed=args.seed + 3,
             invariant=v.invariant,
-            workload={"graph": args.graph, "degree": args.degree,
-                      "awake": args.awake, "stagger": args.stagger,
-                      "seed": args.seed},
+            workload=fields,
         )
         path = save_replay(
             replay,
@@ -544,24 +536,6 @@ def _cmd_check(args) -> int:
         recorder.close()
 
 
-def _witness_log(world, choices, args):
-    """Re-run a shrunk witness once to capture its full ScheduleLog."""
-    from repro.check import ReplayController
-
-    setup, algo, adversary = world()
-    ctl = ReplayController(
-        list(choices),
-        strict=False,
-        laziness=args.laziness,
-        mutation=args.mutation,
-    )
-    run_wakeup(
-        setup, algo, adversary, engine="async", seed=args.seed + 3,
-        require_all_awake=False, controller=ctl,
-    )
-    return ctl.log
-
-
 def _cmd_worstcase(args) -> int:
     from pathlib import Path
 
@@ -569,17 +543,15 @@ def _cmd_worstcase(args) -> int:
         ReplayDelay,
         make_replay,
         random_baseline,
+        replay_mismatch,
         save_replay,
         worstcase_search,
     )
+    from repro.check.worlds import build_world, run_schedule, world_fields
 
     algo = get_algorithm(args.algorithm)
-    if args.workload == "class-g":
-        from repro.check.worlds import build_class_g_world
-
-        world, times = build_class_g_world(algo, args.n, seed=args.seed)
-    else:
-        world, times = _check_world(args, algo)
+    fields = world_fields(vars(args))
+    world, times = build_world(algo, {"n": args.n, **fields})
     recorder = _make_recorder(args)
     try:
         wc = worstcase_search(
@@ -619,22 +591,12 @@ def _cmd_worstcase(args) -> int:
         )
         # The found schedule must replay bit-identically through the
         # plain engine — the artifact is only worth saving if it does.
-        setup, _, adversary = world()
-        replayed = run_wakeup(
-            setup,
-            algo,
-            Adversary(adversary.schedule, ReplayDelay(wc.delays)),
-            engine="async",
-            seed=args.seed + 3,
-            require_all_awake=False,
-        )
-        identical = (
-            replayed.messages == wc.result.messages
-            and replayed.bits == wc.result.bits
-            and abs(replayed.time - wc.result.time) < 1e-12
-        )
-        if not identical:
-            print("replay check FAILED: plain engine diverged",
+        replayed = run_schedule(
+            world, seed=args.seed + 3, delays=ReplayDelay(wc.delays)
+        )[2]
+        mismatch = replay_mismatch(replayed.summary(), wc.result.summary())
+        if mismatch:
+            print(f"replay check FAILED: plain engine diverged: {mismatch}",
                   file=sys.stderr)
             return 1
         print(
@@ -650,9 +612,7 @@ def _cmd_worstcase(args) -> int:
             seed=args.seed + 3,
             objective=args.objective,
             score=wc.score,
-            workload={"workload": args.workload, "graph":
-                      getattr(args, "graph", None),
-                      "seed": args.seed},
+            workload=fields,
         )
         out = args.out or (
             Path(args.replay_dir)
@@ -1237,7 +1197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("algorithm", choices=algorithm_names())
     p_check.add_argument("--n", type=int, default=4)
     p_check.add_argument(
-        "--graph", choices=_CHECK_GRAPHS, default="cycle"
+        "--graph", choices=CHECK_GRAPHS, default="cycle"
     )
     p_check.add_argument("--awake", type=int, default=1)
     p_check.add_argument(
@@ -1286,14 +1246,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_wc.add_argument(
         "--workload",
-        choices=("er", "class-g"),
+        choices=CHECK_WORKLOADS,
         default="class-g",
         help="er: random graph (uses --graph flags); class-g: the "
         "Theorem-1 lower-bound topology",
     )
     p_wc.add_argument("--n", type=int, default=8)
     p_wc.add_argument(
-        "--graph", choices=_CHECK_GRAPHS, default="er"
+        "--graph", choices=CHECK_GRAPHS, default="er"
     )
     p_wc.add_argument("--awake", type=int, default=1)
     p_wc.add_argument("--stagger", type=float, default=0.0)
@@ -1351,7 +1311,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=algorithm_names(),
     )
     p_atlas_run.add_argument(
-        "--graph", choices=_CHECK_GRAPHS, default="star",
+        "--graph", choices=CHECK_GRAPHS, default="star",
         help="check-world graph family (default: %(default)s)",
     )
     p_atlas_run.add_argument("--awake", type=int, default=1)

@@ -20,6 +20,7 @@ from repro.check.controller import (
     ScheduleLog,
     load_replay,
     make_replay,
+    replay_mismatch,
     save_replay,
 )
 from repro.check.explorer import (
@@ -58,6 +59,7 @@ __all__ = [
     "ScheduleLog",
     "load_replay",
     "make_replay",
+    "replay_mismatch",
     "save_replay",
     "ExploreResult",
     "ExploreStats",

@@ -289,6 +289,30 @@ class ReplayDelay(DelayStrategy):
             ) from None
 
 
+def replay_mismatch(
+    got: Mapping[str, float], want: Mapping[str, float]
+) -> str:
+    """``""`` when a replay is bit-identical, else what diverged.
+
+    Bit-identical means equal ``messages`` and ``bits`` and a ``time``
+    within 1e-12: the controlled loop fixes the event order, so the
+    slack only absorbs float formatting (``repr`` round-trips through
+    JSON, so in practice the difference is 0.0).  ``got`` and ``want``
+    are mappings such as :meth:`WakeUpResult.summary` or a cell's lean
+    result."""
+    for name in ("messages", "bits"):
+        g, w = float(got[name]), float(want[name])
+        if g != w:
+            return f"{name} diverged: got {g}, recorded {w}"
+    dt = abs(float(got["time"]) - float(want["time"]))
+    if dt > 1e-12:
+        return (
+            f"time diverged by {dt}: got {got['time']}, "
+            f"recorded {want['time']}"
+        )
+    return ""
+
+
 # ----------------------------------------------------------------------
 # State canonicalization
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ choice sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.check.controller import (
     ABORT,
@@ -45,17 +45,12 @@ from repro.check.controller import (
 )
 from repro.check.invariants import (
     Invariant,
-    InvariantContext,
     default_invariants,
+    find_violations,
 )
+from repro.check.worlds import World, run_schedule
 from repro.errors import SimulationError
 from repro.obs.recorder import NULL_RECORDER
-from repro.sim.runner import run_wakeup
-from repro.sim.trace import Trace
-
-#: A world factory returns a fresh (setup, algorithm, adversary) triple
-#: per call; runs must not share mutable state.
-WorldFactory = Callable[[], tuple]
 
 
 @dataclass
@@ -218,7 +213,7 @@ def _child_sleep(
 
 
 def explore(
-    world: WorldFactory,
+    world: World,
     *,
     invariants: Optional[List[Invariant]] = None,
     max_schedules: int = 20_000,
@@ -260,23 +255,14 @@ def explore(
             completed = False
             break
         prefix, sleep = stack.pop()
-        setup, algorithm, adversary = world()
-        if invariants is None:
-            invariants = default_invariants(algorithm.name)
-        algorithm_name = algorithm.name
         ctl = _DfsController(shared, prefix, sleep)
         ctl.laziness = laziness
-        trace = Trace()
-        result = run_wakeup(
-            setup,
-            algorithm,
-            adversary,
-            engine="async",
-            seed=seed,
-            require_all_awake=False,
-            trace=trace,
-            controller=ctl,
+        setup, adversary, result = run_schedule(
+            world, ctl, seed=seed, trace=True
         )
+        algorithm_name = result.algorithm
+        if invariants is None:
+            invariants = default_invariants(algorithm_name)
         log = ctl.log
         states.update(log.states)
         states.add(log.final_state)
@@ -292,26 +278,19 @@ def explore(
                     log.final_state,
                 )
             )
-            ictx = InvariantContext(
-                setup=setup,
-                adversary=adversary,
-                result=result,
-                trace=trace,
-                log=log,
-            )
-            for inv in invariants:
-                problem = inv.check(ictx)
-                if problem is not None:
-                    stats.violations += 1
-                    if len(violations) < max_violations:
-                        violations.append(
-                            FoundViolation(
-                                inv.name,
-                                problem,
-                                tuple(log.choices),
-                                stats.schedules - 1,
-                            )
+            for name, problem in find_violations(
+                invariants, setup, adversary, result, log
+            ):
+                stats.violations += 1
+                if len(violations) < max_violations:
+                    violations.append(
+                        FoundViolation(
+                            name,
+                            problem,
+                            tuple(log.choices),
+                            stats.schedules - 1,
                         )
+                    )
         # Enqueue unexplored siblings (reversed: deepest-first pop).
         for pos, enabled, candidates, sleep_at in reversed(ctl.records):
             done: List[EnabledEvent] = [enabled[candidates[0]]]
@@ -362,7 +341,7 @@ def explore(
 
 
 def random_probe(
-    world: WorldFactory,
+    world: World,
     *,
     seed: int = 0,
     laziness: float = 0.0,
@@ -374,18 +353,9 @@ def random_probe(
     """
     from repro.check.controller import RandomController
 
-    setup, algorithm, adversary = world()
     ctl = RandomController(seed=seed, laziness=laziness,
                            record_states=True)
-    result = run_wakeup(
-        setup,
-        algorithm,
-        adversary,
-        engine="async",
-        seed=0,
-        require_all_awake=False,
-        controller=ctl,
-    )
+    result = run_schedule(world, ctl, seed=0)[2]
     log = ctl.log
     visited = set(log.states)
     visited.add(log.final_state)

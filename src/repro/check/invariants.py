@@ -12,17 +12,18 @@ Two families:
   e.g. flooding sends at most one broadcast per node, 2m messages).
 
 An invariant returns ``None`` when satisfied, or a human-readable
-description of the violation.  The explorer runs every invariant on
-every completed schedule; a non-None answer becomes a
-:class:`~repro.check.explorer.FoundViolation` that the shrinker can
-minimize (see ``docs/modelcheck.md``).
+description of the violation.  :func:`find_violations` checks a traced
+run against a set of them: the explorer calls it on every completed
+schedule, where each answer becomes a
+:class:`~repro.check.explorer.FoundViolation`, and the shrinker on
+every candidate it tries (see ``docs/modelcheck.md``).
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.controller import ScheduleLog
 from repro.sim.trace import Trace
@@ -266,3 +267,21 @@ def default_invariants(algorithm_name: Optional[str] = None) -> List[Invariant]:
     if algorithm_name in ("flooding", "echo-flooding"):
         invs.append(FloodingTimeBound())
     return invs
+
+
+def find_violations(
+    invariants: Sequence[Invariant], setup, adversary, result, log
+) -> List[Tuple[str, str]]:
+    """``(name, detail)`` per invariant that one traced run violates.
+
+    ``setup``, ``adversary`` and ``result`` are what
+    :func:`repro.check.worlds.run_schedule` returns for the run (with
+    ``trace=True``), ``log`` is its controller's :class:`ScheduleLog`.
+    """
+    ctx = InvariantContext(setup, adversary, result, result.trace, log)
+    found = []
+    for inv in invariants:
+        problem = inv.check(ctx)
+        if problem is not None:
+            found.append((inv.name, problem))
+    return found

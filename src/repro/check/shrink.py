@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.check.controller import ReplayController
-from repro.check.invariants import Invariant, InvariantContext
+from repro.check.invariants import Invariant, find_violations
+from repro.check.worlds import run_schedule
 from repro.obs.recorder import NULL_RECORDER
-from repro.sim.runner import run_wakeup
-from repro.sim.trace import Trace
 
 
 @dataclass
@@ -76,39 +75,20 @@ class _Oracle:
         if self.exhausted:
             return False
         self.tests += 1
-        setup, algorithm, adversary = self._world()
         ctl = ReplayController(
             list(choices),
             strict=False,
             laziness=self._laziness,
             mutation=self._mutation,
         )
-        trace = Trace()
-        result = run_wakeup(
-            setup,
-            algorithm,
-            adversary,
-            engine="async",
-            seed=self._seed,
-            require_all_awake=False,
-            trace=trace,
-            controller=ctl,
+        setup, adversary, result = run_schedule(
+            self._world, ctl, seed=self._seed, trace=True
         )
-        ictx = InvariantContext(
-            setup=setup,
-            adversary=adversary,
-            result=result,
-            trace=trace,
-            log=ctl.log,
-        )
-        for inv in self._invariants:
-            if inv.name != invariant_name:
-                continue
-            problem = inv.check(ictx)
-            if problem is not None:
-                self.last_detail = problem
-                return True
-        return False
+        watched = [i for i in self._invariants if i.name == invariant_name]
+        found = find_violations(watched, setup, adversary, result, ctl.log)
+        if found:
+            self.last_detail = found[0][1]
+        return bool(found)
 
 
 def _ddmin(choices: List[int], oracle: _Oracle, invariant: str) -> List[int]:

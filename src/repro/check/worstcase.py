@@ -37,15 +37,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.check.controller import (
     ChoicePoint,
     EnabledEvent,
-    ReplayController,
     ScheduleController,
     ScheduleLog,
 )
+from repro.check.worlds import run_schedule
 from repro.errors import SimulationError
 from repro.obs.recorder import NULL_RECORDER
-from repro.sim.adversary import Adversary, UniformRandomDelay
-from repro.sim.runner import WakeUpResult, run_wakeup
-from repro.sim.trace import Trace
+from repro.sim.adversary import UniformRandomDelay
+from repro.sim.runner import WakeUpResult
 
 #: policy name -> chooser(enabled) -> index.  Wakes sort first in
 #: ``enabled``; a policy that wants to starve wake-ups cannot (wake
@@ -185,25 +184,15 @@ def worstcase_search(
     def evaluate(policy: PolicyFn, prefix: Sequence[int]):
         nonlocal evaluations
         evaluations += 1
-        setup, algorithm, adversary = world()
         ctl = PolicyController(policy, prefix, laziness=laziness)
-        result = run_wakeup(
-            setup,
-            algorithm,
-            adversary,
-            engine="async",
-            seed=seed,
-            require_all_awake=False,
-            controller=ctl,
-        )
-        return _score(objective, result), ctl.log, result, algorithm.name
+        result = run_schedule(world, ctl, seed=seed)[2]
+        return _score(objective, result), ctl.log, result
 
     # Stage 1: greedy policies.
     greedy_scores: Dict[str, float] = {}
     best = None  # (score, policy_name, log, result)
-    algorithm_name = "?"
     for name, policy in GREEDY_POLICIES.items():
-        score, log, result, algorithm_name = evaluate(policy, ())
+        score, log, result = evaluate(policy, ())
         greedy_scores[name] = score
         if best is None or score > best[0]:
             best = (score, name, log, result)
@@ -232,9 +221,7 @@ def worstcase_search(
                     if ci == taken or child in tried:
                         continue
                     tried.add(child)
-                    c_score, c_log, c_result, _ = evaluate(
-                        base_policy, child
-                    )
+                    c_score, c_log, c_result = evaluate(base_policy, child)
                     children.append((c_score, child, c_log))
                     if c_score > best[0]:
                         best = (c_score, base_policy_name, c_log, c_result)
@@ -246,6 +233,7 @@ def worstcase_search(
             beam = merged[:beam_width]
 
     score, policy_name, log, result = best
+    algorithm_name = result.algorithm
     out = WorstCaseResult(
         objective=objective,
         score=score,
@@ -284,7 +272,7 @@ def baseline_trial_specs(base_spec, *, trials: int = 32, seed: int = 0):
 
     Each trial pins the delay spec to the serial path's
     ``UniformRandomDelay(seed=seed + t)`` (default ``lo``) and the
-    execution seed to the serial path's ``run_wakeup(seed=seed)``, so a
+    execution seed to the serial path's ``run_schedule(seed=seed)``, so a
     cell built from a faithful ``base_spec`` reproduces the serial
     trial bit-exactly.  Exposed separately so callers (the atlas CLI,
     benches) can count or pre-warm baseline cells.
@@ -349,18 +337,8 @@ def random_baseline(
         return best
     best = float("-inf")
     for t in range(trials):
-        setup, algorithm, adversary = world()
-        randomized = Adversary(
-            schedule=adversary.schedule,
-            delays=UniformRandomDelay(seed=seed + t),
-        )
-        result = run_wakeup(
-            setup,
-            algorithm,
-            randomized,
-            engine="async",
-            seed=seed,
-            require_all_awake=False,
-        )
+        result = run_schedule(
+            world, seed=seed, delays=UniformRandomDelay(seed=seed + t)
+        )[2]
         best = max(best, _score(objective, result))
     return best

@@ -45,6 +45,7 @@ import importlib
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -54,6 +55,7 @@ from repro.errors import ReproError, WakeUpFailure
 from repro.experiments.backends import WorkStealingBackend
 from repro.graphs.compile import (
     DEFAULT_TOPOLOGY_DIR,
+    MEMORY_CACHE_SIZE,
     TopologyStore,
     compiled_topology,
     topology_key,
@@ -740,7 +742,32 @@ class ParallelSweepExecutor:
         """Fan cache misses across the worker pool
         (:mod:`repro.experiments.backends`), one cell per task; a cell
         drained as ``None`` lost its worker process and falls through
-        to :meth:`_run_isolated` for retry."""
+        to :meth:`_run_isolated` for retry.
+
+        With the topology store off and no cell budget, a topology with
+        at least as many misses as the pool has workers (the first
+        :data:`MEMORY_CACHE_SIZE` such) is compiled here before the
+        pool forks.  Misses run largest ``n`` first, so every worker
+        would have built its own copy side by side; now each finds it
+        in the in-process LRU it inherits.  A topology with fewer
+        misses is left to the workers, whose builds of distinct
+        topologies overlap where one build here would add wall time.
+        With the store on, its file lock already makes one worker
+        build each; a budgeted build must run inside its worker."""
+        if self._topology_store is None and self.cell_timeout is None:
+            per_key = Counter(spec.topology_key for _, spec, _ in misses)
+            shared = {
+                spec.topology_key: spec
+                for _, spec, _ in misses
+                if per_key[spec.topology_key] >= self.workers
+            }
+            for spec in list(shared.values())[:MEMORY_CACHE_SIZE]:
+                try:
+                    compiled_topology(spec.workload, spec.n)
+                except Exception:  # noqa: BLE001 — left to the cells
+                    # Each of its cells builds again and fails there
+                    # as a structured record, as without this step.
+                    pass
         crashed: List[Tuple[int, CellSpec, str]] = []
         results = self._pool(self.workers, collect).drain(
             [spec for _, spec, _ in misses]

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.artifacts import write_atomic
+from repro.check.controller import replay_mismatch
 from repro.errors import ReproError
 from repro.experiments.parallel import CellSpec, run_cell
 from repro.obs.metrics import get_registry
@@ -37,12 +38,6 @@ from repro.versioning import cell_salt_vector, stale_salts
 ATLAS_VERSION = 1
 ATLAS_KIND = "repro-opt-atlas"
 DEFAULT_ATLAS_PATH = Path("ATLAS.json")
-
-#: Absolute time tolerance when comparing replayed makespans; messages
-#: and bits must match exactly.  The controlled loop guarantees replay
-#: reproduces event order, so this only absorbs float formatting
-#: through JSON (repr round-trips, so in practice the diff is 0.0).
-TIME_TOL = 1e-12
 
 
 def entry_key(
@@ -228,27 +223,12 @@ def plain_replay_spec(entry: Mapping[str, Any]) -> CellSpec:
 def replay_entry(entry: Mapping[str, Any]) -> Tuple[bool, str]:
     """Re-execute one entry through the plain engine and compare
     against its recorded scalars.  Returns ``(ok, detail)``; bit
-    identity means exact message/bit counts and makespan within
-    :data:`TIME_TOL`."""
+    identity is :func:`repro.check.controller.replay_mismatch`'s."""
     payload = run_cell(plain_replay_spec(entry))
     if not payload.get("ok"):
         return False, f"replay failed: {payload.get('error')}"
-    got = payload["result"]
-    expect = entry["expect"]
-    checks = [
-        ("messages", float(got["messages"]), float(expect["messages"])),
-        ("bits", float(got["bits"]), float(expect["bits"])),
-    ]
-    for name, g, e in checks:
-        if g != e:
-            return False, f"{name} diverged: got {g}, recorded {e}"
-    dt = abs(float(got["time"]) - float(expect["time"]))
-    if dt > TIME_TOL:
-        return False, (
-            f"time diverged by {dt}: got {got['time']}, "
-            f"recorded {expect['time']}"
-        )
-    return True, ""
+    detail = replay_mismatch(payload["result"], entry["expect"])
+    return not detail, detail
 
 
 def check_atlas(

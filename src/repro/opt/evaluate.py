@@ -56,7 +56,7 @@ def check_world_spec(
     same graph constructor, same ordered woken sample
     (``random.Random(seed + 1)`` over repr-sorted vertices), same
     ``setup_seed = seed + 2`` — and pins ``exec_seed = seed`` to match
-    the worst-case search's ``run_wakeup(seed=seed)``, so cell scores
+    the worst-case search's ``run_schedule(seed=seed)``, so cell scores
     are directly comparable with beam/baseline scores at the same
     seed.
     """

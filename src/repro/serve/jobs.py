@@ -62,7 +62,6 @@ _WORSTCASE_DEFAULTS: Dict[str, Any] = {
     "beam": 2,
     "horizon": 8,
     "branch_cap": 2,
-    "trials": 8,
     "seed": 0,
 }
 
@@ -131,18 +130,17 @@ def validate_job(spec: Any) -> List[str]:
         ):
             errors.append("cell_timeout must be a positive number")
     else:
+        from repro.check.worlds import world_fields
+
         n = spec.get("n", _DEFAULTS[kind]["n"])
         if not isinstance(n, int) or n < 2:
             errors.append("n must be an int >= 2")
+        fields = {k: spec.get(k, d) for k, d in _DEFAULTS[kind].items()}
+        try:
+            world_fields(fields)
+        except (TypeError, ValueError) as exc:
+            errors.append(str(exc))
         if kind == "worstcase":
-            workload = spec.get(
-                "workload", _WORSTCASE_DEFAULTS["workload"]
-            )
-            if workload not in ("er", "class-g"):
-                errors.append(
-                    f"worstcase workload {workload!r} not in "
-                    "('er', 'class-g')"
-                )
             objective = spec.get(
                 "objective", _WORSTCASE_DEFAULTS["objective"]
             )
@@ -220,18 +218,9 @@ def _execute_check(
     canon: Dict[str, Any], recorder: Recorder
 ) -> Dict[str, Any]:
     from repro.check import explore
-    from repro.check.worlds import build_check_world
+    from repro.check.worlds import build_world
 
-    algo = get_algorithm(canon["algorithm"])
-    world, _times = build_check_world(
-        algo,
-        n=int(canon["n"]),
-        graph=canon["graph"],
-        awake=int(canon["awake"]),
-        stagger=float(canon["stagger"]),
-        degree=float(canon["degree"]),
-        seed=int(canon["seed"]),
-    )
+    world, _times = build_world(get_algorithm(canon["algorithm"]), canon)
     result = explore(
         world,
         max_schedules=int(canon["max_schedules"]),
@@ -257,23 +246,9 @@ def _execute_worstcase(
     canon: Dict[str, Any], recorder: Recorder
 ) -> Dict[str, Any]:
     from repro.check import worstcase_search
-    from repro.check.worlds import build_check_world, build_class_g_world
+    from repro.check.worlds import build_world
 
-    algo = get_algorithm(canon["algorithm"])
-    if canon["workload"] == "class-g":
-        world, _times = build_class_g_world(
-            algo, int(canon["n"]), seed=int(canon["seed"])
-        )
-    else:
-        world, _times = build_check_world(
-            algo,
-            n=int(canon["n"]),
-            graph=canon["graph"],
-            awake=int(canon["awake"]),
-            stagger=float(canon["stagger"]),
-            degree=float(canon["degree"]),
-            seed=int(canon["seed"]),
-        )
+    world, _times = build_world(get_algorithm(canon["algorithm"]), canon)
     wc = worstcase_search(
         world,
         canon["objective"],

@@ -11,7 +11,11 @@ import json
 
 import pytest
 
-from repro.check.controller import ReplayController, ReplayDelay
+from repro.check.controller import (
+    ReplayController,
+    ReplayDelay,
+    replay_mismatch,
+)
 from repro.check.worlds import build_class_g_world
 from repro.check.worstcase import (
     GREEDY_POLICIES,
@@ -154,6 +158,17 @@ class TestWorstScheduleReplay:
             require_all_awake=False, controller=ctl,
         )
         assert replayed.time == wc.score
+
+    def test_replay_mismatch_names_what_diverged(self):
+        want = {"messages": 12, "bits": 96, "time": 2.5}
+        assert replay_mismatch(dict(want), want) == ""
+        assert replay_mismatch({**want, "time": 2.5 + 5e-13}, want) == ""
+        assert replay_mismatch({**want, "bits": 97}, want).startswith(
+            "bits diverged"
+        )
+        assert replay_mismatch({**want, "time": 2.5 + 1e-9}, want).startswith(
+            "time diverged"
+        )
 
 
 class TestTelemetry:

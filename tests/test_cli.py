@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.check import load_replay
 
 
 class TestParser:
@@ -120,6 +121,11 @@ class TestCheckCommands:
         assert "shrunk witness" in out
         artifacts = list(tmp_path.glob("check-*.json"))
         assert len(artifacts) == 1
+        # The artifact names its world by the fields build_world read.
+        assert load_replay(artifacts[0])["workload"] == {
+            "graph": "path", "awake": 1, "stagger": 0.0, "degree": 3.0,
+            "seed": 0,
+        }
 
     def test_worstcase_classg(self, capsys, tmp_path):
         code = main(
@@ -134,7 +140,40 @@ class TestCheckCommands:
         out = capsys.readouterr().out
         assert "Worst-case search" in out
         assert "bit-identically" in out
-        assert (tmp_path / "wc.json").exists()
+        # A class-g world reads only its seed besides n.
+        assert load_replay(tmp_path / "wc.json")["workload"] == {
+            "workload": "class-g", "seed": 0,
+        }
+
+    def test_worstcase_artifact_names_its_whole_world(self, tmp_path):
+        """An ``er`` artifact's ``n`` and ``workload`` rebuild its world
+        through ``build_world``, where its choices replay strictly to
+        its score."""
+        from repro.check import ReplayController
+        from repro.check.worlds import build_world, run_schedule
+        from repro.core import get_algorithm
+
+        out = tmp_path / "wc.json"
+        code = main(
+            [
+                "worstcase", "flooding", "--workload", "er",
+                "--graph", "er", "--degree", "4", "--awake", "2",
+                "--stagger", "0.3", "--n", "6", "--trials", "4",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        art = load_replay(out)
+        world, times = build_world(
+            get_algorithm(art["algorithm"]),
+            {"n": art["n"], **art["workload"]},
+        )
+        assert {repr(v): t for v, t in times.items()} == art["wake_times"]
+        ctl = ReplayController(
+            art["choices"], strict=True, laziness=art["laziness"]
+        )
+        result = run_schedule(world, ctl, seed=art["seed"])[2]
+        assert result.time == art["score"]
 
     def test_cache_info_reports_replays(self, capsys, tmp_path):
         (tmp_path / "a.json").write_text("{}")

@@ -623,6 +623,58 @@ class TestTopologyStoreConformance:
             distinct
         )
 
+    @pytest.mark.parametrize(
+        "options, parent_builds",
+        [
+            ({"use_cache": False}, [24, 32]),
+            ({"use_cache": False, "cell_timeout": 60.0}, []),
+            ({}, []),
+        ],
+        ids=["store-off", "budgeted", "store-on"],
+    )
+    def test_pool_parent_compiles_what_every_worker_shares(
+        self, tmp_path, monkeypatch, options, parent_builds
+    ):
+        """With the store off and no cell budget, the parent compiles
+        each topology with at least as many misses as workers (24 and
+        32: two trials each) before the pool forks, and leaves 40's
+        one miss to its worker."""
+        from repro.experiments import parallel
+
+        calls = []
+        real = parallel.compiled_topology
+
+        def spy(workload, n, *args, **kwargs):
+            calls.append(n)
+            return real(workload, n, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "compiled_topology", spy)
+        knowledge, bandwidth, engine = algorithm_model(
+            get_algorithm("flooding")
+        )
+        workload = {"kind": "er_single_wake", "avg_degree": 4.0, "seed": 1}
+        cells = [
+            cell
+            for sizes, trials in (([24, 32], 2), ([40], 1))
+            for cell in sweep_cells(
+                "flooding", workload, sizes=sizes, engine=engine,
+                knowledge=knowledge, bandwidth=bandwidth, trials=trials,
+            )
+        ]
+        clear_memory_cache()
+        try:
+            outcomes = ParallelSweepExecutor(
+                workers=2,
+                cache_dir=tmp_path / "cells",
+                topology_dir=tmp_path / "topo",
+                **options,
+            ).run(cells)
+        finally:
+            clear_memory_cache()
+        assert len(outcomes) == 5 and all(o.ok for o in outcomes)
+        # Workers are forked: only the parent's own calls land here.
+        assert sorted(calls) == parent_builds
+
     def test_payload_carries_one_worker_delta(self):
         """Topology fetches travel in the registry delta, not beside
         it: an executed cell's payload has no ``"topology"`` key,

@@ -210,6 +210,101 @@ class TestJobSpecs:
             {"kind": "check", "algorithm": "flooding"}
         ) == 1
 
+    def test_worlds_that_cannot_build_are_rejected(self):
+        # Check and worstcase specs are admitted through world_fields,
+        # so a world that cannot build never reaches a job process.
+        from repro.check.worlds import CHECK_GRAPHS, CHECK_WORKLOADS
+
+        for kind in ("check", "worstcase"):
+            spec = {"kind": kind, "algorithm": "flooding",
+                    "graph": "hexagon"}
+            assert validate_job(spec) == [
+                f"graph 'hexagon' not in {CHECK_GRAPHS}"
+            ]
+        assert validate_job({
+            "kind": "worstcase", "algorithm": "flooding",
+            "workload": "torus",
+        }) == [f"workload 'torus' not in {CHECK_WORKLOADS}"]
+        assert validate_job({
+            "kind": "check", "algorithm": "flooding", "awake": "two",
+        })
+        # A class-g world reads no graph.
+        assert not validate_job({
+            "kind": "worstcase", "algorithm": "flooding",
+            "workload": "class-g", "graph": "hexagon",
+        })
+
+    def test_worstcase_specs_differing_in_trials_share_a_job(self):
+        # A worstcase job runs no random baseline, so a trial count
+        # must not split one request into two jobs.
+        spec = {"kind": "worstcase", "algorithm": "flooding"}
+        assert "trials" not in canonical_spec(spec)
+        assert job_id(spec) == job_id({**spec, "trials": 3})
+
+
+# ----------------------------------------------------------------------
+# Check and worstcase jobs (pure functions, no daemon)
+# ----------------------------------------------------------------------
+class TestSearchJobs:
+    """A check or worstcase job returns what :func:`explore` or
+    :func:`worstcase_search` give over :func:`build_world` with the
+    job's fields, seeds and budgets."""
+
+    def test_check_job_runs_explore(self):
+        from repro.check import explore
+        from repro.check.worlds import build_world
+        from repro.core import get_algorithm
+
+        canon = canonical_spec({
+            "kind": "check", "algorithm": "flooding", "n": 4,
+            "graph": "star", "awake": 2, "stagger": 0.3, "seed": 1,
+        })
+        world, _ = build_world(get_algorithm("flooding"), canon)
+        want = explore(
+            world,
+            max_schedules=canon["max_schedules"],
+            max_states=canon["max_states"],
+            max_depth=canon["max_depth"],
+            seed=canon["seed"] + 3,
+        )
+        assert want.stats.schedules > 1
+        assert execute_job(canon, None) == {
+            "kind": "check",
+            "schedules": want.stats.schedules,
+            "states": want.stats.states,
+            "violations": want.stats.violations,
+            "completed": want.completed,
+            "violation_invariants": [v.invariant for v in want.violations],
+        }
+
+    @pytest.mark.parametrize("workload", ["er", "class-g"])
+    def test_worstcase_job_runs_the_search(self, workload):
+        from repro.check import worstcase_search
+        from repro.check.worlds import build_world
+        from repro.core import get_algorithm
+
+        canon = canonical_spec({
+            "kind": "worstcase", "algorithm": "flooding",
+            "workload": workload, "n": 6, "graph": "star", "awake": 2,
+            "stagger": 0.3, "seed": 1,
+        })
+        world, _ = build_world(get_algorithm("flooding"), canon)
+        wc = worstcase_search(
+            world,
+            canon["objective"],
+            beam_width=canon["beam"],
+            horizon=canon["horizon"],
+            branch_cap=canon["branch_cap"],
+            seed=canon["seed"] + 3,
+        )
+        assert execute_job(canon, None) == {
+            "kind": "worstcase",
+            "objective": "time",
+            "score": wc.score,
+            "evaluations": wc.evaluations,
+            "greedy_scores": wc.greedy_scores,
+        }
+
 
 # ----------------------------------------------------------------------
 # Concurrent clients against one daemon

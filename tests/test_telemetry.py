@@ -1046,6 +1046,31 @@ class TestTopologyCacheSection:
             "hit_rate": "0.50",
         }
 
+    def test_pooled_no_cache_sweep_builds_each_topology_once(
+        self, tmp_path, capsys
+    ):
+        # With the store off the parent compiles both topologies before
+        # the pool forks, so no worker builds one of its own.
+        from repro.__main__ import main
+        from repro.analysis.telemetry import topology_fetches
+
+        path = tmp_path / "sweep.jsonl"
+        clear_memory_cache()
+        code = main(
+            [
+                "sweep", "dfs-rank", "--sizes", "24", "32",
+                "--trials", "2", "--no-cache", "--workers", "2",
+                "--progress", "off", "--telemetry", str(path),
+            ]
+        )
+        assert code == 0
+        fetches = topology_fetches(last_snapshot(load_events(path)))
+        assert fetches == {"build": 2, "hit_mem": 4, "hit_disk": 0}
+        assert (
+            "topologies: built 2, reused 4 in-process + 0 from store"
+            in capsys.readouterr().out
+        )
+
     def test_sweep_without_a_registry_prints_no_topology_line(
         self, capsys
     ):
