@@ -165,13 +165,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    ctx = workload_context(n=args.n, seed=args.seed)
-    print(
-        f"workload: n={ctx['n']:.0f} m={ctx['m']:.0f} "
-        f"D={ctx['diameter']:.0f} rho_awk={ctx['rho_awk']:.0f}"
-    )
     executor = _make_executor(args)
     try:
+        ctx = workload_context(
+            n=args.n, seed=args.seed, store=executor.topology_store
+        )
+        print(
+            f"workload: n={ctx['n']:.0f} m={ctx['m']:.0f} "
+            f"D={ctx['diameter']:.0f} rho_awk={ctx['rho_awk']:.0f}"
+        )
         print(
             render_table1(
                 measure_table1(n=args.n, seed=args.seed, executor=executor)

@@ -6,8 +6,8 @@ provides:
 
 * :class:`Bits` — an immutable bit string with O(1) length queries;
 * :class:`BitWriter` / :class:`BitReader` — streaming codecs with
-  fixed-width integers, unary, Elias-gamma, and length-prefixed list
-  encodings.
+  fixed-width integers, unary, Elias-gamma, optional (flagged) gamma,
+  and length-prefixed list encodings.
 
 Elias gamma is the workhorse: it encodes a positive integer x in
 2*floor(log2 x) + 1 bits, self-delimiting, which lets schemes pay
@@ -22,7 +22,7 @@ few integer operations however many bits it spans.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import AdviceError
 
@@ -98,9 +98,12 @@ class BitWriter:
     # -- primitives --------------------------------------------------------
     def write_bit(self, b: int) -> "BitWriter":
         """Append a single bit (0 or 1)."""
-        if b not in (0, 1):
+        if b == 1:
+            self._value = (self._value << 1) | 1
+        elif b == 0:
+            self._value <<= 1
+        else:
             raise AdviceError(f"bit must be 0 or 1, got {b!r}")
-        self._value = (self._value << 1) | int(b)
         self._len += 1
         return self
 
@@ -142,6 +145,12 @@ class BitWriter:
     def write_gamma0(self, value: int) -> "BitWriter":
         """Gamma shifted to cover value >= 0."""
         return self.write_gamma(value + 1)
+
+    def write_opt_gamma(self, value: Optional[int]) -> "BitWriter":
+        """Flag 0 for ``None``, else flag 1 and the gamma code of value."""
+        if value is None:
+            return self.write_bit(0)
+        return self.write_bit(1).write_gamma(value)
 
     # -- composites --------------------------------------------------------
     def write_uint_list(self, values: Sequence[int], width: int) -> "BitWriter":
@@ -192,7 +201,11 @@ class BitReader:
     # -- primitives --------------------------------------------------------
     def read_bit(self) -> int:
         """Consume and return the next bit."""
-        return self.read_uint(1)
+        pos = self._pos
+        if pos >= self._len:
+            raise AdviceError("advice underflow: needed 1 bits, have 0")
+        self._pos = pos + 1
+        return (self._value >> (self._len - pos - 1)) & 1
 
     def read_uint(self, width: int) -> int:
         """Consume a fixed-width big-endian unsigned integer."""
@@ -218,9 +231,29 @@ class BitReader:
         return count
 
     def read_gamma(self) -> int:
-        """Consume an Elias-gamma value (>= 1)."""
-        width = self.read_unary()
-        return (1 << width) | self.read_uint(width)
+        """Consume an Elias-gamma value (>= 1) in one pass.
+
+        A truncated code fails as :meth:`read_unary` or
+        :meth:`read_uint` would."""
+        length = self._len
+        rest = self._value & ((1 << (length - self._pos)) - 1)
+        if not rest:
+            self._pos = length
+            raise AdviceError("advice underflow: needed 1 bits, have 0")
+        # ``left`` bits follow the unary terminator (the value's top bit).
+        left = rest.bit_length() - 1
+        width = length - self._pos - 1 - left
+        self._pos = length - left
+        if width > left:
+            raise AdviceError(
+                f"advice underflow: needed {width} bits, have {left}"
+            )
+        self._pos += width
+        return rest >> (left - width)
+
+    def read_opt_gamma(self) -> Optional[int]:
+        """Inverse of :meth:`BitWriter.write_opt_gamma`."""
+        return self.read_gamma() if self.read_bit() else None
 
     def read_gamma0(self) -> int:
         """Consume a shifted gamma value (>= 0)."""

@@ -35,7 +35,7 @@ CONGEST-safe.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.advice.bits import BitReader, BitWriter, Bits
 from repro.advice.oracle import AdviceMap
@@ -49,20 +49,6 @@ PROBE = "cen-probe"
 NEXT = "cen-next"
 
 
-def _write_opt_port(w: BitWriter, port: Optional[int]) -> None:
-    if port is None:
-        w.write_bit(0)
-    else:
-        w.write_bit(1)
-        w.write_gamma(port)
-
-
-def _read_opt_port(r: BitReader) -> Optional[int]:
-    if r.read_bit() == 0:
-        return None
-    return r.read_gamma()
-
-
 def encode_cen(
     parent_port: Optional[int],
     first_child_port: Optional[int],
@@ -70,19 +56,19 @@ def encode_cen(
 ) -> Bits:
     """Encode a (p_w, fc_w, next_w) advice tuple; O(log n) bits."""
     w = BitWriter()
-    _write_opt_port(w, parent_port)
-    _write_opt_port(w, first_child_port)
-    _write_opt_port(w, next_pair[0])
-    _write_opt_port(w, next_pair[1])
+    w.write_opt_gamma(parent_port)
+    w.write_opt_gamma(first_child_port)
+    w.write_opt_gamma(next_pair[0])
+    w.write_opt_gamma(next_pair[1])
     return w.getvalue()
 
 
 def decode_cen(bits: Bits):
     r = BitReader(bits)
     return (
-        _read_opt_port(r),
-        _read_opt_port(r),
-        (_read_opt_port(r), _read_opt_port(r)),
+        r.read_opt_gamma(),
+        r.read_opt_gamma(),
+        (r.read_opt_gamma(), r.read_opt_gamma()),
     )
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.advice.bits import BitReader, BitWriter, Bits
+from repro.advice.bits import BitReader, BitWriter, Bits, gamma_cost
 from repro.advice.oracle import AdviceMap
 from repro.core.base import BOTH, WakeUpAlgorithm
 from repro.core.tree_util import OracleTree
@@ -43,16 +43,16 @@ def encode_tree_ports(tree_ports: List[int], degree: int) -> Bits:
     """Encode a set of tree ports at a degree-``degree`` node, choosing
     the cheaper of the port-list and bitmap representations."""
     width = max(1, degree.bit_length())
-    listing = BitWriter()
-    listing.write_bit(_PORT_LIST)
-    listing.write_uint_list([p - 1 for p in tree_ports], width)
-    bitmap = BitWriter()
-    bitmap.write_bit(_BITMAP)
-    port_set = set(tree_ports)
-    for p in range(1, degree + 1):
-        bitmap.write_bit(1 if p in port_set else 0)
-    chosen = listing if len(listing) <= len(bitmap) else bitmap
-    return chosen.getvalue()
+    count = len(tree_ports)
+    w = BitWriter()
+    # Both forms carry the one-bit selector; ties go to the port list.
+    if gamma_cost(count + 1) + count * width <= degree:
+        w.write_bit(_PORT_LIST)
+        w.write_uint_list([p - 1 for p in tree_ports], width)
+    else:
+        w.write_bit(_BITMAP)
+        w.write_uint(sum(1 << (degree - p) for p in set(tree_ports)), degree)
+    return w.getvalue()
 
 
 def decode_tree_ports(advice: Bits, degree: int) -> List[int]:
@@ -62,9 +62,8 @@ def decode_tree_ports(advice: Bits, degree: int) -> List[int]:
     if kind == _PORT_LIST:
         width = max(1, degree.bit_length())
         return [p + 1 for p in reader.read_uint_list(width)]
-    return [
-        p for p in range(1, degree + 1) if reader.read_bit() == 1
-    ]
+    bitmap = reader.read_uint(degree)
+    return [p for p in range(1, degree + 1) if bitmap >> (degree - p) & 1]
 
 
 class _TreeFloodNode(NodeAlgorithm):

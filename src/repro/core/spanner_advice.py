@@ -33,7 +33,6 @@ Model: asynchronous KT0 CONGEST.
 from __future__ import annotations
 
 import math
-import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.advice.bits import BitReader, BitWriter, Bits
@@ -68,58 +67,43 @@ def encode_spanner_advice(
     ports at the host (0-free: None encoded as flag 0).
     """
     w = BitWriter()
-    if first_port is None:
-        w.write_bit(0)
-    else:
-        w.write_bit(1)
-        w.write_gamma(first_port)
+    w.write_opt_gamma(first_port)
     w.write_gamma0(len(entries))
     for host_port, n1, n2 in entries:
-        w.write_gamma(host_port)
-        for nxt in (n1, n2):
-            if nxt is None:
-                w.write_bit(0)
-            else:
-                w.write_bit(1)
-                w.write_gamma(nxt)
+        w.write_gamma(host_port).write_opt_gamma(n1).write_opt_gamma(n2)
     return w.getvalue()
 
 
 def decode_spanner_advice(bits: Bits):
     r = BitReader(bits)
-    first = r.read_gamma() if r.read_bit() else None
+    first = r.read_opt_gamma()
     entries: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-    count = r.read_gamma0()
-    for _ in range(count):
+    for _ in range(r.read_gamma0()):
         host_port = r.read_gamma()
-        n1 = r.read_gamma() if r.read_bit() else None
-        n2 = r.read_gamma() if r.read_bit() else None
-        entries[host_port] = (n1, n2)
+        entries[host_port] = (r.read_opt_gamma(), r.read_opt_gamma())
     return first, entries
 
 
 def spanner_cen_advice(setup: NetworkSetup, spanner: Graph) -> AdviceMap:
     """Child-encode every node's spanner neighborhood."""
     ports = setup.ports
+    has_edge = spanner.has_edge
     first_port: Dict = {}
     entry_lists: Dict = {v: [] for v in setup.graph.vertices()}
     for v in setup.graph.vertices():
+        neighbors, back_ports = ports.table(v)
+        # (port at v, spanner neighbour, its port back to v)
         nbrs = [
-            u
-            for u in ports.neighbors_in_port_order(v)
-            if spanner.has_edge(v, u)
+            (p, u, back)
+            for p, (u, back) in enumerate(zip(neighbors, back_ports), 1)
+            if has_edge(v, u)
         ]
-        first_port[v] = ports.port(v, nbrs[0]) if nbrs else None
-        for i, u in enumerate(nbrs, start=1):
-            n1 = (
-                ports.port(v, nbrs[2 * i - 1])
-                if 2 * i <= len(nbrs)
-                else None
-            )
-            n2 = (
-                ports.port(v, nbrs[2 * i]) if 2 * i + 1 <= len(nbrs) else None
-            )
-            entry_lists[u].append((ports.port(u, v), n1, n2))
+        s = len(nbrs)
+        first_port[v] = nbrs[0][0] if nbrs else None
+        for i, (_, u, back) in enumerate(nbrs, start=1):
+            n1 = nbrs[2 * i - 1][0] if 2 * i <= s else None
+            n2 = nbrs[2 * i][0] if 2 * i + 1 <= s else None
+            entry_lists[u].append((back, n1, n2))
     return AdviceMap(
         {
             v: encode_spanner_advice(first_port[v], entry_lists[v])

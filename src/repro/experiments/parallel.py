@@ -565,7 +565,7 @@ class ParallelSweepExecutor:
         # run_cell (inline mode) can never double-count into it.
         self._mreg: MetricsRegistry = get_registry()
         self.topology_dir = Path(topology_dir)
-        self._topology_store = (
+        self.topology_store = (
             TopologyStore(self.topology_dir) if use_cache else None
         )
         self.stats: Dict[str, float] = {}
@@ -614,7 +614,7 @@ class ParallelSweepExecutor:
                 for idx, spec, key in misses:
                     payload = run_cell(
                         spec,
-                        topology_store=self._topology_store,
+                        topology_store=self.topology_store,
                         collect_metrics=collect,
                     )
                     self._land(idx, spec, key, payload, outcomes)
@@ -729,7 +729,7 @@ class ParallelSweepExecutor:
         return WorkStealingBackend(
             workers,
             cell_timeout=self.cell_timeout,
-            topology_store=self._topology_store,
+            topology_store=self.topology_store,
             collect_metrics=collect,
         )
 
@@ -754,7 +754,7 @@ class ParallelSweepExecutor:
         topologies overlap where one build here would add wall time.
         With the store on, its file lock already makes one worker
         build each; a budgeted build must run inside its worker."""
-        if self._topology_store is None and self.cell_timeout is None:
+        if self.topology_store is None and self.cell_timeout is None:
             per_key = Counter(spec.topology_key for _, spec, _ in misses)
             shared = {
                 spec.topology_key: spec

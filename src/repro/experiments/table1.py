@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.report import render_table
 from repro.errors import ReproError
 from repro.experiments.parallel import CellSpec, ParallelSweepExecutor
-from repro.graphs.traversal import awake_distance, diameter
-from repro.graphs.workloads import er_shared_wake
+from repro.graphs.compile import (
+    TopologyStore,
+    compiled_topology,
+    topology_diameter,
+)
 
 
 @dataclass
@@ -127,6 +130,18 @@ _ROWS = [
 ]
 
 
+def table1_workload(
+    avg_degree: float = 8.0, awake_fraction: float = 0.05, seed: int = 0
+) -> Dict[str, Any]:
+    """The ``er_shared_wake`` workload spec every Table-1 row runs on."""
+    return {
+        "kind": "er_shared_wake",
+        "avg_degree": avg_degree,
+        "awake_fraction": awake_fraction,
+        "seed": seed,
+    }
+
+
 def table1_cells(
     n: int = 200,
     avg_degree: float = 8.0,
@@ -134,15 +149,10 @@ def table1_cells(
     seed: int = 0,
 ):
     """One :class:`~repro.experiments.parallel.CellSpec` per Table-1
-    row, on the shared ``er_shared_wake`` workload: the rows share one
+    row, on the shared :func:`table1_workload`: the rows share one
     graph and awake set, setup seed ``seed + 2``, execution seed
     ``seed + 3``, and (async rows) uniform delays seeded by ``seed``."""
-    workload = {
-        "kind": "er_shared_wake",
-        "avg_degree": avg_degree,
-        "awake_fraction": awake_fraction,
-        "seed": seed,
-    }
+    workload = table1_workload(avg_degree, awake_fraction, seed)
     cells = []
     for _, name, params, engine, knowledge, bandwidth, _ in _ROWS:
         delay = (
@@ -224,14 +234,21 @@ def render_table1(rows: List[Table1Row]) -> str:
 
 def workload_context(
     n: int = 200, avg_degree: float = 8.0, awake_fraction: float = 0.05,
-    seed: int = 0,
+    seed: int = 0, store: Optional[TopologyStore] = None,
 ) -> Dict[str, float]:
-    """The D / rho / m context values for a measured table."""
-    graph, awake = er_shared_wake(avg_degree, awake_fraction, seed)(n)
+    """The D / rho / m context values for a measured table.
+
+    They are read off the compiled topology the Table-1 cells run on,
+    fetched through ``store`` when given (pass the executor's, and the
+    cells' first fetch is a hit); its diameter is kept in its extras
+    (:func:`~repro.graphs.compile.topology_diameter`)."""
+    topo = compiled_topology(
+        table1_workload(avg_degree, awake_fraction, seed), n, store=store
+    )
     return {
         "n": float(n),
-        "m": float(graph.num_edges),
-        "diameter": float(diameter(graph)),
-        "rho_awk": float(awake_distance(graph, awake)),
+        "m": float(topo.num_edges()),
+        "diameter": float(topology_diameter(topo)),
+        "rho_awk": topo.rho_awk,
         "log2n": math.log2(n),
     }

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.artifacts import write_atomic
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.traversal import awake_distance
+from repro.graphs.traversal import awake_distance, diameter
 from repro.graphs.workloads import build_workload
 from repro.obs.metrics import get_registry as _get_registry
 
@@ -426,6 +426,20 @@ def cached_spanner(
             topo._store.persist_extras(topo)
     topo._runtime[tag] = spanner
     return spanner
+
+
+def topology_diameter(topo: CompiledTopology) -> int:
+    """The diameter of ``topo``'s graph, computed once per topology.
+
+    It is kept in the topology's extras and written back to its store,
+    like :func:`cached_spanner`'s edge lists, so a warm store runs no
+    BFS."""
+    d = topo.extras.get("diameter")
+    if d is None:
+        d = topo.extras["diameter"] = diameter(topo.graph())
+        if topo._store is not None:
+            topo._store.persist_extras(topo)
+    return d
 
 
 # ----------------------------------------------------------------------

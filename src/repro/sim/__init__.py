@@ -10,7 +10,7 @@ from repro.sim.adversary import (
     WakeSchedule,
 )
 from repro.sim.async_engine import AsyncEngine
-from repro.sim.messages import Message, Send, bit_size
+from repro.sim.messages import Message, bit_size
 from repro.sim.metrics import Metrics
 from repro.sim.node import NodeAlgorithm, NodeContext
 from repro.sim.runner import WakeUpResult, run_wakeup
@@ -27,7 +27,6 @@ __all__ = [
     "WakeSchedule",
     "AsyncEngine",
     "Message",
-    "Send",
     "bit_size",
     "Metrics",
     "NodeAlgorithm",

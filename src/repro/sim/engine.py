@@ -151,7 +151,8 @@ class Engine:
         v = msg.dst
         ctx, node = self._vstate[v]
         metrics = self.metrics
-        metrics.received_by[v] += 1
+        received_by = metrics.received_by
+        received_by[v] = received_by.get(v, 0) + 1
         if time > metrics.last_activity:
             metrics.last_activity = time
         if self.trace is not None:
@@ -168,7 +169,9 @@ class Engine:
         drop strategy loses stays charged (the sender transmitted it)
         but is neither traced nor returned; the caller schedules the
         returned ones.  Counters are written back in a ``finally`` so
-        totals stay exact when a cap violation aborts the loop.
+        totals stay exact when a cap violation aborts the loop.  Each
+        message is built by one ``tuple.__new__`` call, which skips the
+        named tuple's Python-level constructor.
         """
         ctx = self._vstate[v][0]
         sends = ctx._outbox
@@ -182,6 +185,8 @@ class Engine:
         trace = self.trace
         metrics = self.metrics
         edge_messages = metrics.edge_messages
+        edge_count = edge_messages.get
+        new = tuple.__new__
         last_payload = self._memo_payload
         last_bits = self._memo_bits
         n_sent = 0
@@ -189,10 +194,8 @@ class Engine:
         max_bits = metrics.max_message_bits
         out: List[Message] = []
         try:
-            for send in sends:
-                port = send.port
+            for port, payload in sends:
                 dst = neighbors[port - 1]
-                payload = send.payload
                 if payload is last_payload:
                     bits = last_bits
                 else:
@@ -206,12 +209,14 @@ class Engine:
                 bits_sum += bits
                 if bits > max_bits:
                     max_bits = bits
-                edge_messages[(v, dst)] += 1
+                edge = (v, dst)
+                edge_messages[edge] = edge_count(edge, 0) + 1
                 if drops is not None and drops.drops(v, dst, seq):
                     continue
-                msg = Message(
-                    v, dst, back_ports[port - 1], port, payload, bits,
-                    time, seq,
+                msg = new(
+                    Message,
+                    (v, dst, back_ports[port - 1], port, payload, bits,
+                     time, seq),
                 )
                 if trace is not None:
                     trace.send(time, msg)
@@ -223,7 +228,8 @@ class Engine:
                 metrics.messages_total += n_sent
                 metrics.bits_total += bits_sum
                 metrics.max_message_bits = max_bits
-                metrics.sent_by[v] += n_sent
+                sent_by = metrics.sent_by
+                sent_by[v] = sent_by.get(v, 0) + n_sent
         return out
 
     def _heartbeat(self, events: int, now: float) -> None:

@@ -30,7 +30,6 @@ upper bounds on message/bit complexity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Hashable, NamedTuple
 
 from repro.errors import SimulationError
@@ -132,11 +131,3 @@ class Message(NamedTuple):
     bits: int
     sent_at: float
     seq: int
-
-
-@dataclass(slots=True)
-class Send:
-    """A send request emitted by a node during a computation step."""
-
-    port: int
-    payload: Any

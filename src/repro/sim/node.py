@@ -27,7 +27,6 @@ from typing import Any, Hashable, List, Optional, Tuple
 from repro.errors import ModelViolation, SimulationError
 from repro.models.knowledge import Knowledge, NetworkSetup
 from repro.obs.phases import NULL_SPAN
-from repro.sim.messages import Send, bit_size
 
 Vertex = Hashable
 
@@ -56,7 +55,9 @@ class NodeContext:
     ):
         self.vertex = vertex
         self._setup = setup
-        self._outbox: List[Send] = []
+        #: Queued sends as ``(port, payload)`` pairs, drained by the
+        #: engine after each callback.
+        self._outbox: List[Tuple[int, Any]] = []
         # Either a ready Random or a seed; in the latter case the
         # generator is built on first access.  Engines pass seeds so
         # that runs of rng-free algorithms never pay for n generator
@@ -164,7 +165,7 @@ class NodeContext:
                 f"node {self.vertex!r}: port {port} out of range "
                 f"1..{self._degree}"
             )
-        self._outbox.append(Send(port, payload))
+        self._outbox.append((port, payload))
 
     def send_to(self, neighbor_id: int, payload: Any) -> None:
         """Send addressed by neighbor ID (KT1 convenience)."""
@@ -174,9 +175,7 @@ class NodeContext:
         """Send the same payload over every port."""
         # Ports from the node's own range are valid by construction, so
         # this skips send()'s per-port range check.
-        append = self._outbox.append
-        for p in self._ports:
-            append(Send(p, payload))
+        self._outbox += [(p, payload) for p in self._ports]
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -268,6 +268,11 @@ class RefBitWriter:
     def write_gamma0(self, value: int) -> "RefBitWriter":
         return self.write_gamma(value + 1)
 
+    def write_opt_gamma(self, value) -> "RefBitWriter":
+        if value is None:
+            return self.write_bit(0)
+        return self.write_bit(1).write_gamma(value)
+
     def write_uint_list(self, values: Sequence[int], width: int) -> "RefBitWriter":
         self.write_gamma0(len(values))
         for v in values:
@@ -335,6 +340,9 @@ class RefBitReader:
 
     def read_gamma0(self) -> int:
         return self.read_gamma() - 1
+
+    def read_opt_gamma(self):
+        return self.read_gamma() if self.read_bit() else None
 
     def read_uint_list(self, width: int) -> List[int]:
         count = self.read_gamma0()
@@ -475,3 +483,71 @@ def test_codec_matches_tuple_reference(writes, reads):
     assert _read_outcomes(BitReader(bits), reads) == _read_outcomes(
         RefBitReader(ref_bits), reads
     )
+
+
+#: One field of an advice stream: its kind and the value written.
+_fields = st.one_of(
+    st.tuples(st.just("bit"), st.integers(0, 1)),
+    st.tuples(
+        st.just("uint"),
+        st.integers(0, 16).flatmap(
+            lambda w: st.tuples(st.just(w), st.integers(0, 2**w - 1))
+        ),
+    ),
+    st.tuples(st.just("unary"), st.integers(0, 40)),
+    st.tuples(st.just("gamma"), st.integers(1, 2**40)),
+    st.tuples(st.just("gamma0"), st.integers(0, 2**40)),
+    st.tuples(st.just("opt_gamma"), st.none() | st.integers(1, 2**20)),
+)
+
+
+def _write_field(w, kind, value):
+    if kind == "uint":
+        w.write_uint(value[1], value[0])
+    else:
+        getattr(w, f"write_{kind}")(value)
+
+
+def _read_fields(reader, fields):
+    """Read ``fields`` in order: their values, or ``(index of the
+    failing field, its AdviceError message, remaining after it)``."""
+    out = []
+    for i, (kind, value) in enumerate(fields):
+        try:
+            if kind == "uint":
+                out.append(reader.read_uint(value[0]))
+            else:
+                out.append(getattr(reader, f"read_{kind}")())
+        except AdviceError as exc:
+            return (i, str(exc), reader.remaining)
+    return out
+
+
+@given(fields=st.lists(_fields, min_size=1, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_field_reads_match_per_bit_reader_on_every_prefix(fields):
+    """The one-call field reads return what was written, and on every
+    truncation of the stream fail at the same field, with the same
+    ``remaining``, as the per-bit reference reader."""
+    w, w_ref = BitWriter(), RefBitWriter()
+    for kind, value in fields:
+        _write_field(w, kind, value)
+        _write_field(w_ref, kind, value)
+    bits = w.getvalue()
+    assert bits.to01() == w_ref.getvalue().to01()
+    written = [v[1] if k == "uint" else v for k, v in fields]
+    assert _read_fields(BitReader(bits), fields) == written
+    text = bits.to01()
+    for cut in range(len(text)):
+        got = _read_fields(BitReader(Bits.from01(text[:cut])), fields)
+        want = _read_fields(RefBitReader(RefBits(map(int, text[:cut]))), fields)
+        assert isinstance(got, tuple) and got == want, cut
+
+
+def test_opt_gamma_layout():
+    w = BitWriter().write_opt_gamma(None).write_opt_gamma(5)
+    assert w.getvalue().to01() == "0" + "1" + "00101"
+    r = BitReader(w.getvalue())
+    assert r.read_opt_gamma() is None and r.read_opt_gamma() == 5
+    with pytest.raises(AdviceError):
+        BitWriter().write_opt_gamma(0)

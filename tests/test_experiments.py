@@ -1,5 +1,7 @@
 """Tests for the experiment drivers (Table-1 runner and sweeps)."""
 
+import math
+
 import pytest
 
 from repro.core.registry import get_algorithm
@@ -7,11 +9,15 @@ from repro.experiments.sweeps import algorithm_model, parallel_sweep
 from repro.experiments.table1 import (
     measure_table1,
     render_table1,
+    table1_cells,
     workload_context,
 )
+from repro.graphs.compile import TopologyStore, compiled_topology
+from repro.graphs.traversal import awake_distance, diameter
 from repro.graphs.workloads import (
     dense_er_all_awake,
     er_fraction_wake,
+    er_shared_wake,
     er_single_wake,
     grid_corner_wake,
     tree_random_wake,
@@ -137,3 +143,46 @@ class TestTable1:
         assert ctx["n"] == 60
         assert ctx["rho_awk"] >= 1
         assert ctx["diameter"] >= ctx["rho_awk"]
+
+    @pytest.mark.parametrize("n,seed", [(40, 0), (60, 2), (96, 5), (128, 1)])
+    def test_workload_context_matches_raw_graph(self, n, seed):
+        """The header read off the compiled topology equals the values
+        the raw workload graph gives."""
+        graph, awake = er_shared_wake(8.0, 0.05, seed)(n)
+        ctx = workload_context(n=n, seed=seed)
+        assert ctx == {
+            "n": float(n),
+            "m": float(graph.num_edges),
+            "diameter": float(diameter(graph)),
+            "rho_awk": float(awake_distance(graph, awake)),
+            "log2n": math.log2(n),
+        }
+
+    def test_warm_store_header_runs_no_bfs(self, tmp_path, monkeypatch):
+        """The diameter is kept in the stored topology's extras: a warm
+        store answers the header without one BFS, and the Table-1
+        cells then fetch that topology from memory."""
+        import repro.graphs.compile as compile_mod
+
+        calls = []
+        real = compile_mod.diameter
+
+        def spy(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(compile_mod, "diameter", spy)
+        store = TopologyStore(tmp_path)
+        compile_mod.clear_memory_cache()
+        cold = workload_context(n=80, seed=3, store=store)
+        assert len(calls) == 1
+        compile_mod.clear_memory_cache()
+        assert workload_context(n=80, seed=3, store=store) == cold
+        assert len(calls) == 1
+        fetched = []
+        monkeypatch.setattr(
+            compile_mod, "_bump", lambda stats, what: fetched.append(what)
+        )
+        cell = table1_cells(n=80, seed=3)[0]
+        compiled_topology(cell.workload, cell.n, store=store)
+        assert fetched == ["hit_mem"]

@@ -1,11 +1,13 @@
 """Tests for the Corollary-1 [FIP06] BFS-tree advising scheme."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.advice.bits import BitWriter
 from repro.core.fip06 import (
     Fip06TreeAdvice,
     decode_tree_ports,
@@ -47,6 +49,29 @@ def test_encoding_roundtrip(degree, data):
     )
     bits = encode_tree_ports(ports, degree)
     assert decode_tree_ports(bits, degree) == ports
+
+
+def _reference_encode(tree_ports, degree):
+    """The per-bit encoder: build both forms bit by bit, keep the
+    shorter (the port list on a tie)."""
+    width = max(1, degree.bit_length())
+    listing = BitWriter().write_bit(0)
+    listing.write_uint_list([p - 1 for p in tree_ports], width)
+    bitmap = BitWriter().write_bit(1)
+    for p in range(1, degree + 1):
+        bitmap.write_bit(1 if p in tree_ports else 0)
+    return min(listing, bitmap, key=len).getvalue()
+
+
+@pytest.mark.parametrize("degree", range(1, 41))
+def test_encoding_matches_per_bit_reference(degree):
+    rng = random.Random(degree)
+    for k in sorted({0, 1, degree // 2, degree - 1, degree}):
+        for _ in range(8):
+            ports = sorted(rng.sample(range(1, degree + 1), k))
+            bits = encode_tree_ports(ports, degree)
+            assert bits == _reference_encode(ports, degree), (ports, degree)
+            assert decode_tree_ports(bits, degree) == ports
 
 
 def test_encoding_picks_shorter_form():

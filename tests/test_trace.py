@@ -144,3 +144,22 @@ class TestEngineIntegration:
         adversary = Adversary(WakeSchedule.singleton(0), UnitDelay())
         r = run_wakeup(setup, Flooding(), adversary, engine="async")
         assert r.trace is None
+
+    @pytest.mark.parametrize("engine", ["async", "sync"])
+    def test_engine_messages_are_exact_message_tuples(self, engine):
+        """The engine builds each message with one ``tuple.__new__``
+        call; what it hands on must still be a plain Message, equal to
+        one built field by field and surviving a pickle round trip."""
+        import pickle
+
+        g = cycle_graph(8)
+        setup = make_setup(g, knowledge=Knowledge.KT0, seed=1)
+        adversary = Adversary(WakeSchedule.singleton(0), UnitDelay())
+        r = run_wakeup(
+            setup, Flooding(), adversary, engine=engine, record_trace=True
+        )
+        msgs = r.trace.sends() + r.trace.deliveries()
+        assert msgs and all(type(m) is Message for m in msgs)
+        for m in msgs:
+            assert m == Message(**m._asdict())
+            assert pickle.loads(pickle.dumps(m)) == m
