@@ -39,10 +39,20 @@ Vertex = Hashable
 class _LeaderNode(DfsWakeUpNode):
     """DFS wake-up node extended with the announcement phase."""
 
-    def __init__(self, vertex: Vertex, results: "LeaderElection", rank_exponent: int):
+    def __init__(
+        self,
+        vertex: Vertex,
+        leader_of: Dict[Vertex, int],
+        tree_parent_port: Dict[Vertex, Optional[int]],
+        rank_exponent: int,
+    ):
         super().__init__(rank_exponent=rank_exponent)
         self._vertex = vertex
-        self._results = results
+        # The algorithm's output maps, not the algorithm itself: node
+        # state must stay plain data for the model checker's
+        # fingerprints.
+        self._leader_of = leader_of
+        self._tree_parent_port = tree_parent_port
         self._announced: RankKey = (-1, -1)
 
     # -- completion hook ----------------------------------------------------
@@ -65,10 +75,9 @@ class _LeaderNode(DfsWakeUpNode):
         if key <= self._announced:
             return  # we already follow an equal-or-better leader
         self._announced = key
-        self._results.leader_of[self._vertex] = key[1]
+        self._leader_of[self._vertex] = key[1]
         # Our parent edge in the winner's DFS tree (None at the leader).
-        tree_parent = self.parent_port.get(key)
-        self._results.tree_parent_port[self._vertex] = tree_parent
+        self._tree_parent_port[self._vertex] = self.parent_port.get(key)
         for child_port in self.child_ports.get(key, ()):  # tree edges only
             ctx.send(child_port, (ANNOUNCE, key[0], key[1]))
 
@@ -96,7 +105,9 @@ class LeaderElection(WakeUpAlgorithm):
 
     def make_node(self, vertex, setup) -> _LeaderNode:
         self._setup = setup
-        return _LeaderNode(vertex, self, self._rank_exponent)
+        return _LeaderNode(
+            vertex, self.leader_of, self.tree_parent_port, self._rank_exponent
+        )
 
     # ------------------------------------------------------------------
     def agreed_leader(self) -> Optional[int]:

@@ -614,7 +614,7 @@ class _ControlledLoop:
         log = self.log
         processed = 0
         aborted = False
-        engine.phases._start("engine", None)
+        engine.phases._start("engine")
         try:
             while True:
                 # Silent wakes still count as processed events, like in

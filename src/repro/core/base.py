@@ -16,7 +16,7 @@ from typing import Dict, Hashable, Optional, Tuple
 from repro.advice.oracle import AdviceMap
 from repro.errors import SimulationError
 from repro.models.knowledge import Knowledge, NetworkSetup
-from repro.sim.node import NodeAlgorithm, NodeContext
+from repro.sim.node import NodeAlgorithm
 
 Vertex = Hashable
 
@@ -30,27 +30,18 @@ class AlgorithmBase:
 
     The telemetry layer (:mod:`repro.obs`) attributes wall-time and
     message counts to *named phases*.  An algorithm opts in by listing
-    the phases it intends to report in :attr:`phases` (documentation
-    and used by benches to assert a profile is complete) and wrapping
-    the corresponding code in ``with self.phase(ctx, "name"):`` blocks
-    inside node callbacks.  Both are optional: undeclared phases still
-    record.  Profiles land in the metrics registry's ``repro_phase_*``
-    series (:mod:`repro.obs.phases`); without an enabled registry the
-    helper returns a shared no-op span.
+    the phases it reports in :attr:`phases` (documentation, and used by
+    benches to assert a profile is complete) and decorating the node
+    methods that do that work with
+    :func:`@phased("name") <repro.obs.phases.phased>`.  Both are
+    optional: undeclared phases still record.  Profiles land in the
+    metrics registry's ``repro_phase_*`` series; without an enabled
+    registry a decorated method is called straight through.
     """
 
-    #: Phase names this algorithm reports via :meth:`phase`; empty for
-    #: uninstrumented algorithms.
+    #: Phase names this algorithm's node methods report through
+    #: ``@phased``; empty for uninstrumented algorithms.
     phases: Tuple[str, ...] = ()
-
-    @staticmethod
-    def phase(ctx: NodeContext, name: str):
-        """Context manager attributing the enclosed work to ``name``.
-
-        Thin sugar over :meth:`repro.sim.node.NodeContext.phase`, so
-        algorithm code reads ``with self.phase(ctx, "advice-decode"):``.
-        """
-        return ctx.phase(name)
 
 
 class WakeUpAlgorithm(AlgorithmBase):
@@ -71,7 +62,7 @@ class WakeUpAlgorithm(AlgorithmBase):
         is a CONGEST algorithm.
     ``phases``
         (From :class:`AlgorithmBase`.)  Profiling phases the node logic
-        reports via ``ctx.phase(...)``; empty if uninstrumented.
+        reports through ``@phased`` methods; empty if uninstrumented.
     """
 
     name: str = "abstract"

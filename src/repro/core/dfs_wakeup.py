@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.base import ASYNC, BOTH, AlgorithmBase, WakeUpAlgorithm
+from repro.obs.phases import phased
 from repro.sim.node import NodeAlgorithm, NodeContext
 
 TOKEN = "dfs-token"
@@ -143,45 +144,50 @@ class DfsWakeUpNode(AlgorithmBase, NodeAlgorithm):
             # Message-woken nodes neither create ranks nor start DFS
             # traversals (Sec 3.1).
             return
-        # Rank from [n^c]: nodes know a constant-factor bound on log n,
-        # so they can sample c * log2(n) random bits.
-        with self.phase(ctx, PHASE_RANK_DRAW):
-            rank_space = 1 << (self._rank_exponent * ctx.log2_n_bound)
-            self.my_rank = ctx.rng.randrange(rank_space)
+        self._draw_rank(ctx)
         key = (self.my_rank, ctx.node_id)
         self.best = key
         self.parent_port[key] = None  # origin: backtracking past me = halt
         self.tokens_forwarded.add(key)
-        with self.phase(ctx, PHASE_DFS_TOKEN):
-            self._advance(ctx, key, visited=VisitedIds((ctx.node_id,)))
+        self._start_token(ctx, key)
 
+    @phased(PHASE_RANK_DRAW)
+    def _draw_rank(self, ctx: NodeContext) -> None:
+        # Rank from [n^c]: nodes know a constant-factor bound on log n,
+        # so they can sample c * log2(n) random bits.
+        rank_space = 1 << (self._rank_exponent * ctx.log2_n_bound)
+        self.my_rank = ctx.rng.randrange(rank_space)
+
+    @phased(PHASE_DFS_TOKEN)
+    def _start_token(self, ctx: NodeContext, key: RankKey) -> None:
+        self._advance(ctx, key, visited=VisitedIds((ctx.node_id,)))
+
+    @phased(PHASE_DFS_TOKEN)
     def on_message(self, ctx: NodeContext, port: int, payload: Any) -> None:
-        tag = payload[0]
-        if tag != TOKEN:
+        if payload[0] != TOKEN:
             return
-        with self.phase(ctx, PHASE_DFS_TOKEN):
-            _, rank, origin, visited = payload
-            key = (rank, origin)
-            if key < self.best:
-                # Case (b): a stale token — discard.
-                return
-            first_visit = ctx.node_id not in visited
-            if first_visit:
-                # Case (a): adopt and extend the traversal.
-                self.best = key
-                self.parent_port[key] = port
-                visited = visited.plus(ctx.node_id)
-            else:
-                # The token is backtracking through us; keep exploring.
-                self.best = max(self.best, key)
-            self.tokens_forwarded.add(key)
-            self._advance(ctx, key, visited)
+        _, rank, origin, visited = payload
+        key = (rank, origin)
+        if key < self.best:
+            # Case (b): a stale token — discard.
+            return
+        first_visit = ctx.node_id not in visited
+        if first_visit:
+            # Case (a): adopt and extend the traversal.
+            self.best = key
+            self.parent_port[key] = port
+            visited = visited.plus(ctx.node_id)
+        else:
+            # The token is backtracking through us; keep exploring.
+            self.best = max(self.best, key)
+        self.tokens_forwarded.add(key)
+        self._advance(ctx, key, visited)
 
     # ------------------------------------------------------------------
     def _advance(self, ctx: NodeContext, key: RankKey, visited: VisitedIds) -> None:
         """Forward the token to an unvisited neighbor, or backtrack."""
-        for p in ctx.ports:
-            if ctx.neighbor_id(p) not in visited:
+        for p, neighbor in enumerate(ctx.neighbor_ids(), 1):
+            if neighbor not in visited:
                 self.child_ports.setdefault(key, []).append(p)
                 ctx.send(p, (TOKEN, key[0], key[1], visited))
                 return

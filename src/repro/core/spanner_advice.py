@@ -45,10 +45,13 @@ from repro.graphs.spanner import (
     greedy_spanner,
 )
 from repro.models.knowledge import NetworkSetup
+from repro.obs.phases import phased
 from repro.sim.node import NodeAlgorithm, NodeContext
 
 SPROBE = "sp-probe"
 SNEXT = "sp-next"
+# Every probe is this one object, so the engine measures its size once.
+PROBE = (SPROBE,)
 
 # Profiling phases (docs/observability.md): gamma-decoding the oracle
 # advice vs the probe/next discovery traffic over the spanner.
@@ -116,42 +119,37 @@ class _SpannerNode(AlgorithmBase, NodeAlgorithm):
     phases = (PHASE_ADVICE_DECODE, PHASE_SPANNER_PROBE)
 
     def __init__(self) -> None:
-        self._started = False
         self._first: Optional[int] = None
         self._entries: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-        self._decoded = False
 
+    @phased(PHASE_ADVICE_DECODE)
     def _decode(self, ctx: NodeContext) -> None:
-        if not self._decoded:
-            with self.phase(ctx, PHASE_ADVICE_DECODE):
-                self._first, self._entries = decode_spanner_advice(
-                    ctx.advice
-                )
-            self._decoded = True
+        self._first, self._entries = decode_spanner_advice(ctx.advice)
+
+    @phased(PHASE_SPANNER_PROBE)
+    def _first_probe(self, ctx: NodeContext) -> None:
+        ctx.send(self._first, PROBE)
 
     def on_wake(self, ctx: NodeContext) -> None:
         # Spanner flooding is symmetric: every node, however woken,
-        # discovers and pings its whole spanner neighborhood.
+        # discovers and pings its whole spanner neighborhood.  Every
+        # lane runs on_wake before the node's first on_message.
         self._decode(ctx)
-        self._started = True
         if self._first is not None:
-            with self.phase(ctx, PHASE_SPANNER_PROBE):
-                ctx.send(self._first, (SPROBE,))
+            self._first_probe(ctx)
 
+    @phased(PHASE_SPANNER_PROBE)
     def on_message(self, ctx: NodeContext, port: int, payload: Any) -> None:
         tag = payload[0]
         if tag == SPROBE:
-            self._decode(ctx)
-            with self.phase(ctx, PHASE_SPANNER_PROBE):
-                n1, n2 = self._entries.get(port, (None, None))
-                ctx.send(port, (SNEXT, n1 or 0, n2 or 0))
+            n1, n2 = self._entries.get(port, (None, None))
+            ctx.send(port, (SNEXT, n1 or 0, n2 or 0))
         elif tag == SNEXT:
-            with self.phase(ctx, PHASE_SPANNER_PROBE):
-                _, n1, n2 = payload
-                if n1:
-                    ctx.send(n1, (SPROBE,))
-                if n2:
-                    ctx.send(n2, (SPROBE,))
+            _, n1, n2 = payload
+            if n1:
+                ctx.send(n1, PROBE)
+            if n2:
+                ctx.send(n2, PROBE)
 
 
 class SpannerAdvice(WakeUpAlgorithm):

@@ -173,13 +173,72 @@ def eccentricity(graph: Graph, v: Vertex) -> int:
 
 
 def diameter(graph: Graph) -> int:
-    """Exact diameter via all-sources BFS (O(n·m); fine at bench scale)."""
-    if graph.num_vertices == 0:
+    """Exact diameter by BoundingDiameters (Takes & Kosters, 2011).
+
+    A BFS from ``v`` with eccentricity ``e`` bounds the diameter to
+    ``[e, 2e]`` and every vertex ``w`` at distance ``d`` to an
+    eccentricity in ``[max(e - d, d), e + d]``.  A vertex whose bounds
+    meet, or whose eccentricity could neither raise the diameter's
+    lower bound nor lower its upper bound, needs no BFS of its own.
+    Sources alternate between the candidate with the largest upper
+    bound and the one with the smallest lower bound (ties: higher
+    degree), so on small-world graphs a handful of BFS runs settle what
+    all-sources BFS takes n for.  Raises :class:`GraphError` on a
+    disconnected graph.
+    """
+    n = graph.num_vertices
+    if n == 0:
         return 0
-    best = 0
-    for v in graph.vertices():
-        best = max(best, eccentricity(graph, v))
-    return best
+    adj = {v: graph.neighbors(v) for v in graph.vertices()}
+    ecc_lo = dict.fromkeys(adj, 0)
+    ecc_hi = dict.fromkeys(adj, n)
+    candidates = list(adj)
+    lower, upper = 0, n
+    take_high = True
+    while lower < upper and candidates:
+        if take_high:
+            v = max(candidates, key=lambda w: (ecc_hi[w], len(adj[w])))
+        else:
+            v = min(candidates, key=lambda w: (ecc_lo[w], -len(adj[w])))
+        take_high = not take_high
+        dist = _bfs_levels(adj, v)
+        if len(dist) != n:
+            raise GraphError("eccentricity undefined on disconnected graph")
+        e = max(dist.values())
+        upper = min(upper, 2 * e)
+        for w in candidates:
+            d = dist[w]
+            lo = ecc_lo[w] = max(ecc_lo[w], e - d, d)
+            ecc_hi[w] = min(ecc_hi[w], e + d)
+            if lo > lower:
+                lower = lo
+        # A dropped vertex's eccentricity is at most ``lower``, so the
+        # diameter is at most the largest upper bound left.
+        candidates = [
+            w
+            for w in candidates
+            if ecc_lo[w] < ecc_hi[w]
+            and not (ecc_hi[w] <= lower and 2 * ecc_lo[w] >= upper)
+        ]
+        upper = min(upper, max([lower] + [ecc_hi[w] for w in candidates]))
+    return lower
+
+
+def _bfs_levels(adj: Dict[Vertex, List[Vertex]], source: Vertex) -> Dict[Vertex, int]:
+    """Hop distances from ``source`` over an adjacency-list dict."""
+    dist = {source: 0}
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    reached.append(w)
+        frontier = reached
+    return dist
 
 
 def girth(graph: Graph) -> float:

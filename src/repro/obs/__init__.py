@@ -10,11 +10,13 @@ Three layers, cheap by default:
   protocol.  The default :data:`NULL_RECORDER` is a no-op whose
   ``enabled`` flag lets hot paths skip event construction entirely, so
   an un-instrumented run pays nothing;
-* :mod:`repro.obs.phases` — the :class:`PhaseTracker` an engine
-  attaches when the metrics registry is enabled: algorithm code opens
-  ``ctx.phase("dfs-token")`` spans and the tracker adds each run's
-  per-phase wall-time, message and entry totals to the registry once
-  (without a registry every span is a shared no-op).
+* :mod:`repro.obs.phases` — the :func:`phased` decorator and the
+  :class:`PhaseTracker` an engine attaches when the metrics registry
+  is enabled: each call of a node method decorated
+  ``@phased("dfs-token")`` is one entry of that phase, and the tracker
+  adds each run's per-phase wall-time, message and entry totals to the
+  registry once (without a registry a decorated method is called
+  straight through).
 
 :mod:`repro.obs.progress` renders live sweep progress (done/failed/
 cached counts, throughput, ETA, slowest-cell watchlist) from the
@@ -46,7 +48,7 @@ from repro.obs.metrics import (
     render_prometheus,
     set_global_registry,
 )
-from repro.obs.phases import PhaseTracker
+from repro.obs.phases import PhaseTracker, phased
 from repro.obs.progress import SweepProgress
 from repro.obs.recorder import (
     NULL_RECORDER,
@@ -69,6 +71,7 @@ __all__ = [
     "render_prometheus",
     "set_global_registry",
     "PhaseTracker",
+    "phased",
     "SweepProgress",
     "NULL_RECORDER",
     "JsonlRecorder",

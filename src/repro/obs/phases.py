@@ -2,32 +2,36 @@
 
 The full paper reasons about *phases* of an execution — awake-distance
 growth, token traversals, advice decoding — that total metrics
-collapse.  A :class:`PhaseTracker` makes them measurable: node code
-opens spans through :meth:`repro.sim.node.NodeContext.phase`, and on
-span exit the tracker attributes
+collapse.  :func:`phased` makes them measurable: it decorates a node
+method ``(self, ctx, *args)`` so that each call is one entry of the
+named phase, and the engine's :class:`PhaseTracker` attributes
 
-* **wall-time** — monotonic seconds inside the span — and
-* **messages** — sends queued on the opening node's outbox during the
-  span, plus any sends the engine flushed while it was open
+* **wall-time** — monotonic seconds inside the call — and
+* **messages** — sends the call queued on the node's outbox
 
-to the phase name.  When the outermost span (the engine's implicit
-``"engine"`` phase) closes, it adds the run's totals once to the
-metrics registry, the only phase store: ``repro_phase_seconds`` (one
-observation per run and phase), ``repro_phase_messages_total`` and
-``repro_phase_entries_total``, each labelled ``phase`` and ``n``.
-Without an enabled registry an engine holds :data:`NULL_TRACKER`
-instead, whose spans cost nothing (:func:`track_phases`).
+to the phase name.  The engine times its own implicit ``"engine"``
+phase around the whole run (:meth:`PhaseTracker._start` /
+:meth:`PhaseTracker._stop`), whose messages are the sends it flushed.
+When that outermost phase closes, the tracker adds the run's totals
+once to the metrics registry, the only phase store:
+``repro_phase_seconds`` (one observation per run and phase),
+``repro_phase_messages_total`` and ``repro_phase_entries_total``, each
+labelled ``phase`` and ``n``.  Without an enabled registry an engine
+holds :data:`NULL_TRACKER` and its contexts no tracker at all, so a
+decorated method is called straight through (:func:`track_phases`).
 
-Spans nest; attribution is *inclusive* (an outer phase's totals
-contain its inner phases'), matching how profiler call trees read.
-Wall-times are wall-clock and therefore not deterministic; message
-counts and entry counts are, and only those may be asserted by tests.
+Attribution is *inclusive*: a decorated method that calls another one
+counts the inner call's time and sends too, matching how profiler call
+trees read.  A call that raises still counts its entry.  Wall-times
+are wall-clock and therefore not deterministic; message counts and
+entry counts are, and only those may be asserted by tests.
 """
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+import functools
+from time import perf_counter
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -35,55 +39,58 @@ if TYPE_CHECKING:
     from repro.sim.metrics import Metrics
 
 
-class _PhaseSpan:
-    """One ``with``-block of a named phase."""
+def phased(name: str):
+    """Make each call of a node method one entry of phase ``name``.
 
-    __slots__ = ("_tracker", "_name", "_outbox")
+    The method takes ``(self, ctx, *args)``.  Without a tracker on the
+    context (``ctx._phases is None``: no registry, or a context outside
+    any engine) it is called straight through.  With one, the call's
+    wall time, the sends it queued on ``ctx``'s outbox and one entry
+    are added to the tracker's per-run totals.
+    """
 
-    def __init__(self, tracker: "PhaseTracker", name: str, outbox):
-        self._tracker = tracker
-        self._name = name
-        self._outbox = outbox
+    def decorate(method):
+        @functools.wraps(method)
+        def entry(self, ctx, *args):
+            tracker = ctx._phases
+            if tracker is None:
+                return method(self, ctx, *args)
+            queued = len(ctx._outbox)
+            t0 = perf_counter()
+            try:
+                return method(self, ctx, *args)
+            finally:
+                tracker.add(
+                    name, perf_counter() - t0, len(ctx._outbox) - queued
+                )
 
-    def __enter__(self) -> "_PhaseSpan":
-        self._tracker._start(self._name, self._outbox)
-        return self
+        return entry
 
-    def __exit__(self, *exc) -> None:
-        self._tracker._stop()
+    return decorate
 
 
 class _NullTracker:
-    """The tracker of a run without a registry, and its only span."""
+    """The tracker of a run without a registry."""
 
     __slots__ = ()
 
-    def span(self, name: str, outbox=None) -> "_NullTracker":
-        return self
-
-    def _start(self, name: str, outbox) -> None:
+    def _start(self, name: str) -> None:
         pass
 
     def _stop(self) -> None:
         pass
 
-    def __enter__(self) -> "_NullTracker":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-NULL_TRACKER = NULL_SPAN = _NullTracker()
+NULL_TRACKER = _NullTracker()
 
 
 class PhaseTracker:
-    """Engine-owned stack of open phase spans.
+    """Per-run phase totals, plus the stack of the engine's own phase.
 
     ``metrics`` is the engine's :class:`~repro.sim.metrics.Metrics`
-    (its ``messages_total`` counts the sends flushed inside a span);
-    ``registry`` receives the run's totals, labelled with its size
-    ``n``.
+    (its ``messages_total`` counts the sends flushed inside the engine
+    phase); ``registry`` receives the run's totals, labelled with its
+    size ``n``.
     """
 
     __slots__ = ("metrics", "registry", "n", "_stack", "_totals")
@@ -94,39 +101,33 @@ class PhaseTracker:
         self.metrics = metrics
         self.registry = registry
         self.n = str(n)
-        # (name, t0, messages_total snapshot, outbox, outbox-len snapshot)
-        self._stack: List[Tuple[str, float, int, Any, int]] = []
+        # (name, t0, messages_total snapshot)
+        self._stack: List[Tuple[str, float, int]] = []
         # name -> [seconds, messages, entries] summed over the run
         self._totals: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
-    def span(self, name: str, outbox=None) -> _PhaseSpan:
-        """A context manager for one phase entry.  ``outbox`` is the
-        opening node's send queue (sends land there during callbacks
-        and are flushed by the engine only afterwards)."""
-        return _PhaseSpan(self, name, outbox)
+    def add(self, name: str, seconds: float, messages: int) -> None:
+        """Count one entry of phase ``name``.
 
-    # ------------------------------------------------------------------
-    def _start(self, name: str, outbox) -> None:
+        It took ``seconds`` and sent ``messages``."""
+        total = self._totals.get(name)
+        if total is None:
+            total = self._totals[name] = [0.0, 0, 0]
+        total[0] += seconds
+        total[1] += messages
+        total[2] += 1
+
+    def _start(self, name: str) -> None:
         self._stack.append(
-            (
-                name,
-                time.perf_counter(),
-                self.metrics.messages_total,
-                outbox,
-                len(outbox) if outbox is not None else 0,
-            )
+            (name, perf_counter(), self.metrics.messages_total)
         )
 
     def _stop(self) -> None:
-        name, t0, msgs0, outbox, out0 = self._stack.pop()
-        messages = self.metrics.messages_total - msgs0
-        if outbox is not None:
-            messages += len(outbox) - out0
-        total = self._totals.setdefault(name, [0.0, 0, 0])
-        total[0] += time.perf_counter() - t0
-        total[1] += messages
-        total[2] += 1
+        name, t0, msgs0 = self._stack.pop()
+        self.add(
+            name, perf_counter() - t0, self.metrics.messages_total - msgs0
+        )
         if not self._stack:
             reg, n = self.registry, self.n
             for name, (seconds, messages, entries) in self._totals.items():

@@ -120,7 +120,7 @@ class AsyncEngine(Engine):
         vstate = self._vstate
         now = self._now
         processed = 0
-        self.phases._start("engine", None)
+        self.phases._start("engine")
         try:
             while heap:
                 time, _tie, kind, item = pop(heap)

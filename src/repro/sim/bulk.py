@@ -418,7 +418,7 @@ class BulkSyncEngine:
         As in the per-message engines, the whole loop runs inside the
         implicit ``"engine"`` phase.
         """
-        self.phases._start("engine", None)
+        self.phases._start("engine")
         try:
             return self._run_rounds()
         finally:

@@ -90,9 +90,9 @@ class Engine:
         self.trace = trace
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.phases = track_phases(self.metrics, setup.n)
-        # Contexts of an untracked run keep None, so ctx.phase() hands
-        # back the shared no-op span without a method call.
-        spans = None if self.phases is NULL_TRACKER else self.phases
+        # Contexts of an untracked run keep None, so @phased node
+        # methods are called straight through.
+        tracker = None if self.phases is NULL_TRACKER else self.phases
         self._seq = itertools.count()
 
         vertices = list(setup.graph.vertices())
@@ -106,7 +106,7 @@ class Engine:
             # Seed only; the context builds the Random on first use.
             node_rng = (seed * 1_000_003 + setup.id_of(v)) % 2**63
             ctx = NodeContext(v, setup, node_rng)
-            ctx._phases = spans
+            ctx._phases = tracker
             self._vstate[v] = (ctx, nodes[v])
         for v in adversary.schedule.times():
             if not setup.graph.has_vertex(v):

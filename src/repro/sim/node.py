@@ -22,11 +22,10 @@ algorithm cannot accidentally cheat.
 from __future__ import annotations
 
 import random
-from typing import Any, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import ModelViolation, SimulationError
 from repro.models.knowledge import Knowledge, NetworkSetup
-from repro.obs.phases import NULL_SPAN
 
 Vertex = Hashable
 
@@ -45,6 +44,8 @@ class NodeContext:
         "_phases",
         "_degree",
         "_ports",
+        "_neighbor_ids",
+        "_port_by_id",
     )
 
     def __init__(
@@ -77,8 +78,13 @@ class NodeContext:
         self.wake_cause: Optional[str] = None
         #: The engine's PhaseTracker (repro.obs.phases); None when the
         #: run has no metrics registry or the context lives outside an
-        #: engine, in which case phase() spans are no-ops.
+        #: engine, in which case @phased methods are called straight
+        #: through.
         self._phases = None
+        # KT1 lookup tables (neighbour IDs in port order, ID -> port),
+        # built by the first KT1 query; they stay None under KT0.
+        self._neighbor_ids: Optional[Tuple[int, ...]] = None
+        self._port_by_id: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Identity and local knowledge (always available)
@@ -124,28 +130,45 @@ class NodeContext:
     # ------------------------------------------------------------------
     # KT1-only knowledge
     # ------------------------------------------------------------------
-    def _require_kt1(self) -> None:
-        if self._setup.knowledge is not Knowledge.KT1:
-            raise ModelViolation(
-                "neighbor IDs are only available under the KT1 assumption"
-            )
+    def _kt1_ids(self) -> Tuple[int, ...]:
+        """Neighbour IDs in port order, built on the first KT1 query;
+        raises :class:`~repro.errors.ModelViolation` under KT0."""
+        ids = self._neighbor_ids
+        if ids is None:
+            if self._setup.knowledge is not Knowledge.KT1:
+                raise ModelViolation(
+                    "neighbor IDs are only available under the KT1 assumption"
+                )
+            id_of = self._setup.ids
+            neighbors = self._setup.ports.table(self.vertex)[0]
+            ids = tuple(id_of[u] for u in neighbors)
+            self._neighbor_ids = ids
+            self._port_by_id = {x: p for p, x in enumerate(ids, 1)}
+        return ids
 
     def neighbor_id(self, port: int) -> int:
         """ID of the neighbor behind ``port`` (KT1 only)."""
-        self._require_kt1()
+        ids = self._kt1_ids()
+        if 1 <= port <= self._degree:
+            return ids[port - 1]
+        # Out of range: the port map raises its usual error.
         u = self._setup.ports.neighbor(self.vertex, port)
         return self._setup.id_of(u)
 
     def neighbor_ids(self) -> List[int]:
         """IDs of all neighbors, in port order (KT1 only)."""
-        self._require_kt1()
-        return self._setup.neighbor_ids(self.vertex)
+        return list(self._kt1_ids())
 
     def port_of(self, neighbor_id: int) -> int:
         """Port leading to the neighbor with the given ID (KT1 only)."""
-        self._require_kt1()
-        u = self._setup.vertex_of(neighbor_id)
-        return self._setup.ports.port(self.vertex, u)
+        self._kt1_ids()
+        port = self._port_by_id.get(neighbor_id)
+        if port is None:
+            # Not a neighbour: the setup and port map raise their usual
+            # errors.
+            u = self._setup.vertex_of(neighbor_id)
+            return self._setup.ports.port(self.vertex, u)
+        return port
 
     # ------------------------------------------------------------------
     # Communication
@@ -176,23 +199,6 @@ class NodeContext:
         # Ports from the node's own range are valid by construction, so
         # this skips send()'s per-port range check.
         self._outbox += [(p, payload) for p in self._ports]
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def phase(self, name: str):
-        """Open a named profiling phase: ``with ctx.phase("decode"):``.
-
-        Wall-time inside the span and messages queued during it are
-        attributed to ``name`` in the metrics registry's
-        ``repro_phase_*`` series when a registry is enabled.  Spans
-        nest, attribution is inclusive, and the call is a no-op without
-        a registry or outside an engine — algorithms can instrument
-        unconditionally.  See docs/observability.md.
-        """
-        if self._phases is None:
-            return NULL_SPAN
-        return self._phases.span(name, self._outbox)
 
 
 class NodeAlgorithm:

@@ -78,7 +78,7 @@ class SyncEngine(Engine):
         As in the async engine, the whole round loop runs inside the
         implicit ``"engine"`` phase.
         """
-        self.phases._start("engine", None)
+        self.phases._start("engine")
         try:
             return self._run_rounds()
         finally:

@@ -54,6 +54,10 @@ class _InnerContext:
     (synchronous) node: intercepts sends into per-port pulse buffers and
     carries the inner local-round counter."""
 
+    # No engine owns this context, so the inner node's @phased methods
+    # are called straight through.
+    _phases = None
+
     def __init__(self, outer: NodeContext):
         self._outer = outer
         self.local_round = 0

@@ -121,3 +121,79 @@ def test_log_bound_known_to_all(seed):
     assert len(bounds) == 1
     (bound,) = bounds
     assert 2 ** bound >= g.num_vertices
+
+
+# ----------------------------------------------------------------------
+# KT1 lookups come from one table per context, built on the first query
+# ----------------------------------------------------------------------
+def _context(knowledge: Knowledge):
+    from repro.sim.node import NodeContext
+
+    g = connected_erdos_renyi(12, 0.3, seed=4)
+    setup = make_setup(g, knowledge=knowledge, seed=4)
+    v = next(iter(g.vertices()))
+    return g, setup, v, NodeContext(v, setup, 0)
+
+
+def _error_text(call):
+    with pytest.raises(SimulationError) as info:
+        call()
+    return str(info.value)
+
+
+def test_kt0_refuses_every_kt1_query_every_time():
+    g, setup, v, ctx = _context(Knowledge.KT0)
+    some_id = setup.id_of(v)
+    for _ in range(2):
+        with pytest.raises(ModelViolation):
+            ctx.neighbor_id(1)
+        with pytest.raises(ModelViolation):
+            ctx.neighbor_ids()
+        with pytest.raises(ModelViolation):
+            ctx.port_of(some_id)
+
+
+def test_kt1_lookups_match_the_setup():
+    g, setup, v, ctx = _context(Knowledge.KT1)
+    expected = setup.neighbor_ids(v)
+    assert ctx.neighbor_ids() == expected
+    for p in ctx.ports:
+        assert ctx.neighbor_id(p) == expected[p - 1]
+        assert ctx.port_of(expected[p - 1]) == p
+
+
+@pytest.mark.parametrize("port", [0, -1, "degree+1"])
+def test_bad_port_raises_the_port_maps_error(port):
+    g, setup, v, ctx = _context(Knowledge.KT1)
+    if port == "degree+1":
+        port = ctx.degree + 1
+    ctx.neighbor_ids()  # the table exists before the bad query
+    assert _error_text(lambda: ctx.neighbor_id(port)) == _error_text(
+        lambda: setup.ports.neighbor(v, port)
+    )
+
+
+def test_neighbor_ids_returns_a_fresh_list():
+    g, setup, v, ctx = _context(Knowledge.KT1)
+    first = ctx.neighbor_ids()
+    first.append(-1)
+    second = ctx.neighbor_ids()
+    assert second is not first
+    assert second == setup.neighbor_ids(v)
+
+
+def test_port_of_a_non_neighbour_raises_as_before():
+    g, setup, v, ctx = _context(Knowledge.KT1)
+    stranger = next(
+        u for u in g.vertices() if u != v and not g.has_edge(u, v)
+    )
+    unknown = max(setup.ids.values()) + 1
+    assert _error_text(lambda: ctx.port_of(setup.id_of(stranger))) == (
+        _error_text(lambda: setup.ports.port(v, stranger))
+    )
+    assert _error_text(lambda: ctx.port_of(unknown)) == _error_text(
+        lambda: setup.vertex_of(unknown)
+    )
+    assert _error_text(lambda: ctx.port_of(setup.id_of(v))) == _error_text(
+        lambda: setup.ports.port(v, v)
+    )

@@ -7,7 +7,7 @@ The guarantees under test, matching docs/observability.md:
 * **zero overhead** — with the default :data:`NULL_RECORDER`, run and
   sweep outputs are bit-identical to a run with a recorder attached
   (telemetry observes, it never participates);
-* **phases** — algorithm-declared ``ctx.phase(...)`` spans attribute
+* **phases** — algorithm-declared ``@phased`` node methods attribute
   deterministic message counts to the metrics registry, the only phase
   store: every executed cell adds the engines' implicit "engine" phase
   once, cache hits add nothing, and without a registry the engine holds
@@ -57,10 +57,10 @@ from repro.obs import (
 )
 from repro.obs.events import serialize_event
 from repro.obs.metrics import MetricsRegistry, set_global_registry
-from repro.obs.phases import NULL_TRACKER, PhaseTracker
+from repro.obs.phases import NULL_TRACKER, PhaseTracker, phased
 from repro.sim.adversary import Adversary, UnitDelay, WakeSchedule
 from repro.sim.async_engine import AsyncEngine
-from repro.sim.node import NodeContext
+from repro.sim.node import NodeAlgorithm, NodeContext
 from repro.sim.runner import WakeUpResult, run_wakeup
 from repro.sim.trace import Trace
 
@@ -338,16 +338,23 @@ class TestPhaseHooks:
         key = 'repro_phase_entries_total{n="24",phase="engine"}'
         assert counters[key] == 1
 
-    def test_ctx_phase_is_noop_outside_engine(self):
+    def test_phased_method_is_noop_outside_engine(self):
         graph = connected_erdos_renyi(8, 0.6, seed=1)
         setup = make_setup(graph, knowledge=Knowledge.KT0,
                            bandwidth="LOCAL", seed=2)
         import random
 
+        class Node(NodeAlgorithm):
+            @phased("anything")
+            def work(self, ctx, x):
+                ctx.send(1, ("x",))
+                return x + 1
+
         ctx = NodeContext(next(iter(graph.vertices())), setup,
                           random.Random(0))
-        with ctx.phase("anything"):
-            pass  # no tracker attached: must not raise
+        # No tracker attached: a plain call, which must not raise.
+        assert Node().work(ctx, 1) == 2
+        assert ctx._outbox == [(1, ("x",))]
 
 
 # ----------------------------------------------------------------------

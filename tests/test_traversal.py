@@ -171,6 +171,41 @@ class TestDiameterGirth:
         with pytest.raises(GraphError):
             eccentricity(Graph([0, 1]), 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["er", "tree", "path", "cycle", "star", "grid", "complete",
+             "disconnected"]
+        ),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+    )
+    def test_diameter_matches_all_sources_bfs(self, kind, n, seed):
+        if kind == "er":
+            g = connected_erdos_renyi(n, 3.0 / max(n - 1, 1), seed=seed)
+        elif kind == "tree":
+            g = random_tree(n, seed=seed)
+        elif kind == "path":
+            g = path_graph(n)
+        elif kind == "cycle":
+            g = cycle_graph(max(n, 3))
+        elif kind == "star":
+            g = star_graph(n)
+        elif kind == "grid":
+            g = grid_graph(1 + seed % 6, 1 + n % 7)
+        elif kind == "complete":
+            g = complete_graph(n)
+        else:
+            g = random_tree(n, seed=seed)
+            g.add_vertex("isolated")
+        vertices = list(g.vertices())
+        reach = [bfs_distances(g, v) for v in vertices]
+        if any(len(dist) != len(vertices) for dist in reach):
+            with pytest.raises(GraphError):
+                diameter(g)
+            return
+        assert diameter(g) == max(max(dist.values()) for dist in reach)
+
     def test_girth_known_values(self):
         assert girth(cycle_graph(7)) == 7
         assert girth(complete_graph(4)) == 3
