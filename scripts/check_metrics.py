@@ -21,7 +21,8 @@ violation otherwise.
 
 Usage:
     python scripts/check_metrics.py results/metrics.json \\
-        --expect-counter 'repro_cellcache_fetch_total{outcome="hit"}=4'
+        --expect-counter \\
+            'repro_executor_cells_total{cached="yes",status="ok"}=4'
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ Design constraints, in order:
 The worker payload — and the cache payload, deliberately the same
 representation — is the lean form of
 :class:`~repro.sim.runner.WakeUpResult` (scalars only; no ``Trace``,
-no metric Counters), so a warm cache and a fresh run are
+no per-vertex maps), so a warm cache and a fresh run are
 indistinguishable to downstream aggregation.
 """
 
@@ -596,15 +596,6 @@ class ParallelSweepExecutor:
                 self._publish(outcomes[idx])
             else:
                 misses.append((idx, spec, key))
-        if collect and self.use_cache:
-            # One fetch per cell: hits == stats["cached"],
-            # misses == stats["executed"], by construction.
-            mreg.counter(
-                "repro_cellcache_fetch_total", outcome="hit"
-            ).inc(len(cells) - len(misses))
-            mreg.counter(
-                "repro_cellcache_fetch_total", outcome="miss"
-            ).inc(len(misses))
         if collect:
             mreg.gauge("repro_executor_workers").set(self.workers)
             mreg.gauge("repro_executor_cells_queued").set(len(misses))

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.report import render_table
+from repro.core.registry import get_factory
 from repro.errors import ReproError
 from repro.experiments.parallel import CellSpec, ParallelSweepExecutor
+from repro.experiments.sweeps import algorithm_model
 from repro.graphs.compile import (
     TopologyStore,
     compiled_topology,
@@ -53,80 +55,20 @@ class Table1Row:
 
 
 _ROWS = [
-    # (label, registry name, algo params, engine, knowledge, bandwidth,
-    #  paper bounds) — one executor cell per row.
-    (
-        "Thm 3",
-        "dfs-rank",
-        {},
-        "async",
-        "KT1",
-        "LOCAL",
-        ("O(n log n)", "O(n log n)", "-"),
-    ),
-    (
-        "Thm 4",
-        "fast-wakeup",
-        {},
-        "sync",
-        "KT1",
-        "LOCAL",
-        ("O(rho)", "O(n^1.5 sqrt(log n))", "-"),
-    ),
-    (
-        "Cor 1",
-        "fip06-tree-advice",
-        {},
-        "async",
-        "KT0",
-        "CONGEST",
-        ("O(D)", "O(n)", "O(n) max / O(log n) avg"),
-    ),
-    (
-        "Thm 5A",
-        "sqrt-threshold-advice",
-        {},
-        "async",
-        "KT0",
-        "CONGEST",
-        ("O(D)", "O(n^1.5)", "O(sqrt(n) log n)"),
-    ),
-    (
-        "Thm 5B",
-        "child-encoding",
-        {},
-        "async",
-        "KT0",
-        "CONGEST",
-        ("O(D log n)", "O(n)", "O(log n)"),
-    ),
-    (
-        "Thm 6",
-        "spanner-advice",
-        {"k": 3},
-        "async",
-        "KT0",
-        "CONGEST",
-        ("O(k rho log n)", "O(k n^{1+1/k})", "O(n^{1/k} log^2 n)"),
-    ),
-    (
-        "Cor 2",
-        "log-spanner-advice",
-        {},
-        "async",
-        "KT0",
-        "CONGEST",
-        ("O(rho log^2 n)", "O(n log^2 n)", "O(log^2 n)"),
-    ),
-    (
-        "baseline",
-        "flooding",
-        {},
-        "async",
-        "KT0",
-        "CONGEST",
-        ("rho", "Theta(m)", "-"),
-    ),
+    # (label, registry name, algo params, paper bounds) — one executor
+    # cell per row; the model comes from algorithm_model.
+    ("Thm 3", "dfs-rank", {}, ("O(n log n)", "O(n log n)", "-")),
+    ("Thm 4", "fast-wakeup", {}, ("O(rho)", "O(n^1.5 sqrt(log n))", "-")),
+    ("Cor 1", "fip06-tree-advice", {},
+     ("O(D)", "O(n)", "O(n) max / O(log n) avg")),
+    ("Thm 5A", "sqrt-threshold-advice", {},
+     ("O(D)", "O(n^1.5)", "O(sqrt(n) log n)")),
+    ("Thm 5B", "child-encoding", {}, ("O(D log n)", "O(n)", "O(log n)")),
+    ("Thm 6", "spanner-advice", {"k": 3},
+     ("O(k rho log n)", "O(k n^{1+1/k})", "O(n^{1/k} log^2 n)")),
+    ("Cor 2", "log-spanner-advice", {},
+     ("O(rho log^2 n)", "O(n log^2 n)", "O(log^2 n)")),
+    ("baseline", "flooding", {}, ("rho", "Theta(m)", "-")),
 ]
 
 
@@ -154,7 +96,10 @@ def table1_cells(
     ``seed + 3``, and (async rows) uniform delays seeded by ``seed``."""
     workload = table1_workload(avg_degree, awake_fraction, seed)
     cells = []
-    for _, name, params, engine, knowledge, bandwidth, _ in _ROWS:
+    for _, name, params, _ in _ROWS:
+        knowledge, bandwidth, engine = algorithm_model(
+            get_factory(name)(**params)
+        )
         delay = (
             {"kind": "unit"}
             if engine == "sync"
@@ -202,18 +147,17 @@ def measure_table1(
         seed=seed,
     )
     rows = []
-    for (label, _, _, engine, knowledge, bandwidth, bounds), o in zip(
-        _ROWS, executor.run(cells)
-    ):
+    for (label, _, _, bounds), o in zip(_ROWS, executor.run(cells)):
         if not o.ok or o.result is None:
             raise ReproError(
                 f"Table-1 row {label!r} failed: {o.status} ({o.error})"
             )
+        spec = o.spec
         rows.append(
             Table1Row(
                 row=label,
                 algorithm=o.result.algorithm,
-                model=f"{engine}/{knowledge}/{bandwidth}",
+                model=f"{spec.engine}/{spec.knowledge}/{spec.bandwidth}",
                 paper_time=bounds[0],
                 paper_messages=bounds[1],
                 paper_advice=bounds[2],

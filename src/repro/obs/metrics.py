@@ -132,9 +132,6 @@ CATALOG: Dict[str, Dict[str, Any]] = {
     "repro_phase_entries_total": {
         "type": "counter", "help": "Phase span entries."},
     # -- artifact stores -----------------------------------------------
-    "repro_cellcache_fetch_total": {
-        "type": "counter",
-        "help": "Cell result-cache lookups (labels: outcome=hit|miss)."},
     "repro_topology_fetch_total": {
         "type": "counter",
         "help": "Compiled-topology fetches "

@@ -92,15 +92,12 @@ def render_top(
     )
 
     # -- caches ---------------------------------------------------------
-    cell_hits = _sum_matching(counters, "repro_cellcache_fetch_total",
-                              outcome="hit")
-    cell_total = _sum_matching(counters, "repro_cellcache_fetch_total")
     topo_build = _sum_matching(counters, "repro_topology_fetch_total",
                                tier="build")
     topo_total = _sum_matching(counters, "repro_topology_fetch_total")
     lines.append(
-        f"caches     cell {_hit_rate(cell_hits, cell_total)} hit "
-        f"({int(cell_hits)}/{int(cell_total)}) | "
+        f"caches     cell {_hit_rate(cached, done)} hit "
+        f"({int(cached)}/{int(done)}) | "
         f"topology {_hit_rate(topo_total - topo_build, topo_total)} hit "
         f"({int(topo_total - topo_build)}/{int(topo_total)})"
     )

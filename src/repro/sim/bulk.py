@@ -24,10 +24,9 @@ completion time (rounds), total messages, total bits,
 (:attr:`Metrics.round_messages`).  The suite in
 ``tests/test_bulk_conformance.py`` enforces this across the
 workload x n x wake-pattern matrix.  What the bulk lane deliberately
-does **not** provide: per-message traces, per-edge/per-node message
-Counters, drop strategies, and the async engine's delay semantics —
-runs needing any of those take the per-message engines (the runner
-falls back transparently).
+does **not** provide: per-message traces, drop strategies, and the
+async engine's delay semantics — runs needing any of those take the
+per-message engines (the runner falls back transparently).
 
 Algorithms opt in through the :class:`BulkKernel` protocol
 (:meth:`~repro.core.base.WakeUpAlgorithm.bulk_kernel`), declaring

@@ -8,7 +8,8 @@ order the events come in:
 * a message that reaches a sleeping node wakes it, and the node then
   processes that message at once;
 * every send is measured in bits against the bandwidth cap (CONGEST)
-  and charged to its sender, whether or not it is delivered.
+  and charged to the run's message and bit totals, whether or not it
+  is delivered.
 
 :class:`Engine` writes these down once: :meth:`Engine._wake`,
 :meth:`Engine._receive` and :meth:`Engine._emit`.  The lanes own only
@@ -151,8 +152,6 @@ class Engine:
         v = msg.dst
         ctx, node = self._vstate[v]
         metrics = self.metrics
-        received_by = metrics.received_by
-        received_by[v] = received_by.get(v, 0) + 1
         if time > metrics.last_activity:
             metrics.last_activity = time
         if self.trace is not None:
@@ -165,13 +164,13 @@ class Engine:
         """Turn ``v``'s queued sends into messages sent at ``time``.
 
         Each send is measured, checked against the bandwidth cap,
-        given the next global seq and charged to ``v``.  A message the
-        drop strategy loses stays charged (the sender transmitted it)
-        but is neither traced nor returned; the caller schedules the
-        returned ones.  Counters are written back in a ``finally`` so
-        totals stay exact when a cap violation aborts the loop.  Each
-        message is built by one ``tuple.__new__`` call, which skips the
-        named tuple's Python-level constructor.
+        given the next global seq and charged to the run's totals.  A
+        message the drop strategy loses stays charged (the sender
+        transmitted it) but is neither traced nor returned; the caller
+        schedules the returned ones.  The totals are written back in a
+        ``finally`` so they stay exact when a cap violation aborts the
+        loop.  Each message is built by one ``tuple.__new__`` call,
+        which skips the named tuple's Python-level constructor.
         """
         ctx = self._vstate[v][0]
         sends = ctx._outbox
@@ -184,8 +183,6 @@ class Engine:
         drops = self._drops
         trace = self.trace
         metrics = self.metrics
-        edge_messages = metrics.edge_messages
-        edge_count = edge_messages.get
         new = tuple.__new__
         last_payload = self._memo_payload
         last_bits = self._memo_bits
@@ -209,8 +206,6 @@ class Engine:
                 bits_sum += bits
                 if bits > max_bits:
                     max_bits = bits
-                edge = (v, dst)
-                edge_messages[edge] = edge_count(edge, 0) + 1
                 if drops is not None and drops.drops(v, dst, seq):
                     continue
                 msg = new(
@@ -228,8 +223,6 @@ class Engine:
                 metrics.messages_total += n_sent
                 metrics.bits_total += bits_sum
                 metrics.max_message_bits = max_bits
-                sent_by = metrics.sent_by
-                sent_by[v] = sent_by.get(v, 0) + n_sent
         return out
 
     def _heartbeat(self, events: int, now: float) -> None:

@@ -3,7 +3,9 @@
 Collects exactly the quantities Table 1 reports:
 
 * **message complexity** — total messages sent over the execution
-  (Sec 1.2), plus per-node and per-edge breakdowns and total bits;
+  (Sec 1.2), total bits and the largest message's bits (per-message
+  facts — sender, recipient, seq, bits — live in the
+  :class:`~repro.sim.trace.Trace` of a run that records one);
 * **time complexity** — for async runs, (last delivery or wake) minus
   (first wake), with delays normalized to tau = 1; for sync runs the
   number of lock-step rounds between the first wake and the last
@@ -35,9 +37,6 @@ class Metrics:
     messages_total: int = 0
     bits_total: int = 0
     max_message_bits: int = 0
-    sent_by: Counter = field(default_factory=Counter)
-    received_by: Counter = field(default_factory=Counter)
-    edge_messages: Counter = field(default_factory=Counter)
     wake_time: Dict[Vertex, float] = field(default_factory=dict)
     wake_cause: Dict[Vertex, str] = field(default_factory=dict)
     first_wake: Optional[float] = None
@@ -130,14 +129,14 @@ class Metrics:
     # ------------------------------------------------------------------
     def compact(self) -> "LeanMetrics":
         """A lightweight copy that keeps every scalar but drops the
-        per-node/per-edge Counters and the per-vertex wake maps.
+        per-vertex wake maps and the per-round histogram.
 
         Used when a result crosses a process boundary or is persisted to
-        the on-disk cache: the heavy collections grow with n and m, yet
-        everything Table 1 reports is scalar.  The wake maps are
-        replaced by the three numbers read from them — the awake count,
-        the wake span (:attr:`time_all_awake`) and the per-cause counts
-        — so the copy's size does not depend on n.
+        the on-disk cache: those collections grow with n and the round
+        count, yet everything Table 1 reports is scalar.  The wake maps
+        are replaced by the three numbers read from them — the awake
+        count, the wake span (:attr:`time_all_awake`) and the per-cause
+        counts — so the copy's size does not depend on n.
         """
         return LeanMetrics(
             messages_total=self.messages_total,
@@ -152,11 +151,9 @@ class Metrics:
         )
 
 
-#: The read-only empties every lean copy shares in place of the
-#: per-node, per-edge and per-vertex collections.  Reading one behaves
-#: as reading a live run's empty one (a counter's missing key reads 0);
-#: writing to one raises.
-_NO_COUNTS = MappingProxyType(Counter())
+#: The read-only empty every lean copy shares in place of the
+#: per-vertex wake maps.  Reading it behaves as reading a live run's
+#: empty map; writing to it raises.
 _NO_MAP = MappingProxyType({})
 
 
@@ -168,15 +165,14 @@ class LeanMetrics(Metrics):
     read from plain values; :meth:`total_awake_time` needs the
     per-vertex wake times, so it raises.
 
-    The constructor sets scalars only: the collections are the shared
-    class-level empties below (unannotated, so they are no dataclass
-    defaults), and a copy pickles as its scalars."""
+    The constructor sets scalars only: the wake maps and the round
+    histogram are shared class-level empties (unannotated, so they are
+    no dataclass defaults), and a copy pickles as its scalars."""
 
     awake: int
     wake_span: float
     causes: Dict[str, int]
 
-    sent_by = received_by = edge_messages = _NO_COUNTS
     wake_time = wake_cause = _NO_MAP
     round_messages = ()
 

@@ -73,8 +73,8 @@ class WakeUpResult:
     def lean(self) -> "WakeUpResult":
         """A copy safe to ship across a process boundary cheaply.
 
-        Drops the heavyweights that grow with n and m — the ``trace``,
-        the metric Counters, and the per-vertex ``wake_time`` map —
+        Drops the heavyweights that grow with n and m — the ``trace``
+        and the per-vertex wake maps (here and in the metrics) —
         while keeping every scalar the :meth:`summary` and the sweep
         aggregators read.  ``asleep`` is kept (it is empty on success
         and is exactly the failure diagnostic on partial wake-ups).

@@ -327,16 +327,12 @@ def test_fallback_drop_strategy():
 
 
 def test_bulk_lane_skips_per_message_collections():
-    """What the bulk lane deliberately does not fill: the per-node /
-    per-edge Counters (exactly the collections Metrics.compact() drops)
-    and the trace."""
+    """What the bulk lane deliberately does not fill: the per-message
+    trace."""
     setup, adv = _tiny()
     r = run_wakeup(setup, Flooding(), adv, engine="bulk", seed=1)
     assert r.engine == "bulk"
     assert r.trace is None
-    assert not r.metrics.sent_by
-    assert not r.metrics.edge_messages
-    assert not r.metrics.received_by
     # ...while the compact (IPC/cache) projection is indistinguishable
     # from a sync run's.
     lean = r.lean()

@@ -20,6 +20,7 @@ from repro.check.explorer import explore, random_probe
 from repro.check.invariants import (
     CLAIMED_MESSAGE_BOUNDS,
     InvariantContext,
+    MessageAccounting,
     default_invariants,
 )
 from repro.check.shrink import shrink_violation
@@ -290,6 +291,42 @@ class TestMutationPipeline:
                 "fifo-per-channel",
                 invariants=default_invariants("flooding"),
             )
+
+
+class TestMessageAccounting:
+    """The invariant holds the metrics' message and bit totals to the
+    traced sends, and every delivery to a traced send."""
+
+    def _ctx(self):
+        setup, algo, adv = _world(path_graph, 4, "flooding", {0: 0.0})()
+        trace = Trace()
+        result = run_wakeup(
+            setup, algo, adv, engine="async", seed=0, trace=trace
+        )
+        return InvariantContext(
+            setup=setup, adversary=adv, result=result, trace=trace
+        )
+
+    def test_honest_run_passes(self):
+        assert MessageAccounting().check(self._ctx()) is None
+
+    def test_forged_message_total_flagged(self):
+        ctx = self._ctx()
+        ctx.result.metrics.messages_total += 1
+        assert "sends but metrics charge" in MessageAccounting().check(ctx)
+
+    def test_forged_bit_total_flagged(self):
+        ctx = self._ctx()
+        ctx.result.metrics.bits_total += 1
+        assert "bits but metrics charge" in MessageAccounting().check(ctx)
+
+    def test_delivery_of_unsent_seq_flagged(self):
+        ctx = self._ctx()
+        msg = ctx.trace.deliveries()[-1]
+        ctx.trace.deliver(msg.sent_at + 1.0, msg._replace(seq=10_000))
+        assert MessageAccounting().check(ctx) == (
+            "delivered message seq 10000 was never sent"
+        )
 
 
 class TestTelemetry:

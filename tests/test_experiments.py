@@ -106,6 +106,17 @@ class TestTable1:
             "Thm 3", "Thm 4", "Cor 1", "Thm 5A", "Thm 5B", "Thm 6",
             "Cor 2", "baseline",
         ]
+        # (engine, knowledge, bandwidth), derived by algorithm_model
+        assert [tuple(r.model.split("/")) for r in rows] == [
+            ("async", "KT1", "LOCAL"),
+            ("sync", "KT1", "LOCAL"),
+            ("async", "KT0", "CONGEST"),
+            ("async", "KT0", "CONGEST"),
+            ("async", "KT0", "CONGEST"),
+            ("async", "KT0", "CONGEST"),
+            ("async", "KT0", "CONGEST"),
+            ("async", "KT0", "CONGEST"),
+        ]
 
     def test_all_rows_completed(self, rows):
         assert all(r.messages > 0 for r in rows)

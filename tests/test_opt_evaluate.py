@@ -205,12 +205,12 @@ class TestOptimizeLoop:
             finally:
                 set_global_registry(previous)
             snap = registry.snapshot()["counters"]
-            hits = snap.get(
-                'repro_cellcache_fetch_total{outcome="hit"}', 0
-            )
-            misses = snap.get(
-                'repro_cellcache_fetch_total{outcome="miss"}', 0
-            )
+            hits = misses = 0
+            for key, value in snap.items():
+                if key.startswith('repro_executor_cells_total{cached="yes"'):
+                    hits += value
+                elif key.startswith('repro_executor_cells_total{cached="no"'):
+                    misses += value
             return outcome, hits, misses
 
         cold, cold_hits, cold_misses = search()

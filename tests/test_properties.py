@@ -107,19 +107,20 @@ def test_cen_messages_never_exceed_three_per_tree_edge(seed, n):
 @given(seed=st.integers(0, 5_000))
 @settings(**COMMON_SETTINGS)
 def test_message_conservation(seed):
-    """Every sent message is eventually received: sum(sent) ==
-    sum(received) at quiescence."""
+    """Every sent message is eventually received: as many traced
+    deliveries as traced sends at quiescence, and as many of each as
+    the run charges."""
     g = connected_erdos_renyi(20, 0.2, seed=seed)
     setup = make_setup(g, knowledge=Knowledge.KT0, seed=seed)
     adversary = Adversary(
         WakeSchedule.singleton(next(iter(g.vertices()))),
         UniformRandomDelay(seed=seed),
     )
-    r = run_wakeup(setup, Flooding(), adversary, engine="async", seed=seed)
-    assert sum(r.metrics.sent_by.values()) == sum(
-        r.metrics.received_by.values()
+    r = run_wakeup(
+        setup, Flooding(), adversary, engine="async", seed=seed,
+        record_trace=True,
     )
-    assert r.messages == sum(r.metrics.sent_by.values())
+    assert len(r.trace.sends()) == len(r.trace.deliveries()) == r.messages
 
 
 @given(seed=st.integers(0, 5_000))

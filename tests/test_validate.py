@@ -89,7 +89,21 @@ class TestValidatorCatchesViolations:
         g, setup, schedule, r = self._run()
         r.messages = r.messages + 5  # forge the headline count
         violations = validate_result(r, setup, schedule.times())
-        assert any("per-node sends" in v for v in violations)
+        assert any("metrics total" in v for v in violations)
+
+    def test_delivery_of_unsent_seq_detected(self):
+        g = path_graph(6)
+        setup = make_setup(g, knowledge=Knowledge.KT0, seed=1)
+        schedule = WakeSchedule.singleton(0)
+        r = run_wakeup(
+            setup, Flooding(), Adversary(schedule, UnitDelay()),
+            engine="async", record_trace=True,
+        )
+        assert validate_result(r, setup, schedule.times()) == []
+        msg = r.trace.deliveries()[-1]
+        r.trace.deliver(msg.sent_at + 1.0, msg._replace(seq=10_000))
+        violations = validate_result(r, setup, schedule.times())
+        assert "delivered message seq 10000 was never sent" in violations
 
     def test_missing_nodes_detected(self):
         g, setup, schedule, r = self._run()
